@@ -47,7 +47,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._einsum import contract as _contract
 from .errors import VerificationError
 from .perms import OrbitLabel, PermTuple, canonical_form, identity, sim_decompose
 from .states import (
@@ -56,6 +55,7 @@ from .states import (
     partial_trace,
     partial_transpose,
     projector,
+    tensor_group,
     tensor_with_identity,
 )
 
@@ -263,12 +263,7 @@ class FormulaDescriptor:
 
     def evaluate(self, state) -> complex:
         rho = projector(state) if self.kind == "pure" else state
-        sigma = self.label.rep
-        if sigma.m == 1:
-            return mixed_m1(rho)
-        if sigma.m == 2:
-            return mixed_m2(sigma, rho)
-        return mixed_m3(sigma, rho)
+        return closed_form(self.label, "mixed", rho)
 
     def evaluate_text(self, state) -> complex:
         """Independent evaluation by parsing self.text."""
@@ -406,23 +401,11 @@ def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
                     pieces.append((op, support))
                 else:
                     scalar *= complex(op.entries[0, 0])
-        covered: list[int] = sorted(id_slots + [j for _, sup in pieces for j in sup])
-        if len(set(covered)) != len(covered):
-            raise ValueError(f"overlapping subsystems in tensor group: {covered}")
-        if not covered:
+        if not pieces and not id_slots:
             return np.array([[scalar]]), ()
-        operands, subscripts = [], []
-        for op, sup in pieces:
-            shape = tuple(rho.dims[j - 1] for j in sup)
-            operands.append(op.entries.reshape(shape + shape))
-            subscripts.append([("r", j) for j in sup] + [("c", j) for j in sup])
-        for j in id_slots:
-            operands.append(np.eye(rho.dims[j - 1], dtype=complex))
-            subscripts.append([("r", j), ("c", j)])
-        out = [("r", j) for j in covered] + [("c", j) for j in covered]
-        n = int(np.prod([rho.dims[j - 1] for j in covered]))
-        mat = _contract(operands, subscripts, out).reshape(n, n)
-        return scalar * mat, tuple(covered)
+        supports = tuple(sup for _, sup in pieces)
+        mat = tensor_group([op.entries for op, _ in pieces], supports, tuple(id_slots), rho.dims)
+        return scalar * mat, tuple(sorted(id_slots + [j for sup in supports for j in sup]))
 
     def evaluate(rho: DensityMatrix) -> complex:
         prod = None

@@ -9,8 +9,9 @@ conj(psi) with the sigma_j(l)-th psi, and subsystem k within the l-th pair
 
 Two strategies are provided and must agree to 1e-12 relative:
 
-- ``method="einsum"``: the whole m-copy network handed to numpy.einsum with
-  an optimized pairwise path, so the m-fold tensor power is never formed;
+- ``method="einsum"``: the whole m-copy network contracted pairwise along
+  numpy's greedy einsum path, so the m-fold tensor power is never formed;
+  the compiled plan is cached per (label, dims);
 - ``method="loop"``: a literal nested loop over all index assignments,
   O((prod n)^m); the independent oracle.
 """
@@ -20,9 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
-from ._einsum import contract as _contract
+from ._einsum import PLAN_CACHE_SIZE, Plan, plan
 from .errors import ResourceLimitError, VerificationError
 from .perms import OrbitLabel, PermTuple
 from .states import DensityMatrix, PureState, partial_trace, projector
@@ -121,31 +123,35 @@ def eval_pure_via_mixed(sigma: Label, psi: PureState, rtol: float = 1e-10) -> co
 # copy l's row slot and copy sigma_j(l)'s column slot.
 
 
-def _mixed_einsum(sigma: PermTuple, rho: DensityMatrix) -> complex:
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _mixed_plan(sigma: PermTuple, dims: tuple[int, ...]) -> Plan:
     m, k = sigma.m, sigma.r
-    tensor = rho.tensor()
-    operands, subscripts = [], []
+    subscripts = []
     for l in range(1, m + 1):
         rows = [(j, l) for j in range(1, k + 1)]
         cols = [(j, sigma.perms[j - 1](l)) for j in range(1, k + 1)]
-        operands.append(tensor)
         subscripts.append(rows + cols)
-    return complex(_contract(operands, subscripts, []))
+    return plan(subscripts, [], [dims + dims] * m)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pure_plan(sigma: PermTuple, dims: tuple[int, ...]) -> Plan:
+    m, k = sigma.m, len(dims)
+    subscripts = [[(j, l) for j in range(1, k + 1)] for l in range(1, m + 1)]
+    for l in range(1, m + 1):
+        cols = [(j, sigma.perms[j - 1](l)) for j in range(1, k)]
+        subscripts.append(cols + [(k, l)])
+    return plan(subscripts, [], [dims] * (2 * m))
+
+
+def _mixed_einsum(sigma: PermTuple, rho: DensityMatrix) -> complex:
+    return complex(_mixed_plan(sigma, rho.dims)(*[rho.tensor()] * sigma.m))
 
 
 def _pure_einsum(sigma: PermTuple, psi: PureState) -> complex:
-    m, k = sigma.m, psi.k
     amp = psi.amplitudes
-    conj = amp.conj()
-    operands, subscripts = [], []
-    for l in range(1, m + 1):
-        operands.append(amp)
-        subscripts.append([(j, l) for j in range(1, k + 1)])
-    for l in range(1, m + 1):
-        cols = [(j, sigma.perms[j - 1](l)) for j in range(1, k)]
-        operands.append(conj)
-        subscripts.append(cols + [(k, l)])
-    return complex(_contract(operands, subscripts, []))
+    m = sigma.m
+    return complex(_pure_plan(sigma, psi.dims)(*[amp] * m, *[amp.conj()] * m))
 
 
 # -- naive loop strategy -------------------------------------------------------

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._einsum import contract as _contract
+from ._einsum import PLAN_CACHE_SIZE, plan
 from .errors import ResourceLimitError
 
 #: Default cap on the total Hilbert-space dimension prod(n_j).
@@ -134,18 +135,24 @@ def projector(psi: PureState) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
     """Trace out the listed subsystems; the result lives on the complement.
     Tracing everything yields a 1x1 matrix holding the full trace."""
-    traced = _check_subsystems(traced, rho.k)
+    traced = frozenset(traced)
     if not traced:
         return rho
-    keep = [j for j in range(1, rho.k + 1) if j not in traced]
-    k = rho.k
+    trace, new_dims = _partial_trace_plan(rho.dims, traced)
+    n = math.prod(new_dims)
+    return DensityMatrix(new_dims, trace(rho.tensor()).reshape(n, n))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _partial_trace_plan(dims: tuple[int, ...], traced: frozenset):
+    traced = _check_subsystems(traced, len(dims))
+    k = len(dims)
+    keep = [j for j in range(1, k + 1) if j not in traced]
     subs = [("t", j) if j in traced else ("r", j) for j in range(1, k + 1)]
     subs += [("t", j) if j in traced else ("c", j) for j in range(1, k + 1)]
     out = [("r", j) for j in keep] + [("c", j) for j in keep]
-    reduced = _contract([rho.tensor()], [subs], out)
-    new_dims = tuple(rho.dims[j - 1] for j in keep) or (1,)
-    n = math.prod(new_dims)
-    return DensityMatrix(new_dims, reduced.reshape(n, n))
+    new_dims = tuple(dims[j - 1] for j in keep) or (1,)
+    return plan([subs], out, [dims + dims]), new_dims
 
 
 def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int]) -> DensityMatrix:
@@ -171,9 +178,7 @@ def tensor_with_identity(
     scalar multiple of the identity.
     """
     full_dims = check_dims(full_dims)
-    k_full = len(full_dims)
-    id_set = _check_subsystems(id_set, k_full)
-    rest = [j for j in range(1, k_full + 1) if j not in id_set]
+    id_set, rest = _padding_slots(frozenset(id_set), full_dims)
     expected = tuple(full_dims[j - 1] for j in rest) or (1,)
     if rho.dims != expected:
         raise ValueError(
@@ -181,21 +186,52 @@ def tensor_with_identity(
         )
     if not id_set:
         return rho
-
-    scalar = 1.0 + 0j
-    operands, subscripts = [], []
-    if rho.dims == (1,) and not rest:
-        scalar = complex(rho.entries[0, 0])
+    if not rest:
+        full = complex(rho.entries[0, 0]) * tensor_group([], (), id_set, full_dims)
     else:
-        operands.append(rho.tensor())
-        subscripts.append([("r", j) for j in rest] + [("c", j) for j in rest])
-    for j in id_set:
-        operands.append(np.eye(full_dims[j - 1], dtype=complex))
+        full = tensor_group([rho.entries], (rest,), id_set, full_dims)
+    return DensityMatrix(full_dims, full)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _padding_slots(id_set: frozenset, full_dims: tuple[int, ...]):
+    id_set = _check_subsystems(id_set, len(full_dims))
+    return id_set, tuple(j for j in range(1, len(full_dims) + 1) if j not in id_set)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _group_plan(supports: tuple[tuple[int, ...], ...], id_slots: tuple[int, ...],
+                dims: tuple[int, ...]):
+    covered = sorted(id_slots + sum(supports, ()))
+    if len(set(covered)) != len(covered):
+        raise ValueError(f"overlapping subsystems in tensor group: {covered}")
+    shapes = [tuple(dims[j - 1] for j in sup) * 2 for sup in supports]
+    subscripts = [[("r", j) for j in sup] + [("c", j) for j in sup] for sup in supports]
+    for j in id_slots:
+        shapes.append((dims[j - 1],) * 2)
         subscripts.append([("r", j), ("c", j)])
-    out = [("r", j) for j in range(1, k_full + 1)] + [("c", j) for j in range(1, k_full + 1)]
-    full = _contract(operands, subscripts, out)
-    n = math.prod(full_dims)
-    return DensityMatrix(full_dims, scalar * full.reshape(n, n))
+    out = [("r", j) for j in covered] + [("c", j) for j in covered]
+    n = math.prod(dims[j - 1] for j in covered)
+    eyes = tuple(_eye(dims[j - 1]) for j in id_slots)
+    return plan(subscripts, out, shapes), tuple(shapes[: len(supports)]), eyes, n
+
+
+def tensor_group(matrices: Sequence[np.ndarray], supports: tuple[tuple[int, ...], ...],
+                 id_slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
+    """Tensor product, as a matrix on the sorted union of its slots, of the
+    operator matrices (matrices[i] acting on subsystems supports[i], in that
+    order) and identities on id_slots; dims[j-1] is the dimension of slot j.
+    The slots must be disjoint."""
+    group, shapes, eyes, n = _group_plan(supports, id_slots, dims)
+    ops = [mat.reshape(shape) for mat, shape in zip(matrices, shapes)]
+    return group(*ops, *eyes).reshape(n, n)
 
 
 def random_pure(dims: Sequence[int], seed: int) -> PureState:
@@ -312,6 +348,8 @@ def _pairs_to_complex(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError("state data entries must be [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("state data holds non-finite entries (NaN or Inf)")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

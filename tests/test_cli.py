@@ -104,6 +104,22 @@ class TestEval:
                            "--state", ghz_file)
         assert code == 2 and "entries" in err
 
+    def test_non_finite_state_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims": [2], "kind": "pure", "data": [[NaN, 0], [1, 0]]}')
+        code, out, err = run(capsys, "eval", "--label", "", "--m", "1", "--kind", "pure",
+                             "--state", str(path))
+        assert code == 2 and "non-finite" in err and out == ""
+
+    def test_axis_id_limit_is_resource_guard(self, capsys, tmp_path):
+        """A pure grade-8 label on 7 qubits needs 56 einsum axis ids."""
+        path = tmp_path / "seven.json"
+        S.save_state(S.random_pure((2,) * 7, seed=0), path)
+        label = ",".join(["[1,2,3,4,5,6,7,8]"] * 6)
+        code, _, err = run(capsys, "eval", "--label", label, "--m", "8", "--kind", "pure",
+                           "--state", str(path))
+        assert code == 3 and "resource guard" in err and "56 axis ids" in err
+
 
 class TestGraph:
     def test_dot_output(self, capsys):

@@ -1,0 +1,211 @@
+"""Compiled contraction plans: values against np.einsum(optimize=True), the
+stored greedy path, the cost fields, the caches and the axis-id limit."""
+
+import re
+
+import numpy as np
+import pytest
+
+from conftest import relerr
+from luinv import contract, states
+from luinv._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, Plan, compile_plan, plan
+from luinv.errors import ResourceLimitError
+from luinv.perms import enumerate_orbits
+from luinv.states import random_density, random_hermitian, random_pure
+
+DIMS = [(2, 2), (3, 3), (2, 2, 2)]
+
+
+def renumber(subscripts, out):
+    mapping = {}
+    terms = [[mapping.setdefault(i, len(mapping)) for i in ids] for ids in subscripts]
+    return terms, [mapping.setdefault(i, len(mapping)) for i in out]
+
+
+def reference(operands, subscripts, out):
+    terms, out = renumber(subscripts, out)
+    args = []
+    for op, term in zip(operands, terms):
+        args += [op, term]
+    return np.einsum(*args, out, optimize=True)
+
+
+def fresh(operands, subscripts, out):
+    """The same contraction through a plan built outside every cache."""
+    terms, out = renumber(subscripts, out)
+    p = Plan(tuple(map(tuple, terms)), tuple(out), tuple(op.shape for op in operands))
+    return p(*operands)
+
+
+def mixed_network(sigma, rho):
+    m, k = sigma.m, sigma.r
+    subscripts = [[(j, l) for j in range(1, k + 1)]
+                  + [(j, sigma.perms[j - 1](l)) for j in range(1, k + 1)]
+                  for l in range(1, m + 1)]
+    return [rho.tensor()] * m, subscripts
+
+
+def pure_network(sigma, psi):
+    m, k = sigma.m, psi.k
+    subscripts = [[(j, l) for j in range(1, k + 1)] for l in range(1, m + 1)]
+    subscripts += [[(j, sigma.perms[j - 1](l)) for j in range(1, k)] + [(k, l)]
+                   for l in range(1, m + 1)]
+    return [psi.amplitudes] * m + [psi.amplitudes.conj()] * m, subscripts
+
+
+def labels(kind, k):
+    r = k - 1 if kind == "pure" else k
+    return [lab for m in (1, 2, 3) for lab in enumerate_orbits(m, r)]
+
+
+class TestEngineValues:
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_mixed_labels(self, dims):
+        rho = random_density(dims, seed=5)
+        for lab in labels("mixed", len(dims)):
+            ops, subs = mixed_network(lab.rep, rho)
+            ref = complex(reference(ops, subs, []))
+            for value in (contract.eval_mixed(lab, rho), contract.eval_mixed(lab, rho),
+                          complex(fresh(ops, subs, []))):
+                assert relerr(value, ref) < 1e-12, lab
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_pure_labels(self, dims):
+        psi = random_pure(dims, seed=6)
+        for lab in labels("pure", len(dims)):
+            ops, subs = pure_network(lab.rep, psi)
+            ref = complex(reference(ops, subs, []))
+            for value in (contract.eval_pure(lab, psi), contract.eval_pure(lab, psi),
+                          complex(fresh(ops, subs, []))):
+                assert relerr(value, ref) < 1e-12, lab
+
+    def test_multi_operand_fallback_step(self):
+        """(s, s2) at (2,2,2) is a pure label whose greedy path ends in one
+        einsum over more than two operands."""
+        psi = random_pure((2, 2, 2), seed=7)
+        lab = next(lab for lab in enumerate_orbits(3, 2)
+                   if [p.images for p in lab.rep.perms] == [(2, 3, 1), (3, 1, 2)])
+        ops, subs = pure_network(lab.rep, psi)
+        p = plan(subs, [], [op.shape for op in ops])
+        assert any(len(entry) > 2 for entry in p.path)
+        assert relerr(complex(p(*ops)), complex(reference(ops, subs, []))) < 1e-12
+
+
+class TestBuildingBlocks:
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 1, 2)])
+    def test_partial_trace(self, dims):
+        rho = random_hermitian(dims, seed=8)
+        k = len(dims)
+        for mask in range(1, 2**k):
+            traced = [j for j in range(1, k + 1) if mask >> (j - 1) & 1]
+            keep = [j for j in range(1, k + 1) if j not in traced]
+            subs = [[("t", j) if j in traced else ("r", j) for j in range(1, k + 1)]
+                    + [("t", j) if j in traced else ("c", j) for j in range(1, k + 1)]]
+            out = [("r", j) for j in keep] + [("c", j) for j in keep]
+            ref = reference([rho.tensor()], subs, out)
+            got = states.partial_trace(rho, traced).entries
+            n = got.shape[0]
+            assert np.allclose(got, ref.reshape(n, n), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("full_dims", [(2, 3), (2, 2, 2), (3, 2, 2)])
+    def test_tensor_with_identity(self, full_dims):
+        k = len(full_dims)
+        for mask in range(1, 2**k):
+            id_set = [j for j in range(1, k + 1) if mask >> (j - 1) & 1]
+            rest = [j for j in range(1, k + 1) if j not in id_set]
+            sub_dims = tuple(full_dims[j - 1] for j in rest) or (1,)
+            rho = random_hermitian(sub_dims, seed=mask)
+            ops, subs = [], []
+            if rest:
+                ops.append(rho.tensor())
+                subs.append([("r", j) for j in rest] + [("c", j) for j in rest])
+            for j in id_set:
+                ops.append(np.eye(full_dims[j - 1]))
+                subs.append([("r", j), ("c", j)])
+            out = [("r", j) for j in range(1, k + 1)] + [("c", j) for j in range(1, k + 1)]
+            ref = reference(ops, subs, out)
+            if not rest:
+                ref = ref * rho.entries[0, 0]
+            got = states.tensor_with_identity(rho, id_set, full_dims).entries
+            n = got.shape[0]
+            assert np.allclose(got, ref.reshape(n, n), rtol=1e-12, atol=1e-12)
+
+    def test_identity_factors_are_shared_and_read_only(self):
+        assert states._eye(3) is states._eye(3)
+        assert not states._eye(3).flags.writeable
+
+
+class TestPlan:
+    def test_path_is_numpys_greedy_path(self):
+        rho = random_density((2, 2, 2), seed=9)
+        for lab in enumerate_orbits(3, 3):
+            ops, subs = mixed_network(lab.rep, rho)
+            terms, out = renumber(subs, [])
+            args = []
+            for op, term in zip(ops, terms):
+                args += [op, term]
+            want = np.einsum_path(*args, out, optimize="greedy")[0]
+            assert list(plan(subs, [], [op.shape for op in ops]).path) == want[1:]
+
+    def test_cost_fields_match_numpy_report(self):
+        psi = random_pure((4, 4, 4), seed=10)
+        for lab in enumerate_orbits(4, 2)[:10]:
+            ops, subs = pure_network(lab.rep, psi)
+            terms, out = renumber(subs, [])
+            args = []
+            for op, term in zip(ops, terms):
+                args += [op, term]
+            report = np.einsum_path(*args, out, optimize="greedy")[1]
+            flops = float(re.search(r"Optimized FLOP count:\s+(\S+)", report).group(1))
+            largest = float(re.search(r"Largest intermediate:\s+(\S+)", report).group(1))
+            p = plan(subs, [], [op.shape for op in ops])
+            # numpy reports the sum of its step costs plus one
+            assert p.flops + 1 == pytest.approx(flops, rel=1e-3)
+            assert p.largest_intermediate == pytest.approx(largest, rel=1e-3)
+
+    def test_second_call_is_a_cache_hit(self):
+        subs, out, shapes = [["a", "b"], ["b", "c"]], ["c", "a"], [(2, 5), (5, 3)]
+        first = plan(subs, out, shapes)
+        hits = compile_plan.cache_info().hits
+        assert plan(subs, out, shapes) is first
+        assert compile_plan.cache_info().hits == hits + 1
+        # renumbering makes the key independent of the id names
+        assert plan([[0, 1], [1, 2]], [2, 0], shapes) is first
+
+    def test_other_shapes_give_another_plan(self):
+        subs, out = [["a", "b"], ["b", "c"]], ["c", "a"]
+        small = plan(subs, out, [(2, 5), (5, 3)])
+        large = plan(subs, out, [(4, 5), (5, 6)])
+        assert small is not large
+        assert large.shapes == ((4, 5), (5, 6))
+        x, y = np.ones((4, 5)), np.ones((5, 6))
+        assert large(x, y).shape == (6, 4)
+
+    def test_engine_hit_skips_the_plan_cache(self):
+        rho = random_density((2, 2), seed=11)
+        lab = enumerate_orbits(3, 2)[4]
+        contract.eval_mixed(lab, rho)
+        before = contract._mixed_plan.cache_info().hits, compile_plan.cache_info()
+        contract.eval_mixed(lab, rho)
+        assert contract._mixed_plan.cache_info().hits == before[0] + 1
+        assert compile_plan.cache_info() == before[1]
+
+    def test_caches_are_bounded_by_constants(self):
+        assert isinstance(PLAN_CACHE_SIZE, int) and PLAN_CACHE_SIZE > 0
+        for cache in (compile_plan, contract._mixed_plan, contract._pure_plan,
+                      states._partial_trace_plan, states._padding_slots,
+                      states._group_plan, states._eye):
+            assert cache.cache_info().maxsize == PLAN_CACHE_SIZE
+
+    def test_shape_mismatch_is_rejected(self):
+        with pytest.raises(ValueError):
+            plan([["a", "b"], ["b"]], [], [(2, 3), (4,)])
+        with pytest.raises(ValueError):
+            plan([["a"]], ["z"], [(2,)])
+
+    def test_axis_id_limit(self):
+        one = np.ones((1,) * MAX_AXIS_IDS)
+        assert plan([list(range(MAX_AXIS_IDS))], [], [one.shape])(one) == 1.0
+        with pytest.raises(ResourceLimitError, match="53 axis ids"):
+            plan([list(range(MAX_AXIS_IDS + 1))], [], [(1,) * (MAX_AXIS_IDS + 1)])
+

@@ -321,6 +321,17 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="kind"):
             S.load_state(path)
 
+    @pytest.mark.parametrize("doc", [
+        '{"dims": [2], "kind": "pure", "data": [[NaN, 0], [1, 0]]}',
+        '{"dims": [2], "kind": "mixed", "data": [[[1, 0], [0, 0]], [[0, 0], [Infinity, 0]]]}',
+        '{"dims": [2], "kind": "pure", "data": [[1, -Infinity], [1, 0]]}',
+    ])
+    def test_rejects_non_finite_entries(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="non-finite"):
+            S.load_state(path)
+
 
 class TestResourceGuard:
     def test_dim_limit(self):
