@@ -26,7 +26,7 @@ from .perms import (
     is_transitive,
     parse_label,
 )
-from .states import DensityMatrix, PureState, load_state, set_dim_limit
+from .states import DensityMatrix, PureState, dim_limit, load_state, set_dim_limit
 from .verify import render_table, reports_to_json, run_suite
 
 SCHEMA_VERSION = 1
@@ -227,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
+    previous_limit = dim_limit()
     try:
         if args.dim_limit is not None:
             set_dim_limit(args.dim_limit)
@@ -237,6 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_dim_limit(previous_limit)
 
 
 if __name__ == "__main__":

@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import VerificationError
-from .perms import OrbitLabel, PermTuple, canonical_form, identity, sim_decompose
+from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
 from .states import (
     DensityMatrix,
     PureState,
@@ -59,17 +59,11 @@ from .states import (
     tensor_with_identity,
 )
 
-Label = Union[PermTuple, OrbitLabel]
-
 _TS_IMAGES = (1, 3, 2)   # swap fixing 1
 _TS2_IMAGES = (3, 2, 1)  # swap fixing 2
 _T_IMAGES = (2, 1, 3)    # swap fixing 3
 _S2_IMAGES = (3, 1, 2)
 _FACTOR_ORDER = (_TS_IMAGES, _TS2_IMAGES, _T_IMAGES)
-
-
-def _as_tuple(label: Label) -> PermTuple:
-    return label.rep if isinstance(label, OrbitLabel) else label
 
 
 def mixed_m1(rho: DensityMatrix) -> complex:
@@ -91,7 +85,7 @@ def _m2_sets(sigma: PermTuple) -> tuple[list[int], list[int]]:
 
 def mixed_m2(sigma: Label, rho: DensityMatrix) -> complex:
     """Tr (Tr_{j | sigma_j = e} rho)^2."""
-    sigma = _as_tuple(sigma)
+    sigma = as_tuple(sigma)
     if sigma.r != rho.k:
         raise ValueError(f"label arity {sigma.r} does not match {rho.k} subsystems")
     e_set, _ = _m2_sets(sigma)
@@ -102,7 +96,7 @@ def mixed_m2(sigma: Label, rho: DensityMatrix) -> complex:
 def pure_m2(sigma: Label, psi: PureState, rtol: float = 1e-10) -> complex:
     """Both writings, asserted equal: trace out the last subsystem together
     with the e-slots, or trace out the t-slots."""
-    sigma = _as_tuple(sigma)
+    sigma = as_tuple(sigma)
     if sigma.r != psi.k - 1:
         raise ValueError(f"label arity {sigma.r} does not match {psi.k} subsystems (need k-1)")
     e_set, t_set = _m2_sets(sigma)
@@ -146,7 +140,7 @@ def _m3_factors(sigma: PermTuple, rho: DensityMatrix) -> list[DensityMatrix]:
 def mixed_m3(sigma: Label, rho: DensityMatrix) -> complex:
     """Trace of the ordered three-factor product described in the module
     docstring; entries may be any elements of S_3."""
-    sigma = _as_tuple(sigma)
+    sigma = as_tuple(sigma)
     if sigma.r != rho.k:
         raise ValueError(f"label arity {sigma.r} does not match {rho.k} subsystems")
     f1, f2, f3 = _m3_factors(sigma, rho)
@@ -157,7 +151,7 @@ def pure_m3(sigma: Label, psi: PureState) -> complex:
     """Grade-3 pure formula: the mixed formula applied to |psi><psi| with the
     identity appended for the singled-out last subsystem (whose indices are
     contracted inside each psi-conj(psi) pair)."""
-    sigma = _as_tuple(sigma)
+    sigma = as_tuple(sigma)
     if sigma.r != psi.k - 1:
         raise ValueError(f"label arity {sigma.r} does not match {psi.k} subsystems (need k-1)")
     return mixed_m3(sigma.embed(), projector(psi))
@@ -165,7 +159,7 @@ def pure_m3(sigma: Label, psi: PureState) -> complex:
 
 def closed_form(sigma: Label, kind: str, state) -> complex:
     """Dispatch to the grade-1/2/3 evaluator for the label's grade."""
-    sigma = _as_tuple(sigma)
+    sigma = as_tuple(sigma)
     if kind == "pure":
         if not isinstance(state, PureState):
             raise TypeError("pure labels take a PureState")
@@ -237,7 +231,7 @@ def formula_text(sigma: Label, kind: str) -> str:
     """Render the closed form of a mixed-type label (r = k entries) as text.
     kind selects the argument symbol: "mixed" -> rho, "pure" -> pi (the label
     is then one conjugation class of an embedded pure label)."""
-    sigma = _as_tuple(sigma)
+    sigma = as_tuple(sigma)
     arg = "rho" if kind == "mixed" else "pi"
     k = sigma.r
     if sigma.m == 1:
@@ -278,7 +272,7 @@ def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
     of its two-sided class; every one evaluates to the same number on any
     pure state.  For a mixed label there is a single descriptor.
     """
-    sigma = _as_tuple(sigma)
+    sigma = as_tuple(sigma)
     if sigma.m > 3:
         raise ValueError(f"no closed form for grade {sigma.m}")
     if kind == "mixed":

@@ -22,17 +22,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
 from .errors import ResourceLimitError, VerificationError
-from .perms import OrbitLabel, PermTuple
+from .perms import Label, OrbitLabel, PermTuple, as_tuple
 from .states import DensityMatrix, PureState, partial_trace, projector
 
 #: Cap on (prod n)^m * m for a single naive-loop evaluation.
 _EVAL_TERM_LIMIT = 20_000_000
-
-Label = Union[PermTuple, OrbitLabel]
 
 
 @dataclass(frozen=True)
@@ -57,10 +54,6 @@ class InvariantSpec:
     @property
     def k(self) -> int:
         return self.r + 1 if self.kind == "pure" else self.r
-
-
-def as_tuple(label: Label) -> PermTuple:
-    return label.rep if isinstance(label, OrbitLabel) else label
 
 
 def _guard_eval(total_dim: int, m: int, method: str):

@@ -3,7 +3,8 @@
 A grade-m label with k entries becomes a graph on vertices 1..m with one
 edge per (color, vertex): color j draws an edge with head at l and tail at
 sigma_j(l).  Relabeling vertices is simultaneous conjugation, so unlabeled
-graphs are exactly the conjugation classes.
+graphs are exactly the conjugation classes, and ``canonical_graph`` is the
+canonical label's key (``canonical_form``) as bytes.
 
 ``expressible_ordering`` searches for a cyclic vertex order in which every
 color's cycles sit on contiguous arcs traversed consecutively (either
@@ -19,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .perms import MAX_GRADE, Perm, PermTuple, symmetric_group
+from .perms import MAX_GRADE, Perm, PermTuple, canonical_form, orbit_partition
 
 _PALETTE = ("black", "red", "blue", "green", "orange", "purple", "brown", "cyan")
 
@@ -53,21 +54,9 @@ def graph_tuple(g: InvGraph) -> PermTuple:
 
 def canonical_graph(g: InvGraph) -> bytes:
     """Canonical byte string under vertex relabeling, preserving colors and
-    directions: the minimum over all m! relabelings of the sorted edge list
-    (color, tail, head).  Equal strings iff the graphs are isomorphic."""
-    if g.m > MAX_GRADE:
-        raise ResourceLimitError(f"graph canonicalization limited to m <= {MAX_GRADE}")
-    best = None
-    for beta in symmetric_group(g.m):
-        edges = sorted(
-            (j, beta(p(l)), beta(l))
-            for j, p in enumerate(g.colors)
-            for l in range(1, g.m + 1)
-        )
-        enc = bytes(x for e in edges for x in e)
-        if best is None or enc < best:
-            best = enc
-    return best
+    directions: the canonical key of the graph's label (canonical_form), one
+    byte per image.  Equal strings iff the graphs are isomorphic."""
+    return bytes(canonical_form(graph_tuple(g)).rep.key())
 
 
 def connected_components(g: InvGraph) -> list[tuple[InvGraph, tuple[int, ...]]]:
@@ -78,29 +67,13 @@ def connected_components(g: InvGraph) -> list[tuple[InvGraph, tuple[int, ...]]]:
     partition equals the orbit partition of the group generated by the
     colors, so the invariant factorizes over the components.
     """
-    parent = list(range(g.m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in g.colors:
-        for l in range(1, g.m + 1):
-            a, b = find(l - 1), find(p(l) - 1)
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for v in range(1, g.m + 1):
-        groups.setdefault(find(v - 1), []).append(v)
     out = []
-    for comp in sorted(groups.values()):
+    for comp in orbit_partition(graph_tuple(g)):
         index = {v: i + 1 for i, v in enumerate(comp)}
         colors = tuple(
             Perm(tuple(index[p(v)] for v in comp)) for p in g.colors
         )
-        out.append((InvGraph(len(comp), colors), tuple(comp)))
+        out.append((InvGraph(len(comp), colors), comp))
     return out
 
 

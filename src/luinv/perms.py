@@ -18,6 +18,15 @@ Two equivalences on r-tuples of permutations are used throughout:
 - the two-sided relabeling ``sigma_j -> a sigma_j b^-1`` (same a, b for all j),
   whose classes label pure-state invariants.  A two-sided class splits into
   finitely many conjugation classes; ``sim_decompose`` computes the split.
+
+One private kernel, ``_relabelings``, maps the flat key of a tuple
+(``PermTuple.key()``) to the keys of its m! conjugates, or of its m! left
+translates, using conjugator tables built once per grade.  Canonicalization
+(``canonical_form`` and the ``OrbitLabel`` check), ``orbit``,
+``enumerate_orbits``, the ``sim_decompose`` split and
+``graphs.canonical_graph`` all run on it.  ``orbit_partition`` is the one
+orbit routine on points, shared by ``is_transitive`` and
+``graphs.connected_components``.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Union
 
 from .errors import ResourceLimitError
 
@@ -108,11 +117,28 @@ def conjugate(beta: Perm, g: Perm) -> Perm:
 
 
 @lru_cache(maxsize=None)
+def _conjugators(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every b in S_m, in lexicographic image order, as the pair (value map,
+    index order): ``vmap[l] = b(l)`` for 1-based l (``vmap[0]`` is unused) and
+    ``order[i] = b^-1(i+1) - 1``, the 0-based position a relabeled image list
+    reads its (i+1)-th entry from."""
+    if m > MAX_GRADE:
+        raise ResourceLimitError(
+            f"grade {m} exceeds MAX_GRADE={MAX_GRADE}: too large for brute-force canonicalization"
+        )
+    out = []
+    for b in itertools.permutations(range(m)):
+        order = [0] * m
+        for i, x in enumerate(b):
+            order[x] = i
+        out.append(((0,) + tuple(x + 1 for x in b), tuple(order)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def symmetric_group(m: int) -> tuple[Perm, ...]:
     """All m! permutations of {1..m}, in lexicographic image order."""
-    if m > MAX_GRADE:
-        raise ResourceLimitError(f"grade {m} exceeds MAX_GRADE={MAX_GRADE}")
-    return tuple(Perm(p) for p in itertools.permutations(range(1, m + 1)))
+    return tuple(Perm(vmap[1:]) for vmap, _ in _conjugators(m))
 
 
 # Named elements for small grades.  The m=3 names follow the conventions in
@@ -228,15 +254,27 @@ def parse_label(text: str, m: int) -> PermTuple:
     return PermTuple(m, tuple(perm_from_name(p, m) for p in parts))
 
 
-def _canonical_tuple(sigma: PermTuple) -> PermTuple:
-    best = None
-    best_key = None
-    for beta in symmetric_group(sigma.m):
-        cand = sigma.conjugated(beta)
-        key = cand.key()
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+def _relabelings(
+    key: tuple[int, ...], m: int, r: int, translate: bool = False
+) -> list[tuple[int, ...]]:
+    """The permutation kernel: flat keys (see PermTuple.key) of relabelings
+    of one r-tuple over S_m, one per b in S_m in symmetric_group order.
+
+    By default these are the conjugates b·sigma_j·b^-1; with translate, the
+    left translates b·sigma_j.  Every two-sided relabeling a·sigma_j·b^-1
+    equals b·((b^-1 a)·sigma_j)·b^-1, a conjugate of a left translate.  This
+    is the only loop over the conjugators of S_m, and it holds the MAX_GRADE
+    guard through _conjugators."""
+    slices = [key[i * m:(i + 1) * m] for i in range(r)]
+    if translate:
+        return [tuple([vmap[x] for s in slices for x in s]) for vmap, _ in _conjugators(m)]
+    return [
+        tuple([vmap[s[i]] for s in slices for i in order]) for vmap, order in _conjugators(m)
+    ]
+
+
+def _from_key(key: tuple[int, ...], m: int, r: int) -> PermTuple:
+    return PermTuple(m, tuple(Perm(key[i * m:(i + 1) * m]) for i in range(r)))
 
 
 @dataclass(frozen=True, order=True)
@@ -248,11 +286,8 @@ class OrbitLabel:
     rep: PermTuple
 
     def __post_init__(self):
-        if self.rep.m > MAX_GRADE:
-            raise ResourceLimitError(
-                f"grade {self.rep.m} too large for brute-force canonicalization"
-            )
-        if self.rep != _canonical_tuple(self.rep):
+        key = self.rep.key()
+        if key != min(_relabelings(key, self.m, self.r)):
             raise ValueError(f"representative {self.rep} is not canonical")
 
     @property
@@ -267,28 +302,31 @@ class OrbitLabel:
         return f"OrbitLabel(m={self.m}, [{format_label(self.rep)}])"
 
 
+Label = Union[PermTuple, OrbitLabel]
+
+
+def as_tuple(label: Label) -> PermTuple:
+    return label.rep if isinstance(label, OrbitLabel) else label
+
+
 def canonical_form(sigma: PermTuple) -> OrbitLabel:
     """Canonical label of sigma's simultaneous-conjugation class.
 
     Deterministic and idempotent: the lexicographic minimum of the
-    concatenated image lists over all conjugates.  Brute force over m!
-    conjugators, guarded by MAX_GRADE.
+    concatenated image lists over all conjugates.  Brute force over the m!
+    conjugators of the kernel, guarded by MAX_GRADE.
     """
-    if sigma.m > MAX_GRADE:
-        raise ResourceLimitError(
-            f"grade {sigma.m} too large for brute-force canonicalization"
-        )
-    return OrbitLabel(_canonical_tuple(sigma))
+    m, r = sigma.m, sigma.r
+    return OrbitLabel(_from_key(min(_relabelings(sigma.key(), m, r)), m, r))
 
 
 def orbit(sigma: PermTuple) -> set[PermTuple]:
     """The full simultaneous-conjugation orbit of sigma."""
-    return {sigma.conjugated(beta) for beta in symmetric_group(sigma.m)}
+    m, r = sigma.m, sigma.r
+    return {_from_key(key, m, r) for key in set(_relabelings(sigma.key(), m, r))}
 
 
 def _check_enum_cost(m: int, r: int):
-    if m > MAX_GRADE:
-        raise ResourceLimitError(f"grade {m} exceeds MAX_GRADE={MAX_GRADE}")
     cost = factorial(m) ** max(r, 1) * max(r, 1) * m
     if cost > _ENUM_OP_LIMIT:
         raise ResourceLimitError(
@@ -300,20 +338,18 @@ def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
     """All distinct conjugation-orbit labels of r-tuples over S_m, sorted
     lexicographically by concatenated image lists."""
     _check_enum_cost(m, r)
-    if r == 0:
-        return [OrbitLabel(PermTuple(m, ()))]
-    group = symmetric_group(m)
-    seen: set[PermTuple] = set()
-    canon: list[PermTuple] = []
-    for combo in itertools.product(group, repeat=r):
-        sigma = PermTuple(m, combo)
-        if sigma in seen:
+    images = [p.images for p in symmetric_group(m)]
+    seen: set[tuple[int, ...]] = set()
+    canon: list[tuple[int, ...]] = []
+    for combo in itertools.product(images, repeat=r):
+        key = tuple(itertools.chain.from_iterable(combo))
+        if key in seen:
             continue
-        orb = orbit(sigma)
+        orb = _relabelings(key, m, r)
         seen.update(orb)
-        canon.append(min(orb, key=PermTuple.key))
-    canon.sort(key=PermTuple.key)
-    return [OrbitLabel(t) for t in canon]
+        canon.append(min(orb))
+    canon.sort()
+    return [OrbitLabel(_from_key(key, m, r)) for key in canon]
 
 
 def s3_orbit_representatives(r: int) -> list[PermTuple]:
@@ -382,25 +418,26 @@ def _t_only_tails(n: int, t: Perm, ts: Perm, ts2: Perm) -> Iterator[tuple[Perm, 
             yield head + tail
 
 
+def orbit_partition(sigma: PermTuple) -> list[tuple[int, ...]]:
+    """Orbits on {1..m} of the group generated by the entries, each sorted
+    and listed by its smallest point."""
+    out: list[tuple[int, ...]] = []
+    for start in range(1, sigma.m + 1):
+        if any(start in block for block in out):
+            continue
+        block, frontier = {start}, {start}
+        while frontier:
+            frontier = {p(l) for l in frontier for p in sigma.perms} - block
+            block |= frontier
+        out.append(tuple(sorted(block)))
+    return out
+
+
 def is_transitive(sigma: PermTuple) -> bool:
     """Whether the subgroup generated by the entries has a single orbit on
     {1..m}.  Marks membership in the algebraically independent generating set
     (for m = 1 this is trivially true: the lone grade-1 label is the norm)."""
-    m = sigma.m
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in sigma.perms:
-        for l in range(1, m + 1):
-            a, b = find(l - 1), find(p(l) - 1)
-            if a != b:
-                parent[a] = b
-    return len({find(x) for x in range(m)}) == 1
+    return len(orbit_partition(sigma)) == 1
 
 
 def generator_labels(m: int, r: int) -> list[OrbitLabel]:
@@ -430,27 +467,21 @@ def sim_decompose(sigma: PermTuple) -> SimClass:
     conjugation classes.
 
     sigma is a pure label with r = k-1 entries; the returned labels live in
-    S_m^k.  The double coset {(a sigma_1 b^-1, ..., a sigma_k b^-1)} is
-    enumerated over all (a, b) pairs and partitioned by canonical form.
+    S_m^k.  Every member a·sigma_j·b^-1 of the double coset is conjugate to
+    the left translate (b^-1 a)·sigma_j, so the classes are the canonical
+    forms of the m! left translates.
     """
     m = sigma.m
-    if m > MAX_GRADE:
-        raise ResourceLimitError(f"grade {m} exceeds MAX_GRADE={MAX_GRADE}")
     cost = factorial(m) ** 3 * max(sigma.r, 1)
     if cost > _ENUM_OP_LIMIT:
         raise ResourceLimitError(
             f"double-coset split for m={m}, r={sigma.r} needs ~{cost:.2e} operations"
         )
     embedded = sigma.embed()
-    group = symmetric_group(m)
-    coset: set[PermTuple] = set()
-    for alpha in group:
-        for beta in group:
-            binv = beta.inverse()
-            coset.add(
-                PermTuple(m, tuple(compose(compose(alpha, p), binv) for p in embedded.perms))
-            )
-    classes = {_canonical_tuple(member) for member in coset}
+    k = embedded.r
+    classes = {
+        min(_relabelings(key, m, k)) for key in _relabelings(embedded.key(), m, k, translate=True)
+    }
     anchor = canonical_form(embedded)
-    members = tuple(OrbitLabel(t) for t in sorted(classes, key=PermTuple.key))
+    members = tuple(OrbitLabel(_from_key(key, m, k)) for key in sorted(classes))
     return SimClass(anchor=anchor, members=members)

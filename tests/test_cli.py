@@ -201,6 +201,18 @@ class TestGlobalFlags:
         assert code == 0
         S.set_dim_limit(S.DEFAULT_DIM_LIMIT)
 
+    def test_dim_limit_flag_does_not_leak(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        S.save_state(S.random_pure((2, 2), seed=0), path)
+        code, _, _ = run(capsys, "--dim-limit", "8192", "eval", "--label", "t",
+                         "--m", "2", "--kind", "pure", "--state", str(path))
+        assert code == 0
+        assert S.dim_limit() == S.DEFAULT_DIM_LIMIT
+        code, _, _ = run(capsys, "--dim-limit", "8192", "eval", "--label", "q",
+                         "--m", "2", "--kind", "pure", "--state", str(path))
+        assert code == 2
+        assert S.dim_limit() == S.DEFAULT_DIM_LIMIT
+
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "enumerate")
         assert code == 2

@@ -58,7 +58,7 @@ class TestCanonicalGraph:
         b = G.canonical_graph(G.build_graph(P.perm_tuple(2, "e", "t")))
         assert a != b
 
-    @pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("m,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_fibers_match_orbit_count(self, m, k):
         strings = {G.canonical_graph(G.build_graph(t)) for t in tuples_over(m, k)}
         assert len(strings) == len(P.enumerate_orbits(m, k))

@@ -1,4 +1,6 @@
 import itertools
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,25 @@ def oracle_canonical(images_tuple):
         if best is None or key < best[1]:
             best = (conj, key)
     return best[0]
+
+
+def partitions(m, largest=None):
+    largest = m if largest is None else largest
+    if m == 0:
+        yield ()
+    for part in range(min(m, largest), 0, -1):
+        for rest in partitions(m - part, part):
+            yield (part,) + rest
+
+
+def burnside_count(m, r):
+    """Orbits of S_m^r under simultaneous conjugation: the sum over cycle
+    types lambda of z_lambda^(r-1), z_lambda the centralizer order."""
+    total = 0
+    for lam in partitions(m):
+        z = prod(i ** a * factorial(a) for i, a in Counter(lam).items())
+        total += z ** (r - 1)
+    return total
 
 
 class TestCompose:
@@ -125,6 +146,16 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="not canonical"):
             P.OrbitLabel(named("t", "e"))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_m4_to_m6(self, data):
+        m = data.draw(st.integers(4, 6))
+        group = list(itertools.permutations(range(1, m + 1)))
+        r = data.draw(st.integers(1, 3))
+        images = tuple(data.draw(st.sampled_from(group)) for _ in range(r))
+        got = P.canonical_form(P.PermTuple(m, tuple(P.Perm(p) for p in images))).rep
+        assert tuple(p.images for p in got.perms) == oracle_canonical(images)
+
 
 class TestEnumerateOrbits:
     def test_m2_r1(self):
@@ -169,6 +200,11 @@ class TestEnumerateOrbits:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             P.enumerate_orbits(5, 6)
+
+    @pytest.mark.parametrize("m,r,count", [(4, 3, 681), (5, 2, 161), (3, 5, 1393), (2, 6, 64)])
+    def test_burnside_counts(self, m, r, count):
+        assert burnside_count(m, r) == count
+        assert len(P.enumerate_orbits(m, r)) == count
 
 
 class TestS3Algorithm:
