@@ -20,7 +20,14 @@ from .closedform import (
     pure_m2,
     pure_m3,
 )
-from .contract import InvariantSpec, eval_mixed, eval_pure, eval_pure_via_mixed
+from .contract import (
+    InvariantSpec,
+    eval_mixed,
+    eval_mixed_batch,
+    eval_pure,
+    eval_pure_batch,
+    eval_pure_via_mixed,
+)
 from .errors import ResourceLimitError, VerificationError
 from .graphs import (
     InvGraph,

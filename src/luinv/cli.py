@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,6 +21,7 @@ from .contract import eval_mixed, eval_pure
 from .errors import ResourceLimitError
 from .graphs import build_graph, dot_export, expressible_ordering, graph_to_json
 from .perms import (
+    MAX_GRADE,
     canonical_form,
     enumerate_orbits,
     format_label,
@@ -38,6 +40,17 @@ EXIT_RESOURCE = 3
 
 #: Engine disagreement beyond this (relative) makes `eval` exit nonzero.
 EVAL_MISMATCH_TOL = 1e-8
+
+
+def grade(text: str) -> int:
+    """argparse type of --m: a grade in 1..MAX_GRADE.  Below the range is a
+    usage error; above it, the resource guard."""
+    m = int(text)
+    if m < 1:
+        raise argparse.ArgumentTypeError(f"grade {m} is outside 1..{MAX_GRADE}")
+    if m > MAX_GRADE:
+        raise ResourceLimitError(f"grade {m} exceeds MAX_GRADE; grades run 1..{MAX_GRADE}")
+    return m
 
 
 def _arity(args) -> int:
@@ -163,7 +176,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="luinv",
         description="Enumerate, evaluate, draw and verify local-unitary "
@@ -177,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list invariant labels")
-    p.add_argument("--m", type=int, required=True, help="grade (1..8)")
+    p.add_argument("--m", type=grade, required=True, help=f"grade (1..{MAX_GRADE})")
     p.add_argument("--r", type=int, default=None, help="tuple arity")
     p.add_argument("--k", type=int, default=None, help="subsystem count (with --kind)")
     p.add_argument("--kind", choices=("pure", "mixed"), default="mixed",
@@ -191,13 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an invariant on a state file")
     p.add_argument("--label", required=True, help='e.g. "s,t" or "[2,1,3],[1,2,3]"')
     p.add_argument("--kind", choices=("pure", "mixed"), required=True)
-    p.add_argument("--m", type=int, default=None, help="grade (default 3)")
+    p.add_argument("--m", type=grade, default=None, help=f"grade (1..{MAX_GRADE}, default 3)")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("graph", help="graph/formula views of one invariant")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=grade, required=True, help=f"grade (1..{MAX_GRADE})")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--kind", choices=("pure", "mixed"), default="pure")
@@ -221,14 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        return int(exc.code or 0)
     previous_limit = dim_limit()
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse uses exit code 2 for usage errors already
+            return int(exc.code or 0)
         if args.dim_limit is not None:
             set_dim_limit(args.dim_limit)
         return args.func(args)

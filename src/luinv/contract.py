@@ -14,14 +14,21 @@ Two strategies are provided and must agree to 1e-12 relative:
   the compiled plan is cached per (label, dims);
 - ``method="loop"``: a literal nested loop over all index assignments,
   O((prod n)^m); the independent oracle.
+
+``eval_mixed_batch`` and ``eval_pure_batch`` evaluate one label on a stack
+of n states of equal dims with one plan call: the same network with one
+shared leading batch axis on every operand and on the output.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
 from .errors import ResourceLimitError, VerificationError
@@ -89,6 +96,41 @@ def eval_pure(sigma: Label, psi: PureState, method: str = "einsum") -> complex:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _stack_dims(states: Sequence, arity: int, extra: int) -> tuple[int, ...]:
+    """The common dims of a non-empty stack of states, checked against a
+    label arity of len(dims) - extra."""
+    if not states:
+        raise ValueError("a batch needs at least one state")
+    dims = states[0].dims
+    if any(state.dims != dims for state in states):
+        got = sorted({state.dims for state in states})
+        raise ValueError(f"states of a batch must share dims; got {got}")
+    if arity != len(dims) - extra:
+        need = "k-1" if extra else "k"
+        raise ValueError(
+            f"label arity {arity} does not match {len(dims)} subsystems (need {need})")
+    return dims
+
+
+def eval_mixed_batch(sigma: Label, rhos: Sequence[DensityMatrix]) -> np.ndarray:
+    """eval_mixed of one label on each of a stack of density matrices with
+    equal dims, as a complex array of shape (n,) from one plan call."""
+    sigma = as_tuple(sigma)
+    dims = _stack_dims(rhos, sigma.r, 0)
+    stack = np.stack([rho.tensor() for rho in rhos])
+    return _mixed_plan(sigma, dims, len(rhos))(*[stack] * sigma.m)
+
+
+def eval_pure_batch(sigma: Label, psis: Sequence[PureState]) -> np.ndarray:
+    """eval_pure of one label on each of a stack of pure states with equal
+    dims, as a complex array of shape (n,) from one plan call."""
+    sigma = as_tuple(sigma)
+    dims = _stack_dims(psis, sigma.r, 1)
+    stack = np.stack([psi.amplitudes for psi in psis])
+    m = sigma.m
+    return _pure_plan(sigma, dims, len(psis))(*[stack] * m, *[stack.conj()] * m)
+
+
 def eval_pure_via_mixed(sigma: Label, psi: PureState, rtol: float = 1e-10) -> complex:
     """Evaluate a pure label three ways and cross-check:
 
@@ -113,28 +155,36 @@ def eval_pure_via_mixed(sigma: Label, psi: PureState, rtol: float = 1e-10) -> co
 # -- einsum strategy ----------------------------------------------------------
 #
 # Axis ids are (j, l) pairs: the summation index on subsystem j shared by
-# copy l's row slot and copy sigma_j(l)'s column slot.
+# copy l's row slot and copy sigma_j(l)'s column slot.  A batched plan adds
+# the id "n", leading on every operand and on the output, for the stack of
+# states; batch=None is the unbatched network.
+
+
+def _batched(subscripts, shapes, batch: int | None) -> Plan:
+    if batch is None:
+        return plan(subscripts, [], shapes)
+    return plan([["n", *ids] for ids in subscripts], ["n"], [(batch, *s) for s in shapes])
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _mixed_plan(sigma: PermTuple, dims: tuple[int, ...]) -> Plan:
+def _mixed_plan(sigma: PermTuple, dims: tuple[int, ...], batch: int | None = None) -> Plan:
     m, k = sigma.m, sigma.r
     subscripts = []
     for l in range(1, m + 1):
         rows = [(j, l) for j in range(1, k + 1)]
         cols = [(j, sigma.perms[j - 1](l)) for j in range(1, k + 1)]
         subscripts.append(rows + cols)
-    return plan(subscripts, [], [dims + dims] * m)
+    return _batched(subscripts, [dims + dims] * m, batch)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _pure_plan(sigma: PermTuple, dims: tuple[int, ...]) -> Plan:
+def _pure_plan(sigma: PermTuple, dims: tuple[int, ...], batch: int | None = None) -> Plan:
     m, k = sigma.m, len(dims)
     subscripts = [[(j, l) for j in range(1, k + 1)] for l in range(1, m + 1)]
     for l in range(1, m + 1):
         cols = [(j, sigma.perms[j - 1](l)) for j in range(1, k)]
         subscripts.append(cols + [(k, l)])
-    return plan(subscripts, [], [dims] * (2 * m))
+    return _batched(subscripts, [dims] * (2 * m), batch)
 
 
 def _mixed_einsum(sigma: PermTuple, rho: DensityMatrix) -> complex:

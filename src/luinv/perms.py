@@ -472,13 +472,14 @@ def sim_decompose(sigma: PermTuple) -> SimClass:
     forms of the m! left translates.
     """
     m = sigma.m
-    cost = factorial(m) ** 3 * max(sigma.r, 1)
+    embedded = sigma.embed()
+    k = embedded.r
+    # m! translates, each canonicalized over m! conjugators of k entries of m
+    cost = factorial(m) ** 2 * k * m
     if cost > _ENUM_OP_LIMIT:
         raise ResourceLimitError(
             f"double-coset split for m={m}, r={sigma.r} needs ~{cost:.2e} operations"
         )
-    embedded = sigma.embed()
-    k = embedded.r
     classes = {
         min(_relabelings(key, m, k)) for key in _relabelings(embedded.key(), m, k, translate=True)
     }

@@ -102,6 +102,15 @@ class DensityMatrix:
     def k(self) -> int:
         return len(self.dims)
 
+    @classmethod
+    def _derived(cls, dims: tuple[int, ...], entries: np.ndarray) -> "DensityMatrix":
+        """An operator built from dims of an already checked state: skips
+        check_dims and the shape check (entries must be complex, N x N)."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dims", dims)
+        object.__setattr__(rho, "entries", entries)
+        return rho
+
     def tensor(self) -> np.ndarray:
         """View with one row axis and one column axis per subsystem."""
         return self.entries.reshape(self.dims + self.dims)
@@ -129,7 +138,7 @@ def _check_subsystems(subs: Iterable[int], k: int) -> tuple[int, ...]:
 def projector(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi| (trace = squared norm)."""
     v = psi.vector()
-    return DensityMatrix(psi.dims, np.outer(v, v.conj()))
+    return DensityMatrix._derived(psi.dims, np.outer(v, v.conj()))
 
 
 def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
@@ -140,7 +149,7 @@ def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
         return rho
     trace, new_dims = _partial_trace_plan(rho.dims, traced)
     n = math.prod(new_dims)
-    return DensityMatrix(new_dims, trace(rho.tensor()).reshape(n, n))
+    return DensityMatrix._derived(new_dims, trace(rho.tensor()).reshape(n, n))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -165,7 +174,7 @@ def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int]) -> DensityM
     for j in subs:
         axes[j - 1], axes[rho.k + j - 1] = axes[rho.k + j - 1], axes[j - 1]
     n = math.prod(rho.dims)
-    return DensityMatrix(rho.dims, t.transpose(axes).reshape(n, n))
+    return DensityMatrix._derived(rho.dims, t.transpose(axes).reshape(n, n))
 
 
 def tensor_with_identity(

@@ -8,6 +8,10 @@ Linear independence is only ever asserted at fixed local dimensions with
 grade m <= min(n_j); algebraic independence of the transitive generators is
 a statement about the limit of growing local dimensions and is not
 numerically testable, so it is out of scope here (the reports say so).
+
+Every numeric check evaluates each label once per stack of states through
+the batched engines, then walks (sample, label) in a fixed order, so the
+worst residual and its witness do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import closedform
-from .contract import InvariantSpec, eval_mixed, eval_pure
+from .contract import InvariantSpec, eval_mixed, eval_mixed_batch, eval_pure_batch
 from .perms import enumerate_orbits, format_label, generator_labels, sim_decompose
 from .states import (
     DensityMatrix,
@@ -76,10 +80,12 @@ def all_specs(dims: Sequence[int], grades: Iterable[int] = (1, 2, 3)) -> list[In
     return specs
 
 
-def _evaluate(spec: InvariantSpec, state) -> complex:
-    if spec.kind == "pure":
-        return eval_pure(spec.label, state)
-    return eval_mixed(spec.label, state)
+def _values(label, kind: str, states: Sequence) -> list[complex]:
+    """The label's values on a stack of states of one kind (none for none)."""
+    if not states:
+        return []
+    batch = eval_pure_batch if kind == "pure" else eval_mixed_batch
+    return batch(label, states).tolist()
 
 
 def check_lu_invariance(
@@ -93,18 +99,22 @@ def check_lu_invariance(
     dims = tuple(dims)
     if specs is None:
         specs = all_specs(dims)
-    worst = 0.0
-    witness = None
+    stacks = {"pure": [], "mixed": []}
     for i in range(samples):
         psi = _normalized_pure(dims, seed * 100_003 + 2 * i)
         rho = _normalized_density(dims, seed * 100_003 + 2 * i + 1)
         us = random_local_unitaries(dims, seed * 900_001 + i)
-        psi_rot = apply_local_unitaries(psi, us)
-        rho_rot = apply_local_unitaries_mixed(rho, us)
-        for spec in specs:
-            state, rotated = (psi, psi_rot) if spec.kind == "pure" else (rho, rho_rot)
-            a = _evaluate(spec, state)
-            b = _evaluate(spec, rotated)
+        stacks["pure"].append(psi)
+        stacks["mixed"].append(rho)
+        stacks["pure"].append(apply_local_unitaries(psi, us))
+        stacks["mixed"].append(apply_local_unitaries_mixed(rho, us))
+    # values[spec][2 i] on sample i, values[spec][2 i + 1] on its rotation
+    values = [_values(spec.label, spec.kind, stacks[spec.kind]) for spec in specs]
+    worst = 0.0
+    witness = None
+    for i in range(samples):
+        for spec, vals in zip(specs, values):
+            a, b = vals[2 * i], vals[2 * i + 1]
             drift = abs(a - b) / max(abs(a), 1e-300)
             if drift > worst:
                 worst = drift
@@ -136,12 +146,9 @@ def check_linear_independence(
     labels = enumerate_orbits(m, r)
     d = len(labels)
     n_states = 2 * d
-    if kind == "pure":
-        states = [_normalized_pure(dims, seed * 77_041 + i) for i in range(n_states)]
-        matrix = np.array([[eval_pure(lab, s) for s in states] for lab in labels])
-    else:
-        states = [_normalized_density(dims, seed * 77_041 + i) for i in range(n_states)]
-        matrix = np.array([[eval_mixed(lab, s) for s in states] for lab in labels])
+    sample = _normalized_pure if kind == "pure" else _normalized_density
+    states = [sample(dims, seed * 77_041 + i) for i in range(n_states)]
+    matrix = np.array([_values(lab, kind, states) for lab in labels])
     sv = np.linalg.svd(matrix, compute_uv=False)
     rank = int((sv > sv_threshold * sv[0]).sum())
     expect_full = m <= min(dims)
@@ -181,15 +188,14 @@ def check_class_consistency(
     worst = 0.0
     witness = None
     split_results = []
-    n_pure_samples = 5
-    n_mixed_samples = 20
+    projectors = [projector(_normalized_pure(dims, seed * 61_543 + i)) for i in range(5)]
+    rhos = [_normalized_density(dims, seed * 44_497 + i) for i in range(20)]
     for lab in enumerate_orbits(m, k - 1):
         split = sim_decompose(lab.rep)
         assert split.anchor.rep.perms[-1].is_identity()
-        for i in range(n_pure_samples):
-            psi = _normalized_pure(dims, seed * 61_543 + i)
-            pi = projector(psi)
-            vals = [eval_mixed(member, pi) for member in split.members]
+        member_vals = [_values(member, "mixed", projectors) for member in split.members]
+        for i in range(len(projectors)):
+            vals = [row[i] for row in member_vals]
             ref = vals[0]
             spread = max(abs(v - ref) for v in vals) / max(abs(ref), 1e-300)
             if spread > worst:
@@ -200,8 +206,7 @@ def check_class_consistency(
         for a in range(len(split.members)):
             for b in range(a + 1, len(split.members)):
                 pairs += 1
-                for i in range(n_mixed_samples):
-                    rho = _normalized_density(dims, seed * 44_497 + i)
+                for rho in rhos:
                     va = eval_mixed(split.members[a], rho)
                     vb = eval_mixed(split.members[b], rho)
                     if abs(va - vb) > 1e-6 * max(abs(va), abs(vb), 1e-300):
@@ -237,15 +242,26 @@ def check_purification(
     dims = tuple(dims)
     labels = enumerate_orbits(m, len(dims))
     total_dim = math.prod(dims)
+    ranks = [1 + (i % total_dim) for i in range(samples)]
+    rhos = [_normalized_density(dims, seed * 52_361 + i, rank=rank)
+            for i, rank in enumerate(ranks)]
+    phis = [purify(rho) for rho in rhos]
+    # the purifications' dims vary with the rank: one pure stack per dims
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, phi in enumerate(phis):
+        groups.setdefault(phi.dims, []).append(i)
+    mixed_vals = [_values(lab, "mixed", rhos) for lab in labels]
+    pure_vals = [[0j] * samples for _ in labels]
+    for members in groups.values():
+        stack = [phis[i] for i in members]
+        for lab, vals in zip(labels, pure_vals):
+            for i, value in zip(members, _values(lab, "pure", stack)):
+                vals[i] = value
     worst = 0.0
     witness = None
-    for i in range(samples):
-        rank = 1 + (i % total_dim)
-        rho = _normalized_density(dims, seed * 52_361 + i, rank=rank)
-        phi = purify(rho)
-        for lab in labels:
-            a = eval_mixed(lab, rho)
-            b = eval_pure(lab, phi)
+    for i, rank in enumerate(ranks):
+        for lab, a_vals, b_vals in zip(labels, mixed_vals, pure_vals):
+            a, b = a_vals[i], b_vals[i]
             resid = abs(a - b) / max(abs(a), 1e-300)
             if resid > worst:
                 worst = resid
@@ -302,12 +318,15 @@ def check_closed_forms(
     worst = 0.0
     witness = None
     specs = all_specs(dims)
+    stacks = {
+        "pure": [_normalized_pure(dims, seed * 39_989 + 2 * i) for i in range(samples)],
+        "mixed": [_normalized_density(dims, seed * 39_989 + 2 * i + 1) for i in range(samples)],
+    }
+    values = [_values(spec.label, spec.kind, stacks[spec.kind]) for spec in specs]
     for i in range(samples):
-        psi = _normalized_pure(dims, seed * 39_989 + 2 * i)
-        rho = _normalized_density(dims, seed * 39_989 + 2 * i + 1)
-        for spec in specs:
-            state = psi if spec.kind == "pure" else rho
-            a = _evaluate(spec, state)
+        for spec, vals in zip(specs, values):
+            state = stacks[spec.kind][i]
+            a = vals[i]
             b = closedform.closed_form(spec.label, spec.kind, state)
             resid = abs(a - b) / max(abs(a), abs(b), 1e-300)
             if resid > worst:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import luinv
 from luinv import states as S
-from luinv.cli import main
+from luinv.cli import build_parser, main
+from luinv.perms import MAX_GRADE
 
 
 def run(capsys, *args):
@@ -216,3 +222,47 @@ class TestGlobalFlags:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "enumerate")
         assert code == 2
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_after_usage_error(self, capsys, ghz_file):
+        argv = ["eval", "--label", "s,s2", "--kind", "pure", "--state", ghz_file, "--json"]
+        first = run(capsys, *argv)
+        assert run(capsys, "eval", "--kind", "pure")[0] == 2
+        second = run(capsys, *argv)
+        assert first[0] == second[0] == 0
+        assert first[1] == second[1]
+
+
+class TestGradeRange:
+    COMMANDS = {
+        "enumerate": ["enumerate", "--r", "2"],
+        "eval": ["eval", "--label", "e,e", "--kind", "pure", "--state", "missing.json"],
+        "graph": ["graph", "--k", "2", "--label", "e"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_below_range_is_usage_error(self, capsys, command, m):
+        code, out, err = run(capsys, *self.COMMANDS[command], "--m", str(m))
+        assert code == 2 and out == ""
+        assert f"1..{MAX_GRADE}" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_above_range_is_resource_guard(self, capsys, command):
+        code, out, err = run(capsys, *self.COMMANDS[command], "--m", str(MAX_GRADE + 1))
+        assert code == 3 and out == ""
+        assert "resource guard" in err and f"1..{MAX_GRADE}" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(luinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "luinv", "enumerate", "--m", "2", "--r", "2", "--count"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4\n"

@@ -1,5 +1,6 @@
 """Compiled contraction plans: values against np.einsum(optimize=True), the
-stored greedy path, the cost fields, the caches and the axis-id limit."""
+stored greedy path, the cost fields, the caches, the axis-id limit and the
+batched engine entry points."""
 
 import re
 
@@ -209,3 +210,73 @@ class TestPlan:
         with pytest.raises(ResourceLimitError, match="53 axis ids"):
             plan([list(range(MAX_AXIS_IDS + 1))], [], [(1,) * (MAX_AXIS_IDS + 1)])
 
+
+
+class TestBatchedEngines:
+    @pytest.mark.parametrize("dims,grades", [((2, 2), (1, 2, 3, 4)), ((3, 3), (1, 2, 3)),
+                                             ((2, 2, 2), (1, 2, 3))])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_matches_per_state_engines(self, dims, grades, n):
+        k = len(dims)
+        rhos = [random_density(dims, seed=20 + i) for i in range(n)]
+        psis = [random_pure(dims, seed=40 + i) for i in range(n)]
+        for m in grades:
+            for lab in enumerate_orbits(m, k):
+                got = contract.eval_mixed_batch(lab, rhos)
+                assert got.shape == (n,) and got.dtype == complex
+                for value, rho in zip(got, rhos):
+                    assert relerr(value, contract.eval_mixed(lab, rho)) < 1e-12, lab
+            for lab in enumerate_orbits(m, k - 1):
+                got = contract.eval_pure_batch(lab, psis)
+                assert got.shape == (n,) and got.dtype == complex
+                for value, psi in zip(got, psis):
+                    assert relerr(value, contract.eval_pure(lab, psi)) < 1e-12, lab
+
+    def test_one_plan_per_label_dims_and_size(self):
+        lab = enumerate_orbits(3, 2)[5].rep
+        rhos = [random_density((2, 2), seed=i) for i in range(3)]
+        contract.eval_mixed_batch(lab, rhos)
+        three = contract._mixed_plan(lab, (2, 2), 3)
+        assert three.shapes == ((3, 2, 2, 2, 2),) * 3
+        hits = contract._mixed_plan.cache_info().hits
+        contract.eval_mixed_batch(lab, [rhos[2], rhos[0], rhos[1]])
+        assert contract._mixed_plan.cache_info().hits == hits + 1
+        assert contract._mixed_plan(lab, (2, 2), 3) is three
+        contract.eval_mixed_batch(lab, rhos[:2])
+        two = contract._mixed_plan(lab, (2, 2), 2)
+        assert two is not three and two.shapes == ((2, 2, 2, 2, 2),) * 3
+        assert contract._mixed_plan(lab, (2, 2)) not in (two, three)
+
+        psis = [random_pure((2, 2), seed=i) for i in range(3)]
+        pure = enumerate_orbits(3, 1)[1].rep
+        contract.eval_pure_batch(pure, psis)
+        assert contract._pure_plan(pure, (2, 2), 3).shapes == ((3, 2, 2),) * 6
+        assert contract._pure_plan(pure, (2, 2), 3) is contract._pure_plan(pure, (2, 2), 3)
+
+    def test_per_state_plan_survives_a_batched_call(self):
+        lab = enumerate_orbits(3, 2)[7]
+        rho = random_density((2, 2), seed=12)
+        value = contract.eval_mixed(lab, rho)
+        unbatched = contract._mixed_plan(lab.rep, (2, 2))
+        contract.eval_mixed_batch(lab, [rho] * 4)
+        hits = contract._mixed_plan.cache_info().hits
+        assert contract.eval_mixed(lab, rho) == value
+        assert contract._mixed_plan.cache_info().hits == hits + 1
+        assert contract._mixed_plan(lab.rep, (2, 2)) is unbatched
+        assert unbatched.shapes == ((2, 2, 2, 2),) * 3
+
+    def test_bad_stacks_are_rejected(self):
+        mixed, pure = enumerate_orbits(2, 2)[1], enumerate_orbits(2, 1)[1]
+        rho, psi = random_density((2, 2), seed=0), random_pure((2, 2), seed=0)
+        for call, lab, state, other in (
+            (contract.eval_mixed_batch, mixed, rho, random_density((2, 3), seed=1)),
+            (contract.eval_pure_batch, pure, psi, random_pure((2, 3), seed=1)),
+        ):
+            with pytest.raises(ValueError, match="at least one"):
+                call(lab, [])
+            with pytest.raises(ValueError, match="share dims"):
+                call(lab, [state, other])
+        with pytest.raises(ValueError, match="arity"):
+            contract.eval_mixed_batch(pure, [rho])
+        with pytest.raises(ValueError, match="arity"):
+            contract.eval_pure_batch(mixed, [psi])

@@ -310,6 +310,20 @@ class TestSimDecompose:
                 seen.add(member)
         assert len(seen) == 49
 
+    def test_m6_split_runs(self):
+        """The guard counts m!^2 (r+1) m kernel steps, so m = 6 is allowed."""
+        sigma = P.PermTuple(6, (P.Perm((2, 3, 4, 5, 6, 1)),))
+        sc = P.sim_decompose(sigma)
+        assert len(set(sc.members)) == len(sc.members) > 1
+        for member in sc.members:
+            assert member.rep.r == 2
+            assert P.canonical_form(member.rep) == member
+        assert sc.anchor in sc.members
+
+    def test_m7_split_is_refused(self):
+        with pytest.raises(ResourceLimitError, match="m=7"):
+            P.sim_decompose(P.PermTuple(7, (P.identity(7),)))
+
 
 class TestLabelText:
     def test_round_trip_named(self):

@@ -337,6 +337,26 @@ class TestResourceGuard:
     def test_dim_limit(self):
         with pytest.raises(ResourceLimitError, match="exceeds limit"):
             S.check_dims((2,) * 13)
+        # operators derived from checked states skip the guard; a state a
+        # user builds over the limit still trips it
+        psi = S.random_pure((2, 2, 2), seed=0)
+        rho = S.random_density((2, 2, 2), seed=1)
+        old = S.dim_limit()
+        try:
+            S.set_dim_limit(4)
+            pi = S.projector(psi)
+            assert relerr(pi.trace(), psi.norm() ** 2) < 1e-12
+            assert S.partial_trace(rho, {3}).dims == (2, 2)
+            pt = S.partial_transpose(rho, {1})
+            assert np.allclose(S.partial_transpose(pt, {1}).entries, rho.entries)
+            with pytest.raises(ResourceLimitError, match="exceeds limit"):
+                S.DensityMatrix((2, 2, 2), rho.entries)
+            with pytest.raises(ResourceLimitError, match="exceeds limit"):
+                S.PureState((2, 2, 2), psi.amplitudes)
+            with pytest.raises(ResourceLimitError, match="exceeds limit"):
+                S.tensor_with_identity(S.partial_trace(rho, {3}), {3}, (2, 2, 2))
+        finally:
+            S.set_dim_limit(old)
 
     def test_limit_override(self):
         old = S.dim_limit()
