@@ -11,6 +11,7 @@ from .closedform import (
     FormulaDescriptor,
     alternate_writings,
     closed_form,
+    closed_form_batch,
     formula_text,
     mixed_m1,
     mixed_m2,

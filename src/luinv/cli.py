@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import __version__
@@ -51,6 +52,13 @@ def grade(text: str) -> int:
     if m > MAX_GRADE:
         raise ResourceLimitError(f"grade {m} exceeds MAX_GRADE; grades run 1..{MAX_GRADE}")
     return m
+
+
+def _label_grade(label: str) -> int:
+    """The grade an image-list label spells out: the length of its first
+    image list, checked as --m is.  Named labels such as "s,t" give 3."""
+    lists = re.findall(r"\[([^\]]*)\]", label)
+    return grade(str(len(lists[0].split(",")))) if lists else 3
 
 
 def _arity(args) -> int:
@@ -93,7 +101,7 @@ def cmd_eval(args) -> int:
         raise ValueError("state file holds a mixed state but --kind pure was given")
     if args.kind == "mixed" and not isinstance(state, DensityMatrix):
         raise ValueError("state file holds a pure state but --kind mixed was given")
-    m = args.m if args.m is not None else 3
+    m = args.m if args.m is not None else _label_grade(args.label)
     sigma = parse_label(args.label, m)
     expected_r = state.k - 1 if args.kind == "pure" else state.k
     if sigma.r != expected_r:
@@ -206,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an invariant on a state file")
     p.add_argument("--label", required=True, help='e.g. "s,t" or "[2,1,3],[1,2,3]"')
     p.add_argument("--kind", choices=("pure", "mixed"), required=True)
-    p.add_argument("--m", type=grade, default=None, help=f"grade (1..{MAX_GRADE}, default 3)")
+    p.add_argument("--m", type=grade, default=None,
+                   help=f"grade (1..{MAX_GRADE}); default: the length of the label's "
+                   "image lists, or 3 for a named label")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)

@@ -1,7 +1,10 @@
 """Index-free evaluators for grades 1-3.
 
 Everything here is built from five matrix operations only: partial trace,
-partial transpose, identity padding, matrix product, and trace.
+partial transpose, identity padding, matrix product, and trace.  They run
+on stacks: ``closed_form_batch`` evaluates one label's formula once over n
+states of equal dims, and ``closed_form`` and the per-grade entry points are
+its batch of one.
 
 Grade 1: the full trace.
 
@@ -41,22 +44,29 @@ independent check of each descriptor's text.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
+from ._einsum import PLAN_CACHE_SIZE
+from .contract import _stack_dims
 from .errors import VerificationError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
 from .states import (
     DensityMatrix,
     PureState,
+    _pad_stack,
+    _projector_stack,
+    _trace_stack,
+    _transpose_stack,
     partial_trace,
     partial_transpose,
     projector,
     tensor_group,
-    tensor_with_identity,
 )
 
 _TS_IMAGES = (1, 3, 2)   # swap fixing 1
@@ -66,121 +76,156 @@ _S2_IMAGES = (3, 1, 2)
 _FACTOR_ORDER = (_TS_IMAGES, _TS2_IMAGES, _T_IMAGES)
 
 
+def _of_grade(sigma: Label, m: int) -> Label:
+    if as_tuple(sigma).m != m:
+        raise ValueError(f"not an m={m} label")
+    return sigma
+
+
+def _norm_label(r: int) -> PermTuple:
+    return PermTuple(1, (identity(1),) * r)
+
+
 def mixed_m1(rho: DensityMatrix) -> complex:
-    return rho.trace()
+    return closed_form(_norm_label(rho.k), "mixed", rho)
 
 
 def pure_m1(psi: PureState) -> complex:
-    return complex(np.vdot(psi.amplitudes, psi.amplitudes))
-
-
-def _m2_sets(sigma: PermTuple) -> tuple[list[int], list[int]]:
-    e_set, t_set = [], []
-    for j, p in enumerate(sigma.perms, start=1):
-        if p.m != 2:
-            raise ValueError("not an m=2 label")
-        (e_set if p.is_identity() else t_set).append(j)
-    return e_set, t_set
+    return closed_form(_norm_label(psi.k - 1), "pure", psi)
 
 
 def mixed_m2(sigma: Label, rho: DensityMatrix) -> complex:
     """Tr (Tr_{j | sigma_j = e} rho)^2."""
-    sigma = as_tuple(sigma)
-    if sigma.r != rho.k:
-        raise ValueError(f"label arity {sigma.r} does not match {rho.k} subsystems")
-    e_set, _ = _m2_sets(sigma)
-    red = partial_trace(rho, e_set)
-    return complex(np.trace(red.entries @ red.entries))
+    return closed_form(_of_grade(sigma, 2), "mixed", rho)
 
 
 def pure_m2(sigma: Label, psi: PureState, rtol: float = 1e-10) -> complex:
     """Both writings, asserted equal: trace out the last subsystem together
     with the e-slots, or trace out the t-slots."""
-    sigma = as_tuple(sigma)
-    if sigma.r != psi.k - 1:
-        raise ValueError(f"label arity {sigma.r} does not match {psi.k} subsystems (need k-1)")
-    e_set, t_set = _m2_sets(sigma)
-    pi = projector(psi)
-    a = partial_trace(pi, e_set + [psi.k])
-    b = partial_trace(pi, t_set)
-    va = complex(np.trace(a.entries @ a.entries))
-    vb = complex(np.trace(b.entries @ b.entries))
-    if abs(va - vb) > rtol * max(abs(va), abs(vb), 1e-300):
-        raise VerificationError(f"the two grade-2 writings disagree: {va} vs {vb}")
-    return va
-
-
-def _m3_sets(sigma: PermTuple) -> dict[tuple[int, ...], list[int]]:
-    sets: dict[tuple[int, ...], list[int]] = {}
-    for j, p in enumerate(sigma.perms, start=1):
-        if p.m != 3:
-            raise ValueError("not an m=3 label")
-        sets.setdefault(p.images, []).append(j)
-    return sets
-
-
-def _m3_factors(sigma: PermTuple, rho: DensityMatrix) -> list[DensityMatrix]:
-    """The three ordered operator factors of the grade-3 formula, acting on
-    the complement of the e-slots."""
-    sets = _m3_sets(sigma)
-    e_set = sets.get(identity(3).images, [])
-    s2_set = sets.get(_S2_IMAGES, [])
-    core = partial_transpose(rho, s2_set)
-    live = [j for j in range(1, rho.k + 1) if j not in e_set]
-    live_dims = tuple(rho.dims[j - 1] for j in live) or (1,)
-    pos = {j: i + 1 for i, j in enumerate(live)}  # positions within the live space
-    factors = []
-    for tau in _FACTOR_ORDER:
-        a_tau = sets.get(tau, [])
-        red = partial_trace(core, a_tau + e_set)
-        factors.append(tensor_with_identity(red, [pos[j] for j in a_tau], live_dims))
-    return factors
+    return complex(closed_form_batch(_of_grade(sigma, 2), "pure", [psi], rtol)[0])
 
 
 def mixed_m3(sigma: Label, rho: DensityMatrix) -> complex:
     """Trace of the ordered three-factor product described in the module
     docstring; entries may be any elements of S_3."""
-    sigma = as_tuple(sigma)
-    if sigma.r != rho.k:
-        raise ValueError(f"label arity {sigma.r} does not match {rho.k} subsystems")
-    f1, f2, f3 = _m3_factors(sigma, rho)
-    return complex(np.trace(f1.entries @ f2.entries @ f3.entries))
+    return closed_form(_of_grade(sigma, 3), "mixed", rho)
 
 
 def pure_m3(sigma: Label, psi: PureState) -> complex:
     """Grade-3 pure formula: the mixed formula applied to |psi><psi| with the
     identity appended for the singled-out last subsystem (whose indices are
     contracted inside each psi-conj(psi) pair)."""
-    sigma = as_tuple(sigma)
-    if sigma.r != psi.k - 1:
-        raise ValueError(f"label arity {sigma.r} does not match {psi.k} subsystems (need k-1)")
-    return mixed_m3(sigma.embed(), projector(psi))
+    return closed_form(_of_grade(sigma, 3), "pure", psi)
 
 
 def closed_form(sigma: Label, kind: str, state) -> complex:
-    """Dispatch to the grade-1/2/3 evaluator for the label's grade."""
+    """The grade-1/2/3 closed form of one label on one state: the batch of
+    one of closed_form_batch."""
+    return complex(closed_form_batch(sigma, kind, [state])[0])
+
+
+def closed_form_batch(sigma: Label, kind: str, states: Sequence,
+                      rtol: float = 1e-10) -> np.ndarray:
+    """The closed form of one label on each of a non-empty stack of states
+    with equal dims, as a complex array of shape (n,): the label's formula
+    runs once over the stack.  For pure grade-2 labels the two writings are
+    asserted equal to rtol on every state.
+
+    An empty stack, mixed dims or a wrong label arity raise ValueError, as
+    in contract.eval_mixed_batch / eval_pure_batch.
+    """
     sigma = as_tuple(sigma)
-    if kind == "pure":
-        if not isinstance(state, PureState):
-            raise TypeError("pure labels take a PureState")
-        if sigma.m == 1:
-            return pure_m1(state)
-        if sigma.m == 2:
-            return pure_m2(sigma, state)
-        if sigma.m == 3:
-            return pure_m3(sigma, state)
-    elif kind == "mixed":
-        if not isinstance(state, DensityMatrix):
-            raise TypeError("mixed labels take a DensityMatrix")
-        if sigma.m == 1:
-            return mixed_m1(state)
-        if sigma.m == 2:
-            return mixed_m2(sigma, state)
-        if sigma.m == 3:
-            return mixed_m3(sigma, state)
-    else:
+    if kind not in ("pure", "mixed"):
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-    raise ValueError(f"no closed form for grade {sigma.m} (only m <= 3)")
+    cls = PureState if kind == "pure" else DensityMatrix
+    if not all(isinstance(state, cls) for state in states):
+        raise TypeError(f"{kind} labels take a {cls.__name__}")
+    if not 1 <= sigma.m <= 3:
+        raise ValueError(f"no closed form for grade {sigma.m} (only m <= 3)")
+    dims = _stack_dims(states, sigma.r, kind == "pure")
+    if kind == "mixed":
+        rhos = np.stack([rho.entries for rho in states])
+        if sigma.m == 1:
+            return np.trace(rhos, axis1=1, axis2=2)
+        if sigma.m == 2:
+            return _square_trace(_trace_stack(rhos, dims, _m2_sets(sigma)[0])[0])
+        return _m3_trace(sigma, dims, rhos)
+    amps = np.stack([psi.amplitudes for psi in states])
+    if sigma.m == 1:
+        flat = amps.reshape(len(amps), -1)
+        return np.einsum("ni,ni->n", flat.conj(), flat)
+    pis = _projector_stack(amps)
+    if sigma.m == 3:
+        return _m3_trace(sigma.embed(), dims, pis)
+    e_set, t_set = _m2_sets(sigma)
+    va = _square_trace(_trace_stack(pis, dims, e_set | {len(dims)})[0])
+    vb = _square_trace(_trace_stack(pis, dims, t_set)[0])
+    scale = np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
+    bad = np.flatnonzero(np.abs(va - vb) > rtol * scale)
+    if bad.size:
+        i = bad[0]
+        raise VerificationError(
+            f"the two grade-2 writings disagree: {complex(va[i])} vs {complex(vb[i])}")
+    return va
+
+
+def _square_trace(x: np.ndarray) -> np.ndarray:
+    return np.trace(x @ x, axis1=1, axis2=2)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _m2_sets(sigma: PermTuple) -> tuple[frozenset, frozenset]:
+    """The slots holding e and those holding t."""
+    if sigma.m != 2:
+        raise ValueError("not an m=2 label")
+    e = frozenset(j for j, p in enumerate(sigma.perms, start=1) if p.is_identity())
+    return e, frozenset(range(1, sigma.r + 1)) - e
+
+
+def _m3_sets(sigma: PermTuple) -> dict[tuple[int, ...], list[int]]:
+    if sigma.m != 3:
+        raise ValueError("not an m=3 label")
+    sets: dict[tuple[int, ...], list[int]] = {}
+    for j, p in enumerate(sigma.perms, start=1):
+        sets.setdefault(p.images, []).append(j)
+    return sets
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _m3_layout(sigma: PermTuple, dims: tuple[int, ...]):
+    """The grade-3 formula of a mixed-type label on dims, prepared once: the
+    partially transposed slots, the dims of the live space (the complement
+    of the e-slots) and, per factor in order, the slots traced out and the
+    identity and operator slots of its padding within the live space."""
+    sets = _m3_sets(sigma)
+    e_set = sets.get(identity(3).images, [])
+    live = [j for j in range(1, len(dims) + 1) if j not in e_set]
+    live_dims = tuple(dims[j - 1] for j in live) or (1,)
+    pos = {j: i + 1 for i, j in enumerate(live)}  # positions within the live space
+    factors = []
+    for tau in _FACTOR_ORDER:
+        a_tau = sets.get(tau, [])
+        ids = tuple(pos[j] for j in a_tau)
+        rest = tuple(p for p in range(1, len(live) + 1) if p not in ids)
+        factors.append((frozenset(a_tau + e_set), ids, rest))
+    return tuple(sets.get(_S2_IMAGES, [])), live_dims, tuple(factors)
+
+
+def _m3_factors(sigma: PermTuple, dims: tuple[int, ...], stack: np.ndarray) -> list[np.ndarray]:
+    """The three ordered operator factors of the grade-3 formula on a stack
+    of operators (n, N, N), as stacks on the live space."""
+    transposed, live_dims, layout = _m3_layout(sigma, dims)
+    core = _transpose_stack(stack, dims, transposed)
+    factors = []
+    for traced, ids, rest in layout:
+        red = _trace_stack(core, dims, traced)[0]
+        factors.append(_pad_stack(red, ids, rest, live_dims) if ids else red)
+    return factors
+
+
+def _m3_trace(sigma: PermTuple, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
+    f1, f2, f3 = _m3_factors(sigma, dims, stack)
+    return np.trace(f1 @ f2 @ f3, axis1=1, axis2=2)
 
 
 # -- formula descriptors -------------------------------------------------------
@@ -395,10 +440,12 @@ def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
                     pieces.append((op, support))
                 else:
                     scalar *= complex(op.entries[0, 0])
-        if not pieces and not id_slots:
-            return np.array([[scalar]]), ()
+        if not pieces:
+            size = math.prod(rho.dims[j - 1] for j in id_slots)
+            return scalar * np.eye(size, dtype=complex), tuple(sorted(id_slots))
         supports = tuple(sup for _, sup in pieces)
-        mat = tensor_group([op.entries for op, _ in pieces], supports, tuple(id_slots), rho.dims)
+        stacks = [op.entries[None] for op, _ in pieces]
+        mat = tensor_group(stacks, supports, tuple(id_slots), rho.dims)[0]
         return scalar * mat, tuple(sorted(id_slots + [j for sup in supports for j in sup]))
 
     def evaluate(rho: DensityMatrix) -> complex:

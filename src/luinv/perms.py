@@ -290,6 +290,14 @@ class OrbitLabel:
         if key != min(_relabelings(key, self.m, self.r)):
             raise ValueError(f"representative {self.rep} is not canonical")
 
+    @classmethod
+    def _trusted(cls, key: tuple[int, ...], m: int, r: int) -> "OrbitLabel":
+        """The label of a flat key the kernel has just made canonical (the
+        minimum of its relabelings): skips the canonicity check."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "rep", _from_key(key, m, r))
+        return label
+
     @property
     def m(self) -> int:
         return self.rep.m
@@ -317,7 +325,7 @@ def canonical_form(sigma: PermTuple) -> OrbitLabel:
     conjugators of the kernel, guarded by MAX_GRADE.
     """
     m, r = sigma.m, sigma.r
-    return OrbitLabel(_from_key(min(_relabelings(sigma.key(), m, r)), m, r))
+    return OrbitLabel._trusted(min(_relabelings(sigma.key(), m, r)), m, r)
 
 
 def orbit(sigma: PermTuple) -> set[PermTuple]:
@@ -349,7 +357,7 @@ def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
         seen.update(orb)
         canon.append(min(orb))
     canon.sort()
-    return [OrbitLabel(_from_key(key, m, r)) for key in canon]
+    return [OrbitLabel._trusted(key, m, r) for key in canon]
 
 
 def s3_orbit_representatives(r: int) -> list[PermTuple]:
@@ -484,5 +492,5 @@ def sim_decompose(sigma: PermTuple) -> SimClass:
         min(_relabelings(key, m, k)) for key in _relabelings(embedded.key(), m, k, translate=True)
     }
     anchor = canonical_form(embedded)
-    members = tuple(OrbitLabel(_from_key(key, m, k)) for key in sorted(classes))
+    members = tuple(OrbitLabel._trusted(key, m, k) for key in sorted(classes))
     return SimClass(anchor=anchor, members=members)

@@ -137,8 +137,13 @@ def _check_subsystems(subs: Iterable[int], k: int) -> tuple[int, ...]:
 
 def projector(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi| (trace = squared norm)."""
-    v = psi.vector()
-    return DensityMatrix._derived(psi.dims, np.outer(v, v.conj()))
+    return DensityMatrix._derived(psi.dims, _projector_stack(psi.amplitudes[None])[0])
+
+
+def _projector_stack(amps: np.ndarray) -> np.ndarray:
+    """The projectors of a stack of amplitude tensors, shape (n, N, N)."""
+    v = amps.reshape(len(amps), math.prod(amps.shape[1:]))
+    return v[:, :, None] * v[:, None, :].conj()
 
 
 def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
@@ -147,21 +152,31 @@ def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
     traced = frozenset(traced)
     if not traced:
         return rho
-    trace, new_dims = _partial_trace_plan(rho.dims, traced)
-    n = math.prod(new_dims)
-    return DensityMatrix._derived(new_dims, trace(rho.tensor()).reshape(n, n))
+    entries, new_dims = _trace_stack(rho.entries[None], rho.dims, traced)
+    return DensityMatrix._derived(new_dims, entries[0])
+
+
+def _trace_stack(x: np.ndarray, dims: tuple[int, ...], traced: frozenset):
+    """partial_trace on a stack x of shape (n, N, N) of operators on dims:
+    the traced stack and its dims."""
+    if not traced:
+        return x, dims
+    n = len(x)
+    trace, new_dims = _partial_trace_plan(dims, traced, n)
+    size = math.prod(new_dims)
+    return trace(x.reshape((n,) + dims + dims)).reshape(n, size, size), new_dims
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _partial_trace_plan(dims: tuple[int, ...], traced: frozenset):
+def _partial_trace_plan(dims: tuple[int, ...], traced: frozenset, batch: int):
     traced = _check_subsystems(traced, len(dims))
     k = len(dims)
     keep = [j for j in range(1, k + 1) if j not in traced]
-    subs = [("t", j) if j in traced else ("r", j) for j in range(1, k + 1)]
+    subs = ["n"] + [("t", j) if j in traced else ("r", j) for j in range(1, k + 1)]
     subs += [("t", j) if j in traced else ("c", j) for j in range(1, k + 1)]
-    out = [("r", j) for j in keep] + [("c", j) for j in keep]
+    out = ["n"] + [("r", j) for j in keep] + [("c", j) for j in keep]
     new_dims = tuple(dims[j - 1] for j in keep) or (1,)
-    return plan([subs], out, [dims + dims]), new_dims
+    return plan([subs], out, [(batch,) + dims + dims]), new_dims
 
 
 def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int]) -> DensityMatrix:
@@ -169,12 +184,19 @@ def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int]) -> DensityM
     subs = _check_subsystems(subsystems, rho.k)
     if not subs:
         return rho
-    t = rho.tensor()
-    axes = list(range(2 * rho.k))
+    return DensityMatrix._derived(rho.dims, _transpose_stack(rho.entries[None], rho.dims, subs)[0])
+
+
+def _transpose_stack(x: np.ndarray, dims: tuple[int, ...], subs: Sequence[int]) -> np.ndarray:
+    """partial_transpose on a stack x of shape (n, N, N): one axis
+    permutation of the (n, dims, dims) tensor."""
+    if not subs:
+        return x
+    k = len(dims)
+    axes = list(range(2 * k + 1))
     for j in subs:
-        axes[j - 1], axes[rho.k + j - 1] = axes[rho.k + j - 1], axes[j - 1]
-    n = math.prod(rho.dims)
-    return DensityMatrix._derived(rho.dims, t.transpose(axes).reshape(n, n))
+        axes[j], axes[k + j] = axes[k + j], axes[j]
+    return x.reshape((len(x),) + dims + dims).transpose(axes).reshape(x.shape)
 
 
 def tensor_with_identity(
@@ -195,11 +217,16 @@ def tensor_with_identity(
         )
     if not id_set:
         return rho
+    return DensityMatrix(full_dims, _pad_stack(rho.entries[None], id_set, rest, full_dims)[0])
+
+
+def _pad_stack(x: np.ndarray, id_set: tuple[int, ...], rest: tuple[int, ...],
+               full_dims: tuple[int, ...]) -> np.ndarray:
+    """tensor_with_identity on a stack x of shape (n, M, M) of operators on
+    the rest slots; with no rest slots, x holds 1x1 scalars."""
     if not rest:
-        full = complex(rho.entries[0, 0]) * tensor_group([], (), id_set, full_dims)
-    else:
-        full = tensor_group([rho.entries], (rest,), id_set, full_dims)
-    return DensityMatrix(full_dims, full)
+        return x * _eye(math.prod(full_dims))
+    return tensor_group([x], (rest,), id_set, full_dims)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -217,69 +244,75 @@ def _eye(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _group_plan(supports: tuple[tuple[int, ...], ...], id_slots: tuple[int, ...],
-                dims: tuple[int, ...]):
+                dims: tuple[int, ...], batch: int):
     covered = sorted(id_slots + sum(supports, ()))
     if len(set(covered)) != len(covered):
         raise ValueError(f"overlapping subsystems in tensor group: {covered}")
-    shapes = [tuple(dims[j - 1] for j in sup) * 2 for sup in supports]
-    subscripts = [[("r", j) for j in sup] + [("c", j) for j in sup] for sup in supports]
+    shapes = [(batch,) + tuple(dims[j - 1] for j in sup) * 2 for sup in supports]
+    subscripts = [["n"] + [("r", j) for j in sup] + [("c", j) for j in sup] for sup in supports]
     for j in id_slots:
         shapes.append((dims[j - 1],) * 2)
         subscripts.append([("r", j), ("c", j)])
-    out = [("r", j) for j in covered] + [("c", j) for j in covered]
+    out = ["n"] + [("r", j) for j in covered] + [("c", j) for j in covered]
     n = math.prod(dims[j - 1] for j in covered)
     eyes = tuple(_eye(dims[j - 1]) for j in id_slots)
     return plan(subscripts, out, shapes), tuple(shapes[: len(supports)]), eyes, n
 
 
-def tensor_group(matrices: Sequence[np.ndarray], supports: tuple[tuple[int, ...], ...],
+def tensor_group(stacks: Sequence[np.ndarray], supports: tuple[tuple[int, ...], ...],
                  id_slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
-    """Tensor product, as a matrix on the sorted union of its slots, of the
-    operator matrices (matrices[i] acting on subsystems supports[i], in that
-    order) and identities on id_slots; dims[j-1] is the dimension of slot j.
-    The slots must be disjoint."""
-    group, shapes, eyes, n = _group_plan(supports, id_slots, dims)
-    ops = [mat.reshape(shape) for mat, shape in zip(matrices, shapes)]
-    return group(*ops, *eyes).reshape(n, n)
+    """Tensor product, as a stack of matrices on the sorted union of its
+    slots, of stacks of operator matrices (stacks[i], of shape (n, M_i, M_i),
+    acting on subsystems supports[i], in that order) and identities on
+    id_slots; dims[j-1] is the dimension of slot j.  The slots must be
+    disjoint, and there must be at least one stack."""
+    batch = len(stacks[0])
+    group, shapes, eyes, n = _group_plan(supports, id_slots, dims, batch)
+    ops = [mat.reshape(shape) for mat, shape in zip(stacks, shapes)]
+    return group(*ops, *eyes).reshape(batch, n, n)
+
+
+def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """I.i.d. standard complex Gaussian entries: the real parts, then the
+    imaginary parts, from rng."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_pure(dims: Sequence[int], seed: int) -> PureState:
     """I.i.d. standard complex Gaussian amplitudes (PCG64 stream from seed)."""
     dims = check_dims(dims)
-    rng = np.random.default_rng(seed)
-    amp = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-    return PureState(dims, amp)
+    return PureState(dims, _pure_stack(dims, [seed])[0])
 
 
 def random_density(dims: Sequence[int], seed: int, rank: int | None = None) -> DensityMatrix:
     """Wishart-type Hermitian PSD matrix A A^dagger with A of shape (N, rank)."""
     dims = check_dims(dims)
-    n = math.prod(dims)
-    if rank is None:
-        rank = n
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    return DensityMatrix(dims, a @ a.conj().T)
+    return DensityMatrix(dims, _density_stack(dims, [seed], rank)[0])
 
 
 def random_hermitian(dims: Sequence[int], seed: int) -> DensityMatrix:
     """Hermitian (not necessarily PSD) matrix (B + B^dagger)/2, entries O(1)."""
     dims = check_dims(dims)
     n = math.prod(dims)
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = _gaussian(np.random.default_rng(seed), (n, n))
     return DensityMatrix(dims, (b + b.conj().T) / 2)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a Ginibre matrix with the R
     diagonal phase divided out (Mezzadri construction)."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    return _haar_stack(_ginibre(rng, n))
+
+
+def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    return _gaussian(rng, (n, n)) / np.sqrt(2)
+
+
+def _haar_stack(z: np.ndarray) -> np.ndarray:
+    """Mezzadri's phase-fixed QR of each Ginibre matrix in z (..., n, n)."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_local_unitaries(dims: Sequence[int], seed: int) -> list[np.ndarray]:
@@ -299,21 +332,15 @@ def _check_unitary_shapes(dims: tuple[int, ...], us: Sequence[np.ndarray]):
 def apply_local_unitaries(psi: PureState, us: Sequence[np.ndarray]) -> PureState:
     """(U_1 x ... x U_k) psi."""
     _check_unitary_shapes(psi.dims, us)
-    amp = psi.amplitudes
-    k = psi.k
-    for j, u in enumerate(us):
-        amp = np.tensordot(u, amp, axes=([1], [j]))
-        amp = np.moveaxis(amp, 0, j)
-    return PureState(psi.dims, amp)
+    stacks = [np.asarray(u)[None] for u in us]
+    return PureState(psi.dims, _rotate_stack(psi.amplitudes[None], stacks)[0])
 
 
 def apply_local_unitaries_mixed(rho: DensityMatrix, us: Sequence[np.ndarray]) -> DensityMatrix:
     """(U_1 x ... x U_k) rho (U_1 x ... x U_k)^dagger."""
     _check_unitary_shapes(rho.dims, us)
-    full = us[0]
-    for u in us[1:]:
-        full = np.kron(full, u)
-    return DensityMatrix(rho.dims, full @ rho.entries @ full.conj().T)
+    stacks = [np.asarray(u)[None] for u in us]
+    return DensityMatrix(rho.dims, _rotate_mixed_stack(rho.entries[None], rho.dims, stacks)[0])
 
 
 def purify(rho: DensityMatrix, tol: float = 1e-12) -> PureState:
@@ -322,20 +349,97 @@ def purify(rho: DensityMatrix, tol: float = 1e-12) -> PureState:
 
     Raises ValueError if rho has an eigenvalue below -1e-9 * ||rho||.
     """
-    h = (rho.entries + rho.entries.conj().T) / 2
-    if np.abs(h - rho.entries).max() > 1e-9 * max(np.abs(rho.entries).max(), 1e-300):
+    return _purify_stack(rho.entries[None], rho.dims, tol)[0]
+
+
+# -- stacks of samples ---------------------------------------------------------
+#
+# The verification checks draw many samples, then rotate or purify them.  Each
+# sample keeps its own seed and exactly the rng calls of the single-state
+# sampler; everything after the draw runs once over the stack.  The
+# single-state functions above are the stacks of one.
+
+
+def _pure_stack(dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
+    """random_pure's amplitudes for each seed, shape (n, *dims)."""
+    out = np.empty((len(seeds),) + dims, dtype=complex)
+    for i, seed in enumerate(seeds):
+        out[i] = _gaussian(np.random.default_rng(seed), dims)
+    return out
+
+
+def _density_stack(dims: tuple[int, ...], seeds: Sequence[int],
+                   rank: int | None = None) -> np.ndarray:
+    """random_density's matrices for each seed, shape (n, N, N): one draw of
+    A per seed, then one batched product A A^dagger."""
+    n = math.prod(dims)
+    if rank is None:
+        rank = n
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    a = np.empty((len(seeds), n, rank), dtype=complex)
+    for i, seed in enumerate(seeds):
+        a[i] = _gaussian(np.random.default_rng(seed), (n, rank))
+    return a @ a.conj().swapaxes(1, 2)
+
+
+def _unitary_stacks(dims: tuple[int, ...], seeds: Sequence[int]) -> list[np.ndarray]:
+    """random_local_unitaries for each seed, as one (n, n_j, n_j) stack per
+    subsystem: each seed's draws in random_local_unitaries' order, then one
+    batched QR per subsystem."""
+    z = [np.empty((len(seeds), n, n), dtype=complex) for n in dims]
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for stack, n in zip(z, dims):
+            stack[i] = _ginibre(rng, n)
+    return [_haar_stack(stack) for stack in z]
+
+
+def _rotate_stack(amps: np.ndarray, us: Sequence[np.ndarray]) -> np.ndarray:
+    """(U_1 x ... x U_k) psi for a stack of amplitude tensors (n, *dims) and
+    one stack of unitaries (n, n_j, n_j) per subsystem: one einsum each."""
+    k = amps.ndim - 1
+    axes = list(range(k + 1))
+    for j, u in enumerate(us, start=1):
+        out = axes[:j] + [k + 1] + axes[j + 1:]
+        amps = np.einsum(u, [0, k + 1, j], amps, axes, out)
+    return amps
+
+
+def _rotate_mixed_stack(rhos: np.ndarray, dims: tuple[int, ...],
+                        us: Sequence[np.ndarray]) -> np.ndarray:
+    """U rho U^dagger, U = U_1 x ... x U_k, for a stack of matrices (n, N, N):
+    one einsum per subsystem, rotating its row and column axes."""
+    k = len(dims)
+    t = rhos.reshape((len(rhos),) + dims + dims)
+    axes = list(range(2 * k + 1))
+    for j, u in enumerate(us, start=1):
+        out = list(axes)
+        out[j], out[k + j] = 2 * k + 1, 2 * k + 2
+        t = np.einsum(u, [0, 2 * k + 1, j], u.conj(), [0, 2 * k + 2, k + j], t, axes, out)
+    return t.reshape(rhos.shape)
+
+
+def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...], tol: float = 1e-12) -> list[PureState]:
+    """purify for each of a stack of matrices (n, N, N) on dims, with one
+    batched eigh; the ranks, and so the purifications' dims, may differ."""
+    h = (rhos + rhos.conj().swapaxes(1, 2)) / 2
+    asymmetry = np.abs(h - rhos).max(axis=(1, 2))
+    size = np.abs(rhos).max(axis=(1, 2))
+    if (asymmetry > 1e-9 * np.maximum(size, 1e-300)).any():
         raise ValueError("purify requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(h)
-    scale = max(float(np.abs(vals).max()), 1e-300)
-    if vals.min() < -1e-9 * scale:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
-    keep = vals > tol * scale
-    rank = max(int(keep.sum()), 1)
-    order = np.argsort(vals)[::-1][:rank]
-    amp = np.zeros((math.prod(rho.dims), rank), dtype=complex)
-    for i, idx in enumerate(order):
-        amp[:, i] = np.sqrt(max(vals[idx], 0.0)) * vecs[:, idx]
-    return PureState(rho.dims + (rank,), amp.reshape(rho.dims + (rank,)))
+    out = []
+    for vals, vecs in zip(*np.linalg.eigh(h)):
+        scale = max(float(np.abs(vals).max()), 1e-300)
+        if vals.min() < -1e-9 * scale:
+            raise ValueError(
+                f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
+        rank = max(int((vals > tol * scale).sum()), 1)
+        order = np.argsort(vals)[::-1][:rank]
+        # C order: the batched engines' rounding depends on operand layout
+        amp = np.ascontiguousarray(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
+        out.append(PureState(dims + (rank,), amp.reshape(dims + (rank,))))
+    return out
 
 
 # -- state files --------------------------------------------------------------

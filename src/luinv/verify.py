@@ -9,8 +9,10 @@ grade m <= min(n_j); algebraic independence of the transitive generators is
 a statement about the limit of growing local dimensions and is not
 numerically testable, so it is out of scope here (the reports say so).
 
-Every numeric check evaluates each label once per stack of states through
-the batched engines, then walks (sample, label) in a fixed order, so the
+Every numeric check runs on stacks: each sample is drawn from its own seed,
+then normalization, Haar rotations and purifications run once per stack, and
+each label is evaluated once per stack through the batched engines and
+closed forms.  The checks then walk (sample, label) in a fixed order, so the
 worst residual and its witness do not depend on the batching.
 """
 
@@ -24,19 +26,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import closedform
-from .contract import InvariantSpec, eval_mixed, eval_mixed_batch, eval_pure_batch
+from .closedform import closed_form_batch
+from .contract import InvariantSpec, eval_mixed_batch, eval_pure_batch
 from .perms import enumerate_orbits, format_label, generator_labels, sim_decompose
 from .states import (
     DensityMatrix,
     PureState,
-    apply_local_unitaries,
-    apply_local_unitaries_mixed,
-    projector,
-    purify,
-    random_density,
-    random_local_unitaries,
-    random_pure,
+    _density_stack,
+    _projector_stack,
+    _pure_stack,
+    _purify_stack,
+    _rotate_mixed_stack,
+    _rotate_stack,
+    _unitary_stacks,
 )
 
 SCHEMA_VERSION = 1
@@ -58,14 +60,32 @@ class VerifyReport:
         return doc
 
 
-def _normalized_pure(dims, seed) -> PureState:
-    psi = random_pure(dims, seed)
-    return PureState(dims, psi.amplitudes / psi.norm())
+def _unit_pures(dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
+    """random_pure for each seed, each scaled to unit norm: (n, *dims)."""
+    amps = _pure_stack(dims, seeds)
+    # the two real dot products np.linalg.norm takes, as batched matmuls
+    v = amps.reshape(len(amps), 1, math.prod(dims))
+    squares = v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2)
+    return amps / np.sqrt(squares).reshape((-1,) + (1,) * len(dims))
 
 
-def _normalized_density(dims, seed, rank=None) -> DensityMatrix:
-    rho = random_density(dims, seed, rank)
-    return DensityMatrix(dims, rho.entries / abs(rho.trace()))
+def _unit_densities(dims: tuple[int, ...], seeds: Sequence[int], rank=None) -> np.ndarray:
+    """random_density for each seed, each scaled to unit trace: (n, N, N)."""
+    rhos = _density_stack(dims, seeds, rank)
+    return rhos / np.abs(np.trace(rhos, axis1=1, axis2=2))[:, None, None]
+
+
+def _pure_states(dims: tuple[int, ...], amps: np.ndarray) -> list[PureState]:
+    return [PureState(dims, amp) for amp in amps]
+
+
+def _density_states(dims: tuple[int, ...], rhos: np.ndarray) -> list[DensityMatrix]:
+    return [DensityMatrix(dims, rho) for rho in rhos]
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ... as one stack."""
+    return np.stack([a, b], axis=1).reshape((2 * len(a),) + a.shape[1:])
 
 
 def all_specs(dims: Sequence[int], grades: Iterable[int] = (1, 2, 3)) -> list[InvariantSpec]:
@@ -80,12 +100,17 @@ def all_specs(dims: Sequence[int], grades: Iterable[int] = (1, 2, 3)) -> list[In
     return specs
 
 
-def _values(label, kind: str, states: Sequence) -> list[complex]:
-    """The label's values on a stack of states of one kind (none for none)."""
+def _contracted(label, kind: str, states: Sequence) -> np.ndarray:
+    batch = eval_pure_batch if kind == "pure" else eval_mixed_batch
+    return batch(label, states)
+
+
+def _values(label, kind: str, states: Sequence, batch=_contracted) -> list[complex]:
+    """The label's values on a stack of states of one kind (none for none),
+    by the contraction engines or by another batch(label, kind, states)."""
     if not states:
         return []
-    batch = eval_pure_batch if kind == "pure" else eval_mixed_batch
-    return batch(label, states).tolist()
+    return batch(label, kind, states).tolist()
 
 
 def check_lu_invariance(
@@ -99,15 +124,13 @@ def check_lu_invariance(
     dims = tuple(dims)
     if specs is None:
         specs = all_specs(dims)
-    stacks = {"pure": [], "mixed": []}
-    for i in range(samples):
-        psi = _normalized_pure(dims, seed * 100_003 + 2 * i)
-        rho = _normalized_density(dims, seed * 100_003 + 2 * i + 1)
-        us = random_local_unitaries(dims, seed * 900_001 + i)
-        stacks["pure"].append(psi)
-        stacks["mixed"].append(rho)
-        stacks["pure"].append(apply_local_unitaries(psi, us))
-        stacks["mixed"].append(apply_local_unitaries_mixed(rho, us))
+    psis = _unit_pures(dims, [seed * 100_003 + 2 * i for i in range(samples)])
+    rhos = _unit_densities(dims, [seed * 100_003 + 2 * i + 1 for i in range(samples)])
+    us = _unitary_stacks(dims, [seed * 900_001 + i for i in range(samples)])
+    stacks = {
+        "pure": _pure_states(dims, _interleave(psis, _rotate_stack(psis, us))),
+        "mixed": _density_states(dims, _interleave(rhos, _rotate_mixed_stack(rhos, dims, us))),
+    }
     # values[spec][2 i] on sample i, values[spec][2 i + 1] on its rotation
     values = [_values(spec.label, spec.kind, stacks[spec.kind]) for spec in specs]
     worst = 0.0
@@ -146,8 +169,11 @@ def check_linear_independence(
     labels = enumerate_orbits(m, r)
     d = len(labels)
     n_states = 2 * d
-    sample = _normalized_pure if kind == "pure" else _normalized_density
-    states = [sample(dims, seed * 77_041 + i) for i in range(n_states)]
+    seeds = [seed * 77_041 + i for i in range(n_states)]
+    if kind == "pure":
+        states = _pure_states(dims, _unit_pures(dims, seeds))
+    else:
+        states = _density_states(dims, _unit_densities(dims, seeds))
     matrix = np.array([_values(lab, kind, states) for lab in labels])
     sv = np.linalg.svd(matrix, compute_uv=False)
     rank = int((sv > sv_threshold * sv[0]).sum())
@@ -188,8 +214,9 @@ def check_class_consistency(
     worst = 0.0
     witness = None
     split_results = []
-    projectors = [projector(_normalized_pure(dims, seed * 61_543 + i)) for i in range(5)]
-    rhos = [_normalized_density(dims, seed * 44_497 + i) for i in range(20)]
+    pis = _projector_stack(_unit_pures(dims, [seed * 61_543 + i for i in range(5)]))
+    projectors = _density_states(dims, pis)
+    rhos = _density_states(dims, _unit_densities(dims, [seed * 44_497 + i for i in range(20)]))
     for lab in enumerate_orbits(m, k - 1):
         split = sim_decompose(lab.rep)
         assert split.anchor.rep.perms[-1].is_identity()
@@ -201,14 +228,14 @@ def check_class_consistency(
             if spread > worst:
                 worst = spread
                 witness = {"label": format_label(lab.rep), "sample": i, "spread": spread}
+        rho_vals = [_values(member, "mixed", rhos) for member in split.members]
         separated = 0
         pairs = 0
         for a in range(len(split.members)):
             for b in range(a + 1, len(split.members)):
                 pairs += 1
-                for rho in rhos:
-                    va = eval_mixed(split.members[a], rho)
-                    vb = eval_mixed(split.members[b], rho)
+                # the first separating sample, if any
+                for va, vb in zip(rho_vals[a], rho_vals[b]):
                     if abs(va - vb) > 1e-6 * max(abs(va), abs(vb), 1e-300):
                         separated += 1
                         break
@@ -243,9 +270,12 @@ def check_purification(
     labels = enumerate_orbits(m, len(dims))
     total_dim = math.prod(dims)
     ranks = [1 + (i % total_dim) for i in range(samples)]
-    rhos = [_normalized_density(dims, seed * 52_361 + i, rank=rank)
-            for i, rank in enumerate(ranks)]
-    phis = [purify(rho) for rho in rhos]
+    stack = np.empty((samples, total_dim, total_dim), dtype=complex)
+    for rank in sorted(set(ranks)):
+        members = [i for i in range(samples) if ranks[i] == rank]
+        stack[members] = _unit_densities(dims, [seed * 52_361 + i for i in members], rank)
+    rhos = _density_states(dims, stack)
+    phis = _purify_stack(stack, dims)
     # the purifications' dims vary with the rank: one pure stack per dims
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, phi in enumerate(phis):
@@ -319,15 +349,17 @@ def check_closed_forms(
     witness = None
     specs = all_specs(dims)
     stacks = {
-        "pure": [_normalized_pure(dims, seed * 39_989 + 2 * i) for i in range(samples)],
-        "mixed": [_normalized_density(dims, seed * 39_989 + 2 * i + 1) for i in range(samples)],
+        "pure": _pure_states(dims, _unit_pures(
+            dims, [seed * 39_989 + 2 * i for i in range(samples)])),
+        "mixed": _density_states(dims, _unit_densities(
+            dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)])),
     }
     values = [_values(spec.label, spec.kind, stacks[spec.kind]) for spec in specs]
+    closed = [_values(spec.label, spec.kind, stacks[spec.kind], closed_form_batch)
+              for spec in specs]
     for i in range(samples):
-        for spec, vals in zip(specs, values):
-            state = stacks[spec.kind][i]
-            a = vals[i]
-            b = closedform.closed_form(spec.label, spec.kind, state)
+        for spec, vals, closed_vals in zip(specs, values, closed):
+            a, b = vals[i], closed_vals[i]
             resid = abs(a - b) / max(abs(a), abs(b), 1e-300)
             if resid > worst:
                 worst = resid

@@ -93,6 +93,35 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["relative_difference"] < 1e-10
 
+    @pytest.fixture
+    def qubits_file(self, tmp_path):
+        path = tmp_path / "qubits.json"
+        S.save_state(S.random_density((2, 2), seed=1), path)
+        return str(path)
+
+    def test_grade_from_image_lists(self, capsys, qubits_file):
+        code, out, _ = run(capsys, "eval", "--label", "[2,1],[1,2]", "--kind", "mixed",
+                           "--state", qubits_file, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["m"] == 2 and doc["label"] == "t,e"
+
+    def test_named_label_keeps_grade_three(self, capsys, qubits_file):
+        code, out, _ = run(capsys, "eval", "--label", "t,s", "--kind", "mixed",
+                           "--state", qubits_file, "--json")
+        assert code == 0 and json.loads(out)["m"] == 3
+
+    def test_grade_disagreeing_with_image_lists(self, capsys, qubits_file):
+        code, _, err = run(capsys, "eval", "--label", "[2,1],[1,2]", "--m", "3",
+                           "--kind", "mixed", "--state", qubits_file)
+        assert code == 2 and "expected 3" in err
+
+    def test_inferred_grade_above_range_is_resource_guard(self, capsys, qubits_file):
+        label = "[" + ",".join(str(i) for i in range(1, MAX_GRADE + 2)) + "],e"
+        code, _, err = run(capsys, "eval", "--label", label, "--kind", "mixed",
+                           "--state", qubits_file)
+        assert code == 3 and "resource guard" in err
+
     def test_corrupted_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

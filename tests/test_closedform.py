@@ -6,6 +6,7 @@ from luinv import closedform as F
 from luinv import contract as C
 from luinv import perms as P
 from luinv import states as S
+from luinv.errors import VerificationError
 
 
 def kron(*mats):
@@ -136,7 +137,7 @@ class TestFactorOrder:
     def test_cyclic_rotations_agree(self):
         sig = P.perm_tuple(3, "t", "ts", "s")
         rho = S.random_density((2, 2, 2), seed=14)
-        f1, f2, f3 = (f.entries for f in F._m3_factors(sig, rho))
+        f1, f2, f3 = (f[0] for f in F._m3_factors(sig, rho.dims, rho.entries[None]))
         ref = np.trace(f1 @ f2 @ f3)
         assert relerr(np.trace(f2 @ f3 @ f1), ref) < 1e-13
         assert relerr(np.trace(f3 @ f1 @ f2), ref) < 1e-13
@@ -147,7 +148,7 @@ class TestFactorOrder:
         found = False
         for seed in range(5):
             rho = unit_density((2, 2, 2), seed=15 + seed)
-            f1, f2, f3 = (f.entries for f in F._m3_factors(sig, rho))
+            f1, f2, f3 = (f[0] for f in F._m3_factors(sig, rho.dims, rho.entries[None]))
             good = np.trace(f1 @ f2 @ f3)
             swapped = np.trace(f2 @ f1 @ f3)
             if relerr(good, swapped) > 1e-6:
@@ -233,6 +234,55 @@ class TestDispatcher:
         psi = S.random_pure((2, 2), seed=93)
         with pytest.raises(TypeError):
             F.closed_form(P.perm_tuple(2, "t", "t"), "mixed", psi)
+
+
+def sample_stack(kind, dims, n, seed):
+    sample = unit_pure if kind == "pure" else unit_density
+    return [sample(dims, seed + i) for i in range(n)]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+    def test_matches_per_state(self, dims, kind, n):
+        states = sample_stack(kind, dims, n, seed=300)
+        r = len(dims) - 1 if kind == "pure" else len(dims)
+        engine = C.eval_pure_batch if kind == "pure" else C.eval_mixed_batch
+        for m in (1, 2, 3):
+            for lab in P.enumerate_orbits(m, r):
+                got = F.closed_form_batch(lab, kind, states)
+                assert got.shape == (n,)
+                contracted = engine(lab, states)
+                for i, state in enumerate(states):
+                    name = P.format_label(lab.rep)
+                    assert relerr(got[i], F.closed_form(lab, kind, state)) < 1e-12, name
+                    assert relerr(got[i], contracted[i]) < 1e-10, name
+
+    def test_rejects_bad_stacks(self):
+        lab = P.perm_tuple(3, "t", "s")
+        with pytest.raises(ValueError, match="at least one state"):
+            F.closed_form_batch(lab, "mixed", [])
+        with pytest.raises(ValueError, match="share dims"):
+            F.closed_form_batch(lab, "mixed", [S.random_density((2, 2), seed=0),
+                                               S.random_density((2, 3), seed=1)])
+        with pytest.raises(ValueError, match="arity"):
+            F.closed_form_batch(lab, "mixed", [S.random_density((2, 2, 2), seed=2)])
+        with pytest.raises(ValueError, match="arity"):
+            F.closed_form_batch(lab, "pure", [S.random_pure((2, 2), seed=3)])
+        with pytest.raises(ValueError, match="kind"):
+            F.closed_form_batch(lab, "both", [S.random_density((2, 2), seed=4)])
+        with pytest.raises(TypeError):
+            F.closed_form_batch(lab, "mixed", [S.random_pure((2, 2), seed=5)])
+
+    def test_pure_m2_writings_checked_on_a_stack(self):
+        states = sample_stack("pure", (2, 2, 2), 3, seed=310)
+        lab = P.perm_tuple(2, "t", "e")
+        F.closed_form_batch(lab, "pure", states)
+        with pytest.raises(VerificationError, match="writings disagree"):
+            F.closed_form_batch(lab, "pure", states, rtol=-1.0)
+        with pytest.raises(VerificationError, match="writings disagree"):
+            F.pure_m2(lab, states[0], rtol=-1.0)
 
 
 class TestAlternateWritings:

@@ -146,6 +146,16 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="not canonical"):
             P.OrbitLabel(named("t", "e"))
 
+    def test_built_labels_pass_the_check(self):
+        """Labels built without the canonicity check pass it."""
+        labels = list(P.enumerate_orbits(4, 2)) + list(P.enumerate_orbits(3, 3))
+        labels += [member for lab in P.enumerate_orbits(3, 2)
+                   for member in P.sim_decompose(lab.rep).members]
+        labels += [P.canonical_form(named(*names))
+                   for names in [("t", "e"), ("s2", "ts", "t"), ("ts2", "s")]]
+        for lab in labels:
+            assert P.OrbitLabel(lab.rep) == lab
+
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_matches_oracle_m4_to_m6(self, data):

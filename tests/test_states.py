@@ -277,6 +277,117 @@ class TestPurify:
             S.purify(S.DensityMatrix((2,), mat))
 
 
+# Single-state reference implementations: the draws, the Mezzadri QR, the
+# rotations by tensordot and by the Kronecker product, and the column-by-column
+# purification that the stacked versions replace.
+
+
+def ref_draw(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def ref_haar(n, rng):
+    z = ref_draw(rng, (n, n)) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def ref_rotate(amp, us):
+    for j, u in enumerate(us):
+        amp = np.moveaxis(np.tensordot(u, amp, axes=([1], [j])), 0, j)
+    return amp
+
+
+def ref_rotate_mixed(entries, us):
+    full = us[0]
+    for u in us[1:]:
+        full = np.kron(full, u)
+    return full @ entries @ full.conj().T
+
+
+def ref_purify(entries, dims, tol=1e-12):
+    vals, vecs = np.linalg.eigh((entries + entries.conj().T) / 2)
+    scale = max(float(np.abs(vals).max()), 1e-300)
+    rank = max(int((vals > tol * scale).sum()), 1)
+    order = np.argsort(vals)[::-1][:rank]
+    amp = np.zeros((entries.shape[0], rank), dtype=complex)
+    for i, idx in enumerate(order):
+        amp[:, i] = np.sqrt(max(vals[idx], 0.0)) * vecs[:, idx]
+    return amp.reshape(dims + (rank,))
+
+
+SEEDS = [3, 17, 4, 99, 0]
+
+
+class TestStacks:
+    """Each sample keeps its own seed and rng calls; the stacks of n agree
+    with the single-state functions and with the references above."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
+    def test_samplers(self, dims):
+        amps = S._pure_stack(dims, SEEDS)
+        n = math.prod(dims)
+        for rank in (1, 3, None):
+            rhos = S._density_stack(dims, SEEDS, rank)
+            for i, seed in enumerate(SEEDS):
+                a = ref_draw(np.random.default_rng(seed), (n, rank or n))
+                assert np.array_equal(rhos[i], a @ a.conj().T)
+                assert np.array_equal(rhos[i], S.random_density(dims, seed, rank).entries)
+        for i, seed in enumerate(SEEDS):
+            assert np.array_equal(amps[i], ref_draw(np.random.default_rng(seed), dims))
+            assert np.array_equal(amps[i], S.random_pure(dims, seed).amplitudes)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 2, 4)])
+    def test_haar_rotations(self, dims):
+        stacks = S._unitary_stacks(dims, SEEDS)
+        amps = S._pure_stack(dims, SEEDS)
+        rhos = S._density_stack(dims, SEEDS)
+        rotated = S._rotate_stack(amps, stacks)
+        rotated_mixed = S._rotate_mixed_stack(rhos, dims, stacks)
+        for i, seed in enumerate(SEEDS):
+            rng = np.random.default_rng(seed)
+            us = [stack[i] for stack in stacks]
+            for u, n, single in zip(us, dims, S.random_local_unitaries(dims, seed)):
+                assert np.array_equal(u, ref_haar(n, rng))
+                assert np.array_equal(u, single)
+            psi = S.PureState(dims, amps[i])
+            rho = S.DensityMatrix(dims, rhos[i])
+            want = ref_rotate(amps[i], us)
+            scale = np.abs(want).max()
+            assert np.abs(rotated[i] - want).max() < 1e-14 * scale
+            assert np.array_equal(S.apply_local_unitaries(psi, us).amplitudes, rotated[i])
+            want = ref_rotate_mixed(rhos[i], us)
+            scale = np.abs(want).max()
+            assert np.abs(rotated_mixed[i] - want).max() < 1e-14 * scale
+            assert np.array_equal(S.apply_local_unitaries_mixed(rho, us).entries,
+                                  rotated_mixed[i])
+
+    def test_purifications(self):
+        dims = (2, 2)
+        # ranks 1..4 in one stack: the purifications' dims differ
+        rhos = np.stack([S.random_density(dims, seed, rank=1 + i % 4).entries
+                         for i, seed in enumerate(SEEDS)])
+        phis = S._purify_stack(rhos, dims)
+        for i, phi in enumerate(phis):
+            want = ref_purify(rhos[i], dims)
+            assert phi.dims == want.shape
+            assert np.array_equal(phi.amplitudes, want)
+            assert phi.amplitudes.flags.c_contiguous
+            assert np.array_equal(S.purify(S.DensityMatrix(dims, rhos[i])).amplitudes, want)
+
+    def test_empty_stacks(self):
+        dims = (2, 3)
+        assert S._pure_stack(dims, []).shape == (0, 2, 3)
+        assert S._projector_stack(S._pure_stack(dims, [])).shape == (0, 6, 6)
+        assert S._density_stack(dims, []).shape == (0, 6, 6)
+        stacks = S._unitary_stacks(dims, [])
+        assert [u.shape for u in stacks] == [(0, 2, 2), (0, 3, 3)]
+        assert S._rotate_stack(S._pure_stack(dims, []), stacks).shape == (0, 2, 3)
+        assert S._rotate_mixed_stack(S._density_stack(dims, []), dims, stacks).shape == (0, 6, 6)
+        assert S._purify_stack(S._density_stack(dims, []), dims) == []
+
+
 class TestStateFiles:
     def test_pure_round_trip(self, tmp_path):
         psi = S.random_pure((2, 3), seed=13)

@@ -61,6 +61,13 @@ class TestChecks:
             rep = V.check_purification(m, (2, 2), seed=0, samples=4)
             assert rep.passed, rep.witness
 
+    def test_zero_samples_pass_vacuously(self):
+        reports = [V.check_lu_invariance(None, (2, 2), samples=0),
+                   V.check_closed_forms((2, 2), samples=0),
+                   V.check_purification(2, (2, 2), samples=0)]
+        for rep in reports:
+            assert rep.passed and rep.max_residual == 0.0 and rep.witness is None
+
 
 class TestSuites:
     def test_unknown_suite(self):
