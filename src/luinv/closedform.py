@@ -1,10 +1,10 @@
 """Index-free evaluators for grades 1-3.
 
-Everything here is built from five matrix operations only: partial trace,
-partial transpose, identity padding, matrix product, and trace.  They run
-on stacks: ``closed_form_batch`` evaluates one label's formula once over n
-states of equal dims, and ``closed_form`` and the per-grade entry points are
-its batch of one.
+Every closed form is the formula text that ``formula_text`` renders,
+compiled once per (text, dims) into a ``Program`` that runs on a stack of
+operators.  ``closed_form_batch`` evaluates one label's formula once over n
+states of equal dims; ``closed_form`` and the per-grade entry points are its
+batch of one.
 
 Grade 1: the full trace.
 
@@ -24,7 +24,7 @@ reads (ts, ts2, t): ts = [1,3,2] fixes 1, ts2 = [3,2,1] fixes 2, t = [2,1,3]
 fixes 3.  The order matters (up to cyclic rotation) exactly when some entry
 lies in the 3-cycle class; tests pin it against the contraction oracle.
 
-Formula descriptors render these evaluators as strings in a small grammar:
+The formulas are written in a small grammar:
 
     formula  := "Tr( " product " )"
     product  := factor (" * " factor)*
@@ -34,46 +34,41 @@ Formula descriptors render these evaluators as strings in a small grammar:
               | "I[" ints "]"                      # identity on listed subsystems
               | "pt[" ints "](" operand ")"        # reduce TO the listed subsystems
               | "tp[" ints "](" operand ")"        # partial transpose on them
-    ints     := INT ("," INT)* | ""
+    ints     := INT ("," INT)* | ""                # distinct, in 1..k
 
-Operands carry their subsystem lists, so "(x)" assembles factors onto their
-slots regardless of textual order; pt[] (empty keep list) is the full trace,
-a scalar.  ``parse_formula`` evaluates this grammar directly, giving an
-independent check of each descriptor's text.
+Operands carry their subsystem lists, so "(x)" assembles disjoint operands
+onto their slots regardless of textual order; pt[] is the full trace, a
+scalar.  Exponents are at least 1.
+
+``parse_formula`` is the compiler's front end.  A program runs the partial
+trace and transpose of an operand as one ``np.einsum``, identity padding as
+one broadcast multiply and products as batched ``matmul`` (README,
+"Evaluation engines").
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._einsum import PLAN_CACHE_SIZE
+from ._einsum import _LETTERS, MAX_AXIS_IDS, PLAN_CACHE_SIZE
 from .contract import _stack_dims
-from .errors import VerificationError
-from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
-from .states import (
-    DensityMatrix,
-    PureState,
-    _pad_stack,
-    _projector_stack,
-    _trace_stack,
-    _transpose_stack,
-    partial_trace,
-    partial_transpose,
-    projector,
-    tensor_group,
-)
+from .errors import ResourceLimitError, VerificationError
+from .perms import Label, OrbitLabel, Perm, PermTuple, as_tuple, canonical_form, identity, sim_decompose
+from .states import DensityMatrix, PureState, _check_subsystems, _eye, _projector_stack, projector
 
 _TS_IMAGES = (1, 3, 2)   # swap fixing 1
 _TS2_IMAGES = (3, 2, 1)  # swap fixing 2
 _T_IMAGES = (2, 1, 3)    # swap fixing 3
 _S2_IMAGES = (3, 1, 2)
 _FACTOR_ORDER = (_TS_IMAGES, _TS2_IMAGES, _T_IMAGES)
+_T2 = Perm((2, 1))
 
 
 def _of_grade(sigma: Label, m: int) -> Label:
@@ -82,16 +77,12 @@ def _of_grade(sigma: Label, m: int) -> Label:
     return sigma
 
 
-def _norm_label(r: int) -> PermTuple:
-    return PermTuple(1, (identity(1),) * r)
-
-
 def mixed_m1(rho: DensityMatrix) -> complex:
-    return closed_form(_norm_label(rho.k), "mixed", rho)
+    return closed_form(PermTuple(1, (identity(1),) * rho.k), "mixed", rho)
 
 
 def pure_m1(psi: PureState) -> complex:
-    return closed_form(_norm_label(psi.k - 1), "pure", psi)
+    return closed_form(PermTuple(1, (identity(1),) * (psi.k - 1)), "pure", psi)
 
 
 def mixed_m2(sigma: Label, rho: DensityMatrix) -> complex:
@@ -127,9 +118,9 @@ def closed_form(sigma: Label, kind: str, state) -> complex:
 def closed_form_batch(sigma: Label, kind: str, states: Sequence,
                       rtol: float = 1e-10) -> np.ndarray:
     """The closed form of one label on each of a non-empty stack of states
-    with equal dims, as a complex array of shape (n,): the label's formula
-    runs once over the stack.  For pure grade-2 labels the two writings are
-    asserted equal to rtol on every state.
+    with equal dims, as a complex array of shape (n,): the label's compiled
+    formula runs once over the stack.  For pure grade-2 labels the two
+    writings are asserted equal to rtol on every state.
 
     An empty stack, mixed dims or a wrong label arity raise ValueError, as
     in contract.eval_mixed_batch / eval_pure_batch.
@@ -143,89 +134,45 @@ def closed_form_batch(sigma: Label, kind: str, states: Sequence,
     if not 1 <= sigma.m <= 3:
         raise ValueError(f"no closed form for grade {sigma.m} (only m <= 3)")
     dims = _stack_dims(states, sigma.r, kind == "pure")
+    programs = _programs(sigma, kind, dims)
     if kind == "mixed":
-        rhos = np.stack([rho.entries for rho in states])
-        if sigma.m == 1:
-            return np.trace(rhos, axis1=1, axis2=2)
-        if sigma.m == 2:
-            return _square_trace(_trace_stack(rhos, dims, _m2_sets(sigma)[0])[0])
-        return _m3_trace(sigma, dims, rhos)
-    amps = np.stack([psi.amplitudes for psi in states])
-    if sigma.m == 1:
-        flat = amps.reshape(len(amps), -1)
-        return np.einsum("ni,ni->n", flat.conj(), flat)
-    pis = _projector_stack(amps)
-    if sigma.m == 3:
-        return _m3_trace(sigma.embed(), dims, pis)
-    e_set, t_set = _m2_sets(sigma)
-    va = _square_trace(_trace_stack(pis, dims, e_set | {len(dims)})[0])
-    vb = _square_trace(_trace_stack(pis, dims, t_set)[0])
-    scale = np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
-    bad = np.flatnonzero(np.abs(va - vb) > rtol * scale)
-    if bad.size:
-        i = bad[0]
-        raise VerificationError(
-            f"the two grade-2 writings disagree: {complex(va[i])} vs {complex(vb[i])}")
+        return programs[0](_stacked([rho.entries for rho in states]))
+    amps = _stacked([psi.amplitudes for psi in states])
+    va, *others = (program.on_pure(amps) for program in programs)
+    for vb in others:
+        scale = np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
+        bad = np.flatnonzero(np.abs(va - vb) > rtol * scale)
+        if bad.size:
+            i = bad[0]
+            raise VerificationError(
+                f"the two grade-2 writings disagree: {complex(va[i])} vs {complex(vb[i])}")
     return va
 
 
-def _square_trace(x: np.ndarray) -> np.ndarray:
-    return np.trace(x @ x, axis1=1, axis2=2)
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as one stack; a batch of one is a view of its array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _m2_sets(sigma: PermTuple) -> tuple[frozenset, frozenset]:
-    """The slots holding e and those holding t."""
-    if sigma.m != 2:
-        raise ValueError("not an m=2 label")
-    e = frozenset(j for j, p in enumerate(sigma.perms, start=1) if p.is_identity())
-    return e, frozenset(range(1, sigma.r + 1)) - e
-
-
-def _m3_sets(sigma: PermTuple) -> dict[tuple[int, ...], list[int]]:
-    if sigma.m != 3:
-        raise ValueError("not an m=3 label")
-    sets: dict[tuple[int, ...], list[int]] = {}
-    for j, p in enumerate(sigma.perms, start=1):
-        sets.setdefault(p.images, []).append(j)
-    return sets
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _m3_layout(sigma: PermTuple, dims: tuple[int, ...]):
-    """The grade-3 formula of a mixed-type label on dims, prepared once: the
-    partially transposed slots, the dims of the live space (the complement
-    of the e-slots) and, per factor in order, the slots traced out and the
-    identity and operator slots of its padding within the live space."""
-    sets = _m3_sets(sigma)
-    e_set = sets.get(identity(3).images, [])
-    live = [j for j in range(1, len(dims) + 1) if j not in e_set]
-    live_dims = tuple(dims[j - 1] for j in live) or (1,)
-    pos = {j: i + 1 for i, j in enumerate(live)}  # positions within the live space
-    factors = []
-    for tau in _FACTOR_ORDER:
-        a_tau = sets.get(tau, [])
-        ids = tuple(pos[j] for j in a_tau)
-        rest = tuple(p for p in range(1, len(live) + 1) if p not in ids)
-        factors.append((frozenset(a_tau + e_set), ids, rest))
-    return tuple(sets.get(_S2_IMAGES, [])), live_dims, tuple(factors)
-
-
-def _m3_factors(sigma: PermTuple, dims: tuple[int, ...], stack: np.ndarray) -> list[np.ndarray]:
-    """The three ordered operator factors of the grade-3 formula on a stack
-    of operators (n, N, N), as stacks on the live space."""
-    transposed, live_dims, layout = _m3_layout(sigma, dims)
-    core = _transpose_stack(stack, dims, transposed)
-    factors = []
-    for traced, ids, rest in layout:
-        red = _trace_stack(core, dims, traced)[0]
-        factors.append(_pad_stack(red, ids, rest, live_dims) if ids else red)
-    return factors
-
-
-def _m3_trace(sigma: PermTuple, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
-    f1, f2, f3 = _m3_factors(sigma, dims, stack)
-    return np.trace(f1 @ f2 @ f3, axis1=1, axis2=2)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _programs(sigma: PermTuple, kind: str, dims: tuple[int, ...]) -> tuple["Program", ...]:
+    """The compiled writings of a label's closed form on dims, built from
+    formula_text: one, or two for a pure grade-2 label (the embedded label
+    and its e/t complement).  A pure writing whose product leaves out the
+    last subsystem is compiled for the other subsystems."""
+    if kind == "mixed":
+        return (_compiled(formula_text(sigma, "mixed"), dims),)
+    writings = [sigma.embed()]
+    if sigma.m == 2:  # the complement: t times every entry
+        writings.append(PermTuple(2, tuple(_T2 * p for p in writings[0].perms)))
+    programs = []
+    for label in writings:
+        text = formula_text(label, "pure")
+        program = _compiled(text, dims)
+        if len(dims) > 1 and len(dims) not in program.support:
+            program = _compiled(text, dims[:-1])
+        programs.append(program)
+    return tuple(programs)
 
 
 # -- formula descriptors -------------------------------------------------------
@@ -245,7 +192,9 @@ def _operand_text(arg: str, keep: list[int], tp_set: list[int], k: int) -> str:
 
 
 def _m3_factor_texts(sigma: PermTuple, arg: str) -> list[str]:
-    sets = _m3_sets(sigma)
+    sets: dict[tuple[int, ...], list[int]] = {}
+    for j, p in enumerate(sigma.perms, start=1):
+        sets.setdefault(p.images, []).append(j)
     k = sigma.r
     e_set = sets.get(identity(3).images, [])
     s2_set = sets.get(_S2_IMAGES, [])
@@ -263,13 +212,8 @@ def _m3_factor_texts(sigma: PermTuple, arg: str) -> list[str]:
 
 
 def _merge_powers(parts: list[str]) -> str:
-    merged: list[tuple[str, int]] = []
-    for p in parts:
-        if merged and merged[-1][0] == p:
-            merged[-1] = (p, merged[-1][1] + 1)
-        else:
-            merged.append((p, 1))
-    return " * ".join(p if n == 1 else f"{p}^{n}" for p, n in merged)
+    runs = [(p, len(list(group))) for p, group in itertools.groupby(parts)]
+    return " * ".join(p if n == 1 else f"{p}^{n}" for p, n in runs)
 
 
 def formula_text(sigma: Label, kind: str) -> str:
@@ -282,8 +226,7 @@ def formula_text(sigma: Label, kind: str) -> str:
     if sigma.m == 1:
         return f"Tr( {arg} )"
     if sigma.m == 2:
-        e_set, _ = _m2_sets(sigma)
-        keep = [j for j in range(1, k + 1) if j not in e_set]
+        keep = [j for j, p in enumerate(sigma.perms, start=1) if not p.is_identity()]
         return f"Tr( {_operand_text(arg, keep, [], k)}^2 )"
     if sigma.m == 3:
         return f"Tr( {_merge_powers(_m3_factor_texts(sigma, arg))} )"
@@ -305,7 +248,7 @@ class FormulaDescriptor:
         return closed_form(self.label, "mixed", rho)
 
     def evaluate_text(self, state) -> complex:
-        """Independent evaluation by parsing self.text."""
+        """Evaluation of self.text through parse_formula."""
         rho = projector(state) if self.kind == "pure" else state
         return parse_formula(self.text)(rho)
 
@@ -332,136 +275,187 @@ def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
     ]
 
 
-# -- formula parser ------------------------------------------------------------
+# -- formula compiler ----------------------------------------------------------
 
 
 _TOKEN = re.compile(r"Tr\(|\(x\)|\^|\*|\(|\)|pt\[[\d,]*\]\(|tp\[[\d,]*\]\(|I\[[\d,]*\]|rho|pi|\d+")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
+def _subsystem_list(ints: str) -> tuple[int, ...]:
+    subs = tuple(int(x) for x in ints.split(",") if x)
+    if len(set(subs)) != len(subs):
+        raise ValueError(f"subsystem listed twice in [{ints}]")
+    return subs
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _parse(text: str) -> tuple:
+    """The syntax tree of a formula text: a tuple of (atom, power) factors,
+    an atom being a tuple of operand nodes ("arg",), ("id", subs) or
+    (op, subs, operand) with op "pt" or "tp"."""
     stripped = text.replace(" ", "")
-    while pos < len(stripped):
-        mo = _TOKEN.match(stripped, pos)
-        if not mo:
-            raise ValueError(f"cannot tokenize formula at ...{stripped[pos:pos+12]!r}")
-        tokens.append(mo.group())
-        pos = mo.end()
-    return tokens
+    tokens = _TOKEN.findall(stripped)
+    if "".join(tokens) != stripped:  # findall skipped what no token matches
+        raise ValueError(f"cannot tokenize formula {text!r}")
+    tokens.append("<end>")  # no rule reads past this sentinel
 
-
-def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
-    """Parse the descriptor grammar; returns an evaluator taking the operator
-    argument (a DensityMatrix; pass a projector for pure-state formulas).
-
-    Each operand evaluates to a matrix on a support (a sorted subsystem
-    subset): "rho"/"pi" and tp[..] have full support, pt[J] has support J,
-    pt[] is a scalar, I[J] has support J.  A tensor group assembles disjoint
-    supports; all factors of the product must end up on a common support.
-    """
-    tokens = _tokenize(text)
+    def expect(i, want):
+        if tokens[i] != want:
+            raise ValueError(f"expected {want!r}, got {tokens[i]!r} in {text!r}")
+        return i + 1
 
     def parse_operand(i):
         tok = tokens[i]
         if tok in ("rho", "pi"):
             return ("arg",), i + 1
         if tok.startswith("I["):
-            subs = tuple(int(x) for x in tok[2:-1].split(",") if x)
-            return ("id", subs), i + 1
+            return ("id", _subsystem_list(tok[2:-1])), i + 1
         if tok.startswith(("pt[", "tp[")):
-            subs = tuple(int(x) for x in tok[3:-2].split(",") if x)
             inner, i = parse_operand(i + 1)
-            if tokens[i] != ")":
-                raise ValueError("expected ')' closing pt/tp")
-            return (tok[:2], subs, inner), i + 1
-        raise ValueError(f"unexpected token {tok!r}")
-
-    def parse_atom(i):
-        if tokens[i] == "(":
-            parts = []
-            node, i = parse_operand(i + 1)
-            parts.append(node)
-            while tokens[i] == "(x)":
-                node, i = parse_operand(i + 1)
-                parts.append(node)
-            if tokens[i] != ")":
-                raise ValueError("expected ')' closing tensor group")
-            return ("tensor", tuple(parts)), i + 1
-        node, i = parse_operand(i)
-        return ("tensor", (node,)), i
+            return (tok[:2], _subsystem_list(tok[3:-2]), inner), expect(i, ")")
+        raise ValueError(f"unexpected token {tok!r} in {text!r}")
 
     def parse_factor(i):
-        atom, i = parse_atom(i)
-        power = 1
-        if i < len(tokens) and tokens[i] == "^":
-            power = int(tokens[i + 1])
-            i += 2
-        return (atom, power), i
+        grouped = tokens[i] == "("
+        node, i = parse_operand(i + grouped)
+        parts = [node]
+        while grouped and tokens[i] == "(x)":
+            node, i = parse_operand(i + 1)
+            parts.append(node)
+        if grouped:
+            i = expect(i, ")")
+        if tokens[i] != "^":
+            return (tuple(parts), 1), i
+        if not tokens[i + 1].isdigit() or int(tokens[i + 1]) < 1:
+            raise ValueError(f"exponent must be an integer >= 1, got {tokens[i + 1]!r}")
+        return (tuple(parts), int(tokens[i + 1])), i + 2
 
-    if not tokens or tokens[0] != "Tr(":
-        raise ValueError("formula must start with 'Tr('")
-    factors = []
-    factor, i = parse_factor(1)
-    factors.append(factor)
-    while i < len(tokens) and tokens[i] == "*":
+    factor, i = parse_factor(expect(0, "Tr("))
+    factors = [factor]
+    while tokens[i] == "*":
         factor, i = parse_factor(i + 1)
         factors.append(factor)
-    if i != len(tokens) - 1 or tokens[i] != ")":
-        raise ValueError("formula must end with ')'")
+    if expect(i, ")") != len(tokens) - 1:
+        raise ValueError(f"text after the closing ')' in {text!r}")
+    return tuple(factors)
 
-    def eval_operand(node, rho: DensityMatrix) -> tuple[DensityMatrix, tuple[int, ...]]:
-        """Returns (operator, support); support () means a scalar 1x1."""
-        if node[0] == "arg":
-            return rho, tuple(range(1, rho.k + 1))
-        if node[0] == "pt":
-            inner, support = eval_operand(node[2], rho)
-            if support != tuple(range(1, rho.k + 1)):
-                raise ValueError("pt must wrap a full-support operand")
-            traced = [j for j in range(1, rho.k + 1) if j not in node[1]]
-            return partial_trace(inner, traced), node[1]
-        if node[0] == "tp":
-            inner, support = eval_operand(node[2], rho)
-            if support != tuple(range(1, rho.k + 1)):
-                raise ValueError("tp must wrap a full-support operand")
-            return partial_transpose(inner, node[1]), support
-        raise ValueError(f"bad operand node {node!r}")
 
-    def eval_atom(node, rho: DensityMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
-        scalar = 1 + 0j
-        pieces: list[tuple[DensityMatrix, tuple[int, ...]]] = []
-        id_slots: list[int] = []
-        for p in node[1]:
-            if p[0] == "id":
-                id_slots.extend(p[1])
-            else:
-                op, support = eval_operand(p, rho)
-                if support:
-                    pieces.append((op, support))
-                else:
-                    scalar *= complex(op.entries[0, 0])
-        if not pieces:
-            size = math.prod(rho.dims[j - 1] for j in id_slots)
-            return scalar * np.eye(size, dtype=complex), tuple(sorted(id_slots))
-        supports = tuple(sup for _, sup in pieces)
-        stacks = [op.entries[None] for op, _ in pieces]
-        mat = tensor_group(stacks, supports, tuple(id_slots), rho.dims)[0]
-        return scalar * mat, tuple(sorted(id_slots + [j for sup in supports for j in sup]))
+def _operand(node, k: int) -> tuple[str | None, tuple[int, ...]]:
+    """The einsum subscripts taking the (n, dims, dims) tensor of the
+    argument to the operand's tensor (rows, then columns, of its support in
+    order), and that support; subscripts None for the argument itself."""
+    inp = list(range(2 * k + 1))       # 0: batch, j: row j, k + j: column j
+    rows = {j: j for j in range(1, k + 1)}
+    cols = {j: k + j for j in range(1, k + 1)}
+    chain = []
+    while node[0] != "arg":
+        if node[0] == "id":
+            raise ValueError("pt and tp take rho, pi or another pt/tp")
+        chain.append(node)
+        node = node[2]
+    for op, subs, _ in reversed(chain):
+        missing = set(_check_subsystems(subs, k)) - set(rows)
+        if missing:
+            raise ValueError(f"{op}[{_ints(subs)}] acts on traced subsystems {sorted(missing)}")
+        if op == "tp":
+            for j in subs:
+                rows[j], cols[j] = cols[j], rows[j]
+        else:
+            for j in set(rows) - set(subs):
+                inp[k + j] = j  # a traced slot repeats its row letter
+                del rows[j], cols[j]
+    support = tuple(sorted(rows))
+    ins = "".join(_LETTERS[i] for i in inp)
+    out = "".join(_LETTERS[i] for i in [0] + [rows[j] for j in support] + [cols[j] for j in support])
+    return (None if ins == out else f"{ins}->{out}"), support
 
-    def evaluate(rho: DensityMatrix) -> complex:
-        prod = None
-        prod_support = None
-        for atom, power in factors:
-            mat, support = eval_atom(atom, rho)
-            mat = np.linalg.matrix_power(mat, power) if power > 1 else mat
-            if prod is None:
-                prod, prod_support = mat, support
-            else:
-                if support != prod_support:
-                    raise ValueError(
-                        f"factors on different supports: {prod_support} vs {support}"
-                    )
-                prod = prod @ mat
-        return complex(np.trace(prod))
 
-    return evaluate
+def _atom(parts, dims: tuple[int, ...]) -> tuple[Callable, tuple[int, ...]]:
+    """One prepared factor: a function of the stack (n, N, N) and its
+    (n, dims, dims) tensor giving the factor's stack (n, M, M), and the
+    factor's support."""
+    ids: list[int] = []
+    operands = []
+    for node in parts:
+        if node[0] == "id":
+            ids.extend(_check_subsystems(node[1], len(dims)))
+        else:
+            operands.append(_operand(node, len(dims)))
+    covered = ids + [j for _, support in operands for j in support]
+    if len(set(covered)) != len(covered):
+        raise ValueError(f"overlapping subsystems in tensor group: {sorted(covered)}")
+    support = tuple(sorted(covered))
+    size = math.prod(dims[j - 1] for j in support)
+
+    # each operand, and the delta of the identities, with unit axes on the
+    # factor's other slots: their broadcast product is the tensor product
+    def on_slots(slots) -> tuple[int, ...]:
+        return tuple(dims[j - 1] if j in slots else 1 for j in support) * 2
+
+    shapes = [on_slots(sup) for _, sup in operands]
+    delta = _eye(math.prod(dims[j - 1] for j in ids)).reshape((1,) + on_slots(ids))
+
+    def matrix(stack, t):
+        if not operands:
+            return np.broadcast_to(delta.reshape(1, size, size), (len(t), size, size))
+        x = delta if ids else None
+        for (subs, _), shape in zip(operands, shapes):
+            y = (stack if subs is None else np.einsum(subs, t)).reshape((len(t),) + shape)
+            x = y if x is None else x * y
+        return x.reshape(len(t), size, size)
+    return matrix, support
+
+
+class Program:
+    """A formula text compiled for one dims.  Called on a stack (n, N, N) of
+    operators on dims, it returns the formula's values, shape (n,)."""
+
+    def __init__(self, factors, dims: tuple[int, ...]):
+        if 2 * len(dims) + 1 > MAX_AXIS_IDS:
+            raise ResourceLimitError(f"a formula on {len(dims)} subsystems needs "
+                                     f"{2 * len(dims) + 1} axis ids; einsum allows {MAX_AXIS_IDS}")
+        self.dims = dims
+        self.atoms = []   # the prepared factors in order, powers written out
+        self.support = None
+        for parts, power in factors:
+            atom, support = _atom(parts, dims)
+            if self.support is not None and support != self.support:
+                raise ValueError(f"factors on different supports: {self.support} vs {support}")
+            self.support = support
+            self.atoms += [atom] * power
+
+    def factors(self, stack: np.ndarray) -> list[np.ndarray]:
+        """The stacks of the product's matrices in order, powers written out."""
+        t = stack.reshape((len(stack),) + self.dims * 2)
+        mats = {atom: atom(stack, t) for atom in dict.fromkeys(self.atoms)}
+        return [mats[atom] for atom in self.atoms]
+
+    def __call__(self, stack: np.ndarray) -> np.ndarray:
+        mats = self.factors(stack)
+        if len(mats) == 1:
+            return np.einsum("nii->n", mats[0])
+        return np.einsum("nij,nji->n", functools.reduce(np.matmul, mats[:-1]), mats[-1])
+
+    def on_pure(self, amps: np.ndarray) -> np.ndarray:
+        """The program on the projectors of a stack of amplitude tensors
+        (n, *dims'), or on their reductions over the last subsystem when the
+        program was compiled for dims' without it."""
+        if amps.ndim - 1 == len(self.dims):
+            return self(_projector_stack(amps))
+        a = amps.reshape(len(amps), -1, amps.shape[-1])
+        return self(a @ a.conj().swapaxes(1, 2))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _compiled(text: str, dims: tuple[int, ...]) -> Program:
+    return Program(_parse(text), dims)
+
+
+def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
+    """The compiler's front end: parse the descriptor grammar (ValueError
+    for malformed text) and return an evaluator of the operator argument (a
+    DensityMatrix; pass a projector for pure-state formulas).  It runs the
+    program compiled once per (text, dims), whose building checks the
+    subsystem indices and supports against the dims."""
+    _parse(text)
+    return lambda rho: complex(_compiled(text, rho.dims)(rho.entries[None])[0])

@@ -152,19 +152,10 @@ def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
     traced = frozenset(traced)
     if not traced:
         return rho
-    entries, new_dims = _trace_stack(rho.entries[None], rho.dims, traced)
-    return DensityMatrix._derived(new_dims, entries[0])
-
-
-def _trace_stack(x: np.ndarray, dims: tuple[int, ...], traced: frozenset):
-    """partial_trace on a stack x of shape (n, N, N) of operators on dims:
-    the traced stack and its dims."""
-    if not traced:
-        return x, dims
-    n = len(x)
-    trace, new_dims = _partial_trace_plan(dims, traced, n)
+    trace, new_dims = _partial_trace_plan(rho.dims, traced, 1)
     size = math.prod(new_dims)
-    return trace(x.reshape((n,) + dims + dims)).reshape(n, size, size), new_dims
+    entries = trace(rho.entries.reshape((1,) + rho.dims * 2)).reshape(size, size)
+    return DensityMatrix._derived(new_dims, entries)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -184,19 +175,11 @@ def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int]) -> DensityM
     subs = _check_subsystems(subsystems, rho.k)
     if not subs:
         return rho
-    return DensityMatrix._derived(rho.dims, _transpose_stack(rho.entries[None], rho.dims, subs)[0])
-
-
-def _transpose_stack(x: np.ndarray, dims: tuple[int, ...], subs: Sequence[int]) -> np.ndarray:
-    """partial_transpose on a stack x of shape (n, N, N): one axis
-    permutation of the (n, dims, dims) tensor."""
-    if not subs:
-        return x
-    k = len(dims)
-    axes = list(range(2 * k + 1))
+    axes = list(range(2 * rho.k))
     for j in subs:
-        axes[j], axes[k + j] = axes[k + j], axes[j]
-    return x.reshape((len(x),) + dims + dims).transpose(axes).reshape(x.shape)
+        axes[j - 1], axes[rho.k + j - 1] = axes[rho.k + j - 1], axes[j - 1]
+    entries = rho.tensor().transpose(axes).reshape(rho.entries.shape)
+    return DensityMatrix._derived(rho.dims, entries)
 
 
 def tensor_with_identity(
@@ -217,16 +200,9 @@ def tensor_with_identity(
         )
     if not id_set:
         return rho
-    return DensityMatrix(full_dims, _pad_stack(rho.entries[None], id_set, rest, full_dims)[0])
-
-
-def _pad_stack(x: np.ndarray, id_set: tuple[int, ...], rest: tuple[int, ...],
-               full_dims: tuple[int, ...]) -> np.ndarray:
-    """tensor_with_identity on a stack x of shape (n, M, M) of operators on
-    the rest slots; with no rest slots, x holds 1x1 scalars."""
-    if not rest:
-        return x * _eye(math.prod(full_dims))
-    return tensor_group([x], (rest,), id_set, full_dims)
+    if not rest:  # rho is a 1x1 scalar
+        return DensityMatrix(full_dims, rho.entries * _eye(math.prod(full_dims)))
+    return DensityMatrix(full_dims, tensor_group([rho.entries[None]], (rest,), id_set, full_dims)[0])
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -275,18 +275,16 @@ def check_purification(
         members = [i for i in range(samples) if ranks[i] == rank]
         stack[members] = _unit_densities(dims, [seed * 52_361 + i for i in members], rank)
     rhos = _density_states(dims, stack)
+    # the purifications' ranks differ; zero columns up to the largest rank
+    # leave every invariant unchanged and give one pure stack
     phis = _purify_stack(stack, dims)
-    # the purifications' dims vary with the rank: one pure stack per dims
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, phi in enumerate(phis):
-        groups.setdefault(phi.dims, []).append(i)
+    top = max((phi.dims[-1] for phi in phis), default=1)
+    amps = np.zeros((samples,) + dims + (top,), dtype=complex)
+    for amp, phi in zip(amps, phis):
+        amp[..., : phi.dims[-1]] = phi.amplitudes
+    padded = _pure_states(dims + (top,), amps)
     mixed_vals = [_values(lab, "mixed", rhos) for lab in labels]
-    pure_vals = [[0j] * samples for _ in labels]
-    for members in groups.values():
-        stack = [phis[i] for i in members]
-        for lab, vals in zip(labels, pure_vals):
-            for i, value in zip(members, _values(lab, "pure", stack)):
-                vals[i] = value
+    pure_vals = [_values(lab, "pure", padded) for lab in labels]
     worst = 0.0
     witness = None
     for i, rank in enumerate(ranks):

@@ -133,11 +133,17 @@ class TestGradeThreeMixed:
             assert relerr(a, b) < 1e-10, P.format_label(lab.rep)
 
 
+def compiled_factors(sig, rho):
+    """The ordered factor matrices of a label's compiled mixed program."""
+    (program,) = F._programs(sig, "mixed", rho.dims)
+    return [f[0] for f in program.factors(rho.entries[None])]
+
+
 class TestFactorOrder:
     def test_cyclic_rotations_agree(self):
         sig = P.perm_tuple(3, "t", "ts", "s")
         rho = S.random_density((2, 2, 2), seed=14)
-        f1, f2, f3 = (f[0] for f in F._m3_factors(sig, rho.dims, rho.entries[None]))
+        f1, f2, f3 = compiled_factors(sig, rho)
         ref = np.trace(f1 @ f2 @ f3)
         assert relerr(np.trace(f2 @ f3 @ f1), ref) < 1e-13
         assert relerr(np.trace(f3 @ f1 @ f2), ref) < 1e-13
@@ -148,7 +154,7 @@ class TestFactorOrder:
         found = False
         for seed in range(5):
             rho = unit_density((2, 2, 2), seed=15 + seed)
-            f1, f2, f3 = (f[0] for f in F._m3_factors(sig, rho.dims, rho.entries[None]))
+            f1, f2, f3 = compiled_factors(sig, rho)
             good = np.trace(f1 @ f2 @ f3)
             swapped = np.trace(f2 @ f1 @ f3)
             if relerr(good, swapped) > 1e-6:
@@ -275,6 +281,24 @@ class TestBatch:
         with pytest.raises(TypeError):
             F.closed_form_batch(lab, "mixed", [S.random_pure((2, 2), seed=5)])
 
+    def test_one_program_per_label_kind_and_dims(self):
+        rho = S.random_density((2, 3), seed=320)
+        lab = P.enumerate_orbits(3, 2)[7]
+        F.closed_form(lab, "mixed", rho)
+        (program,) = F._programs(lab.rep, "mixed", rho.dims)
+        assert program is F._compiled(F.formula_text(lab.rep, "mixed"), rho.dims)
+        before, compiled = F._programs.cache_info(), F._compiled.cache_info()
+        F.closed_form(lab, "mixed", rho)
+        after = F._programs.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert F._compiled.cache_info() == compiled
+        # the formula text shares the program
+        (w,) = F.alternate_writings(lab, "mixed")
+        w.evaluate_text(rho)
+        assert F._compiled.cache_info().misses == compiled.misses
+        # a pure grade-2 label has two writings, asserted equal
+        assert len(F._programs(P.perm_tuple(2, "t"), "pure", (2, 3))) == 2
+
     def test_pure_m2_writings_checked_on_a_stack(self):
         states = sample_stack("pure", (2, 2, 2), 3, seed=310)
         lab = P.perm_tuple(2, "t", "e")
@@ -332,11 +356,16 @@ class TestAlternateWritings:
         assert relerr(writings[0].evaluate_text(rho), C.eval_mixed(sig, rho)) < 1e-10
 
     def test_every_writing_parses_back(self):
-        psi = unit_pure((2, 2, 2), seed=98)
-        for m in (1, 2, 3):
-            for lab in P.enumerate_orbits(m, 2):
-                for w in F.alternate_writings(lab.rep, "pure"):
-                    assert relerr(w.evaluate_text(psi), w.evaluate(psi)) < 1e-10, w.text
+        # every writing's text, run by the compiler, gives its label's closed form
+        for dims in [(2, 3), (2, 2, 3)]:
+            k = len(dims)
+            psi, rho = unit_pure(dims, seed=98), unit_density(dims, seed=99)
+            for m in (1, 2, 3):
+                for kind, state, r in [("pure", psi, k - 1), ("mixed", rho, k)]:
+                    for lab in P.enumerate_orbits(m, r):
+                        want = F.closed_form(lab, kind, state)
+                        for w in F.alternate_writings(lab.rep, kind):
+                            assert relerr(w.evaluate_text(state), want) < 1e-12, w.text
 
 
 class TestFormulaText:
@@ -352,6 +381,40 @@ class TestFormulaText:
     def test_scalar_factor(self):
         lab = P.perm_tuple(3, "t")
         assert F.formula_text(lab, "mixed") == "Tr( rho^2 * (pt[](rho) (x) I[1]) )"
+
+    @pytest.mark.parametrize("text", ["Tr(", "Tr( rho^", "Tr( pt[1]( rho", "Tr( (rho"])
+    def test_parse_rejects_truncated_text(self, text):
+        with pytest.raises(ValueError):
+            F.parse_formula(text)
+
+    def test_parse_rejects_zero_exponent(self):
+        with pytest.raises(ValueError, match="exponent"):
+            F.parse_formula("Tr( rho^0 )")
+
+    @pytest.mark.parametrize("text", ["Tr( I[3] )", "Tr( pt[3](rho) )"])
+    def test_rejects_subsystem_out_of_range(self, text):
+        rho = S.random_density((2, 2), seed=100)
+        with pytest.raises(ValueError, match="out of range"):
+            F.parse_formula(text)(rho)
+
+    @pytest.mark.parametrize("text", ["Tr( (I[1] (x) I[1]) )", "Tr( pt[1,1](rho) )"])
+    def test_rejects_repeated_subsystems(self, text):
+        rho = S.random_density((2, 2), seed=101)
+        with pytest.raises(ValueError):
+            F.parse_formula(text)(rho)
+
+    def test_hand_written_text(self):
+        # a group of two operators, nested pt/tp and a scalar, on a stack
+        rhos = [S.random_density((2, 3), seed=102 + i) for i in range(3)]
+        text = ("Tr( (pt[2](rho) (x) pt[1](rho)) * tp[1](pt[1,2](rho))"
+                " * (pt[](rho) (x) I[1] (x) pt[2](rho)) )")
+        for rho, got in zip(rhos, F._compiled(text, (2, 3))(np.stack([r.entries for r in rhos]))):
+            r1 = S.partial_trace(rho, {2}).entries
+            r2 = S.partial_trace(rho, {1}).entries
+            want = rho.trace() * np.trace(
+                kron(r1, r2) @ S.partial_transpose(rho, {1}).entries @ kron(np.eye(2), r2))
+            assert relerr(got, want) < 1e-12
+            assert relerr(F.parse_formula(text)(rho), want) < 1e-12
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):

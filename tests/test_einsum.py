@@ -2,12 +2,15 @@
 stored greedy path, the cost fields, the caches, the axis-id limit and the
 batched engine entry points."""
 
+import importlib
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
 from conftest import relerr
+import luinv
 from luinv import contract, states
 from luinv._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, Plan, compile_plan, plan
 from luinv.errors import ResourceLimitError
@@ -193,10 +196,26 @@ class TestPlan:
 
     def test_caches_are_bounded_by_constants(self):
         assert isinstance(PLAN_CACHE_SIZE, int) and PLAN_CACHE_SIZE > 0
-        for cache in (compile_plan, contract._mixed_plan, contract._pure_plan,
-                      states._partial_trace_plan, states._padding_slots,
-                      states._group_plan, states._eye):
-            assert cache.cache_info().maxsize == PLAN_CACHE_SIZE
+        # caches bounded by something else, each with the reason
+        exempt = {
+            "luinv.perms._conjugators": "one entry per grade, at most MAX_GRADE",
+            "luinv.perms.symmetric_group": "one entry per grade, at most MAX_GRADE",
+            "luinv.cli.build_parser": "one entry: it takes no arguments",
+        }
+        found = set()
+        for info in pkgutil.iter_modules(luinv.__path__):
+            if info.name == "__main__":  # importing it runs the CLI
+                continue
+            module = importlib.import_module(f"luinv.{info.name}")
+            for name, obj in vars(module).items():
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                    key = f"{module.__name__}.{name}"
+                    found.add(key)
+                    if key not in exempt:
+                        assert obj.cache_info().maxsize == PLAN_CACHE_SIZE, key
+        assert set(exempt) <= found
+        assert {"luinv._einsum.compile_plan", "luinv.contract._mixed_plan",
+                "luinv.states._eye", "luinv.closedform._programs"} <= found
 
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
