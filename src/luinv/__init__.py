@@ -52,9 +52,11 @@ from .perms import (
     conjugate,
     enumerate_orbits,
     format_label,
+    generator_count,
     generator_labels,
     identity,
     is_transitive,
+    orbit_count,
     parse_label,
     perm_from_name,
     perm_name,

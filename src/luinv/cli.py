@@ -26,8 +26,11 @@ from .perms import (
     canonical_form,
     enumerate_orbits,
     format_label,
+    generator_count,
     is_transitive,
+    orbit_count,
     parse_label,
+    sim_decompose,
 )
 from .states import DensityMatrix, PureState, dim_limit, load_state, set_dim_limit
 from .verify import render_table, reports_to_json, run_suite
@@ -71,12 +74,13 @@ def _arity(args) -> int:
 
 def cmd_enumerate(args) -> int:
     r = _arity(args)
+    if args.count:
+        count = generator_count if args.generators_only else orbit_count
+        print(count(args.m, r))
+        return EXIT_OK
     labels = enumerate_orbits(args.m, r)
     if args.generators_only:
         labels = [lab for lab in labels if is_transitive(lab.rep)]
-    if args.count:
-        print(len(labels))
-        return EXIT_OK
     if args.json:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -147,18 +151,25 @@ def cmd_graph(args) -> int:
         drawn = sigma
     g = build_graph(drawn)
 
+    # closed forms exist up to grade 3; above it "none" stands for the formula
     if args.decompose:
         if kind != "pure":
             raise ValueError("--decompose applies to pure labels")
-        writings = alternate_writings(sigma, "pure")
-        for w in writings:
-            print(f"{format_label(w.label.rep):<24} {w.text}")
+        if sigma.m <= 3:
+            rows = [(w.label, w.text) for w in alternate_writings(sigma, "pure")]
+        else:
+            rows = [(member, "none") for member in sim_decompose(sigma).members]
+        for member, text in rows:
+            print(f"{format_label(member.rep):<24} {text}")
         return EXIT_OK
 
     emitted = False
     if args.formula:
         lab = canonical_form(drawn)
-        print(formula_text(lab.rep, kind))
+        if sigma.m <= 3:
+            print(formula_text(lab.rep, kind))
+        else:
+            print(f"{format_label(lab.rep):<24} none")
         emitted = True
     if args.expressible:
         order = expressible_ordering(g)
@@ -207,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --k: pure labels have r=k-1, mixed r=k")
     p.add_argument("--generators-only", action="store_true",
                    help="only transitive labels (algebraically independent generators)")
-    p.add_argument("--count", action="store_true", help="print the cardinality only")
+    p.add_argument("--count", action="store_true",
+                   help="print the cardinality only, counted without enumerating")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -228,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("pure", "mixed"), default="pure")
     p.add_argument("--decompose", action="store_true",
                    help="list all conjugation classes of the two-sided class "
-                   "with their formulas (pure labels)")
-    p.add_argument("--formula", action="store_true", help="print the closed-form text")
+                   "with their formulas, 'none' from grade 4 (pure labels)")
+    p.add_argument("--formula", action="store_true",
+                   help="print the closed-form text (grade 4 and up: the label and 'none')")
     p.add_argument("--expressible", action="store_true",
                    help="print an adjacent-loop cyclic ordering or 'none'")
     p.add_argument("--json", action="store_true", help="JSON graph dump instead of DOT")

@@ -22,19 +22,31 @@ Two equivalences on r-tuples of permutations are used throughout:
 One private kernel, ``_relabelings``, maps the flat key of a tuple
 (``PermTuple.key()``) to the keys of its m! conjugates, or of its m! left
 translates, using conjugator tables built once per grade.  Canonicalization
-(``canonical_form`` and the ``OrbitLabel`` check), ``orbit``,
-``enumerate_orbits``, the ``sim_decompose`` split and
-``graphs.canonical_graph`` all run on it.  ``orbit_partition`` is the one
-orbit routine on points, shared by ``is_transitive`` and
-``graphs.connected_components``.
+(``canonical_form`` and the ``OrbitLabel`` check), ``orbit``, the
+``sim_decompose`` split and ``graphs.canonical_graph`` all run on it.
+``orbit_partition`` is the one orbit routine on points, shared by
+``is_transitive`` and ``graphs.connected_components``.
+
+``enumerate_orbits`` is an orderly generation (canonical augmentation,
+McKay, J. Algorithms 26 (1998)): a tuple is canonical exactly when each
+entry is the lexicographically first of its orbit under the common
+centralizer of the entries before it.  So a depth-first walk that keeps, at
+each depth, the first candidate of every orbit of the current stabilizer,
+and recurses with that candidate's stabilizer, meets every label once, in
+sorted order; once the stabilizer is trivial the remaining entries are free.
+Its cost follows the output, which ``orbit_count`` gives in advance by
+Burnside's lemma; ``generator_count`` counts the transitive labels.  Every
+label the package builds shares the interned ``Perm`` objects of
+``symmetric_group(m)``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Union
 
 from .errors import ResourceLimitError
@@ -42,8 +54,13 @@ from .errors import ResourceLimitError
 #: Upper bound on the grade for brute-force orbit routines.
 MAX_GRADE = 8
 
-#: Cost cap (conjugation-tuple operations) for brute-force enumerations.
+#: Cost cap (conjugation-tuple operations) for the double-coset split.
 _ENUM_OP_LIMIT = 100_000_000
+
+#: Most labels enumerate_orbits returns.  A label of interned perms takes
+#: at most about 0.5 KB (0.24 KB at r = 3, 0.37 KB at r = 19), so this
+#: bounds an enumeration at about 0.3 GB.
+ENUM_LABEL_LIMIT = 600_000
 
 
 @dataclass(frozen=True, order=True)
@@ -139,6 +156,13 @@ def _conjugators(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 def symmetric_group(m: int) -> tuple[Perm, ...]:
     """All m! permutations of {1..m}, in lexicographic image order."""
     return tuple(Perm(vmap[1:]) for vmap, _ in _conjugators(m))
+
+
+@lru_cache(maxsize=None)
+def _interned(m: int) -> dict[tuple[int, ...], Perm]:
+    """symmetric_group(m) by image list: the one Perm object per element
+    that every label built by this module shares."""
+    return {p.images: p for p in symmetric_group(m)}
 
 
 # Named elements for small grades.  The m=3 names follow the conventions in
@@ -263,8 +287,9 @@ def _relabelings(
     By default these are the conjugates b·sigma_j·b^-1; with translate, the
     left translates b·sigma_j.  Every two-sided relabeling a·sigma_j·b^-1
     equals b·((b^-1 a)·sigma_j)·b^-1, a conjugate of a left translate.  This
-    is the only loop over the conjugators of S_m, and it holds the MAX_GRADE
-    guard through _conjugators."""
+    is the only loop over all the conjugators of S_m (enumerate_orbits walks
+    stabilizers, subsets of them), and it holds the MAX_GRADE guard through
+    _conjugators."""
     slices = [key[i * m:(i + 1) * m] for i in range(r)]
     if translate:
         return [tuple([vmap[x] for s in slices for x in s]) for vmap, _ in _conjugators(m)]
@@ -273,8 +298,19 @@ def _relabelings(
     ]
 
 
+def _from_perms(perms: tuple[Perm, ...], m: int) -> PermTuple:
+    """The tuple of perms of grade m, built without the grade check."""
+    rep = object.__new__(PermTuple)
+    object.__setattr__(rep, "m", m)
+    object.__setattr__(rep, "perms", perms)
+    return rep
+
+
 def _from_key(key: tuple[int, ...], m: int, r: int) -> PermTuple:
-    return PermTuple(m, tuple(Perm(key[i * m:(i + 1) * m]) for i in range(r)))
+    """The tuple of a flat key (see PermTuple.key), built from the interned
+    perms of symmetric_group(m) without per-entry validation."""
+    interned = _interned(m)
+    return _from_perms(tuple([interned[key[i * m:(i + 1) * m]] for i in range(r)]), m)
 
 
 @dataclass(frozen=True, order=True)
@@ -291,11 +327,11 @@ class OrbitLabel:
             raise ValueError(f"representative {self.rep} is not canonical")
 
     @classmethod
-    def _trusted(cls, key: tuple[int, ...], m: int, r: int) -> "OrbitLabel":
-        """The label of a flat key the kernel has just made canonical (the
-        minimum of its relabelings): skips the canonicity check."""
+    def _trusted(cls, rep: PermTuple) -> "OrbitLabel":
+        """The label of a tuple this module has just made or found canonical:
+        skips the canonicity check."""
         label = object.__new__(cls)
-        object.__setattr__(label, "rep", _from_key(key, m, r))
+        object.__setattr__(label, "rep", rep)
         return label
 
     @property
@@ -325,7 +361,7 @@ def canonical_form(sigma: PermTuple) -> OrbitLabel:
     conjugators of the kernel, guarded by MAX_GRADE.
     """
     m, r = sigma.m, sigma.r
-    return OrbitLabel._trusted(min(_relabelings(sigma.key(), m, r)), m, r)
+    return OrbitLabel._trusted(_from_key(min(_relabelings(sigma.key(), m, r)), m, r))
 
 
 def orbit(sigma: PermTuple) -> set[PermTuple]:
@@ -334,30 +370,103 @@ def orbit(sigma: PermTuple) -> set[PermTuple]:
     return {_from_key(key, m, r) for key in set(_relabelings(sigma.key(), m, r))}
 
 
+def _centralizer_orders(m: int) -> Iterator[int]:
+    """z_lambda = prod_i i^(a_i) a_i!, the order of the centralizer of a
+    permutation of cycle type lambda (a_i cycles of length i), for every
+    partition lambda of m."""
+
+    def partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+        if n == 0:
+            yield ()
+        for part in range(min(n, largest), 0, -1):
+            for rest in partitions(n - part, part):
+                yield (part,) + rest
+
+    for lam in partitions(m, m):
+        yield prod(i ** a * factorial(a) for i, a in Counter(lam).items())
+
+
+def _check_sizes(m: int, r: int):
+    if m < 0 or r < 0:
+        raise ValueError(f"grade and arity must be >= 0, got m={m}, r={r}")
+
+
+def orbit_count(m: int, r: int) -> int:
+    """The number of simultaneous-conjugation orbits of S_m^r, that is
+    len(enumerate_orbits(m, r)), without enumerating: by Burnside's lemma,
+    sum over cycle types lambda of z_lambda^(r-1), in exact integer
+    arithmetic (so r = 0 gives 1).  A class of m!/z_lambda elements each
+    fixes z_lambda^r tuples."""
+    _check_sizes(m, r)
+    group_order = factorial(m)
+    return sum(z ** r * (group_order // z) for z in _centralizer_orders(m)) // group_order
+
+
+def generator_count(m: int, r: int) -> int:
+    """The number of transitive orbits of S_m^r, that is
+    len(generator_labels(m, r)), without enumerating.
+
+    A label is a multiset of transitive components, so the orbit counts
+    a_n = orbit_count(n, r) are the Euler transform of the transitive counts
+    t_n; it is inverted by c_n = n a_n - sum_{k<n} c_k a_{n-k} and
+    t_n = (c_n - sum_{d|n, d<n} d t_d) / n."""
+    _check_sizes(m, r)
+    a = [orbit_count(n, r) for n in range(m + 1)]
+    c = [0] * (m + 1)
+    t = [0] * (m + 1)
+    for n in range(1, m + 1):
+        c[n] = n * a[n] - sum(c[k] * a[n - k] for k in range(1, n))
+        t[n] = (c[n] - sum(d * t[d] for d in range(1, n) if n % d == 0)) // n
+    return t[m]
+
+
 def _check_enum_cost(m: int, r: int):
-    cost = factorial(m) ** max(r, 1) * max(r, 1) * m
-    if cost > _ENUM_OP_LIMIT:
+    labels = orbit_count(m, r)
+    if labels > ENUM_LABEL_LIMIT:
         raise ResourceLimitError(
-            f"orbit enumeration for m={m}, r={r} needs ~{cost:.2e} operations"
+            f"orbit enumeration for m={m}, r={r} would return {labels} labels "
+            f"(limit {ENUM_LABEL_LIMIT})"
         )
 
 
 def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
     """All distinct conjugation-orbit labels of r-tuples over S_m, sorted
-    lexicographically by concatenated image lists."""
+    lexicographically by concatenated image lists, by orderly generation
+    (see the module docstring).  Refused with ResourceLimitError, before
+    any work, when orbit_count(m, r) exceeds ENUM_LABEL_LIMIT."""
     _check_enum_cost(m, r)
-    images = [p.images for p in symmetric_group(m)]
-    seen: set[tuple[int, ...]] = set()
-    canon: list[tuple[int, ...]] = []
-    for combo in itertools.product(images, repeat=r):
-        key = tuple(itertools.chain.from_iterable(combo))
-        if key in seen:
-            continue
-        orb = _relabelings(key, m, r)
-        seen.update(orb)
-        canon.append(min(orb))
-    canon.sort()
-    return [OrbitLabel._trusted(key, m, r) for key in canon]
+    group = symmetric_group(m)
+    trusted = OrbitLabel._trusted
+    out: list[OrbitLabel] = []
+    # depth first: a node is a canonical prefix and its stabilizer, and its
+    # children go on the stack in reverse so that they come off in order
+    stack = [((), _conjugators(m))]
+    while stack:
+        prefix, stabilizer = stack.pop()
+        depth = len(prefix)
+        if depth == r:
+            out.append(trusted(_from_perms(prefix, m)))
+        elif len(stabilizer) == 1:  # only the identity: every tail is canonical
+            out.extend(trusted(_from_perms(prefix + tail, m))
+                       for tail in itertools.product(group, repeat=r - depth))
+        else:
+            children = []
+            seen: set[tuple[int, ...]] = set()
+            for p in group:
+                x = p.images
+                if x in seen:
+                    continue
+                fixing = []
+                for h in stabilizer:
+                    vmap, order = h
+                    conj = tuple([vmap[x[i]] for i in order])
+                    if conj == x:
+                        fixing.append(h)
+                    else:
+                        seen.add(conj)
+                children.append((prefix + (p,), fixing))
+            stack.extend(reversed(children))
+    return out
 
 
 def s3_orbit_representatives(r: int) -> list[PermTuple]:
@@ -492,5 +601,5 @@ def sim_decompose(sigma: PermTuple) -> SimClass:
         min(_relabelings(key, m, k)) for key in _relabelings(embedded.key(), m, k, translate=True)
     }
     anchor = canonical_form(embedded)
-    members = tuple(OrbitLabel._trusted(key, m, k) for key in sorted(classes))
+    members = tuple(OrbitLabel._trusted(_from_key(key, m, k)) for key in sorted(classes))
     return SimClass(anchor=anchor, members=members)

@@ -66,6 +66,32 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--m", "9", "--r", "1")
         assert code == 3 and "resource guard" in err
 
+    def test_count_needs_no_enumeration(self, capsys):
+        """(5,6) has about 2.5e10 labels: listing them trips the guard,
+        counting them does not."""
+        code, _, err = run(capsys, "enumerate", "--m", "5", "--r", "6")
+        assert code == 3 and "resource guard" in err and "24883501301 labels" in err
+        code, out, _ = run(capsys, "enumerate", "--m", "5", "--r", "6", "--count")
+        assert code == 0 and out == "24883501301\n"
+        code, out, _ = run(capsys, "enumerate", "--m", "5", "--r", "6", "--count",
+                           "--generators-only")
+        assert code == 0 and out == "24875000437\n"
+
+    @pytest.mark.parametrize("m,r", [(1, 0), (2, 0), (3, 0), (3, 3), (4, 2), (5, 1)])
+    def test_count_equals_listed_lines(self, capsys, m, r):
+        argv = ["enumerate", "--m", str(m), "--r", str(r)]
+        _, listed, _ = run(capsys, *argv)
+        _, count, _ = run(capsys, *argv, "--count")
+        assert count == f"{len(listed.splitlines())}\n"
+        _, listed, _ = run(capsys, *argv, "--generators-only")
+        _, count, _ = run(capsys, *argv, "--generators-only", "--count")
+        assert count == f"{len(listed.splitlines())}\n"
+
+    def test_negative_arity_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--m", "3", "--k", "0", "--kind", "pure",
+                             "--count")
+        assert code == 2 and out == "" and "r=-1" in err
+
 
 class TestEval:
     def test_kempe_on_ghz(self, capsys, ghz_file):
@@ -192,6 +218,25 @@ class TestGraph:
                            "--label", "t,s", "--formula")
         assert code == 0
         assert out.strip() == "Tr( (I[1] (x) pt[2](rho)) * rho^2 )"
+
+    def test_decompose_above_grade_three(self, capsys):
+        """No closed form exists at m = 4: the split members are listed with
+        "none" in place of a formula."""
+        code, out, _ = run(capsys, "graph", "--m", "4", "--k", "2", "--label", "[2,3,4,1]",
+                           "--decompose")
+        assert code == 0
+        rows = [line.split() for line in out.strip().splitlines()]
+        members = luinv.sim_decompose(luinv.parse_label("[2,3,4,1]", 4)).members
+        assert rows == [[luinv.format_label(lab.rep), "none"] for lab in members]
+        assert "[2,3,4,1],[1,2,3,4]" in [row[0] for row in rows]
+
+    def test_formula_above_grade_three(self, capsys):
+        code, out, _ = run(capsys, "graph", "--m", "4", "--k", "2", "--kind", "mixed",
+                           "--label", "[2,3,4,1],[3,4,1,2]", "--formula")
+        assert code == 0 and out.split() == ["[2,3,4,1],[3,4,1,2]", "none"]
+        code, out, _ = run(capsys, "graph", "--m", "4", "--k", "2", "--label", "[2,1,4,3]",
+                           "--formula")
+        assert code == 0 and out.split() == ["[2,1,4,3],[1,2,3,4]", "none"]
 
     def test_json_dump(self, capsys):
         code, out, _ = run(capsys, "graph", "--m", "2", "--k", "2", "--kind", "mixed",

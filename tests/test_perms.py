@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
@@ -36,6 +37,45 @@ def oracle_canonical(images_tuple):
         if best is None or key < best[1]:
             best = (conj, key)
     return best[0]
+
+
+def oracle_orbits(m, r):
+    """The brute-force enumeration: walk all m!^r tuples of image lists,
+    conjugate each unseen one by every beta with raw index arithmetic, mark
+    the orbit seen, keep its minimum, sort the minima."""
+    group = list(itertools.permutations(range(1, m + 1)))
+    betas = []
+    for beta in group:
+        inv = [0] * m
+        for i, b in enumerate(beta):
+            inv[b - 1] = i
+        betas.append((beta, inv))
+    seen, canon = set(), []
+    for combo in itertools.product(group, repeat=r):
+        if combo in seen:
+            continue
+        orbit = {tuple(tuple(beta[p[inv[l]] - 1] for l in range(m)) for p in combo)
+                 for beta, inv in betas}
+        seen |= orbit
+        canon.append(min(orbit))
+    return sorted(canon)
+
+
+def oracle_transitive(m, images_tuple):
+    """Whether the entries move 1 to every point, by a plain search."""
+    reached, todo = {1}, [1]
+    while todo:
+        l = todo.pop()
+        for p in images_tuple:
+            if p[l - 1] not in reached:
+                reached.add(p[l - 1])
+                todo.append(p[l - 1])
+    return len(reached) == m
+
+
+#: every (m, r) on which the brute-force oracle walks at most 2*10^4 tuples
+ORACLE_GRID = [(m, r) for m in range(1, 9) for r in range(0, 15)
+               if (r <= 6 if m == 1 else factorial(m) ** r <= 20_000)]
 
 
 def partitions(m, largest=None):
@@ -207,14 +247,87 @@ class TestEnumerateOrbits:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
-    def test_resource_guard(self):
-        with pytest.raises(ResourceLimitError):
+    def test_resource_guard(self, monkeypatch):
+        """(5,6) is refused from its Burnside count, before any work."""
+        def no_work(m):
+            raise AssertionError("the guard let the enumeration start")
+
+        monkeypatch.setattr(P, "symmetric_group", no_work)
+        monkeypatch.setattr(P, "_conjugators", no_work)
+        with pytest.raises(ResourceLimitError, match="m=5, r=6"):
             P.enumerate_orbits(5, 6)
 
     @pytest.mark.parametrize("m,r,count", [(4, 3, 681), (5, 2, 161), (3, 5, 1393), (2, 6, 64)])
     def test_burnside_counts(self, m, r, count):
         assert burnside_count(m, r) == count
         assert len(P.enumerate_orbits(m, r)) == count
+
+    @pytest.mark.parametrize("m,r", ORACLE_GRID)
+    def test_matches_brute_force_oracle(self, m, r):
+        """Same labels in the same order as the brute-force walk, and the
+        transitive ones for generator_labels."""
+        want = oracle_orbits(m, r)
+        got = [tuple(p.images for p in lab.rep.perms) for lab in P.enumerate_orbits(m, r)]
+        assert got == want
+        gens = [tuple(p.images for p in lab.rep.perms) for lab in P.generator_labels(m, r)]
+        assert gens == [t for t in want if oracle_transitive(m, t)]
+
+    @pytest.mark.parametrize("m,r", [(4, 4), (5, 3)])
+    def test_large_cases_are_canonical_sorted_and_complete(self, m, r):
+        labels = P.enumerate_orbits(m, r)
+        assert len(labels) == P.orbit_count(m, r)
+        keys = [lab.rep.key() for lab in labels]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for lab in labels:
+            assert P.OrbitLabel(lab.rep) == lab
+
+    def test_labels_share_the_interned_perms(self):
+        group = set(map(id, P.symmetric_group(4)))
+        for lab in P.enumerate_orbits(4, 2) + [P.canonical_form(P.parse_label(
+                "[2,1,4,3],[3,4,1,2]", 4))]:
+            assert {id(p) for p in lab.rep.perms} <= group
+
+    @pytest.mark.parametrize("m,r", [(4, 5), (6, 3)])
+    def test_guard_admits_cases_brute_force_refused(self, m, r):
+        assert P.orbit_count(m, r) <= P.ENUM_LABEL_LIMIT
+        P._check_enum_cost(m, r)
+
+    def test_negative_arity(self):
+        with pytest.raises(ValueError, match="r=-1"):
+            P.enumerate_orbits(3, -1)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("m,r", [(m, r) for m in range(1, 5) for r in range(4)]
+                             + [(5, 1), (5, 2), (6, 1), (6, 2), (7, 1)])
+    def test_match_the_enumeration(self, m, r):
+        assert P.orbit_count(m, r) == len(P.enumerate_orbits(m, r))
+        assert P.generator_count(m, r) == len(P.generator_labels(m, r))
+
+    @pytest.mark.parametrize("r", range(0, 9))
+    def test_closed_formulas(self, r):
+        def power(b):
+            return Fraction(b) ** (r - 1)
+
+        assert P.orbit_count(3, r) == power(6) + power(3) + power(2)
+        assert P.generator_count(3, r) == power(6) + power(3) - power(2)
+        assert P.orbit_count(2, r) == 2 ** r
+        assert P.generator_count(2, r) == 2 ** r - 1
+
+    @pytest.mark.parametrize("m,r", [(4, 3), (5, 2), (4, 4), (5, 6), (7, 3)])
+    def test_orbit_count_is_the_burnside_sum(self, m, r):
+        assert P.orbit_count(m, r) == burnside_count(m, r)
+
+    def test_zero_arity_and_grade_one(self):
+        assert [P.orbit_count(m, 0) for m in range(9)] == [1] * 9
+        assert [P.generator_count(m, 0) for m in range(1, 9)] == [1] + [0] * 7
+        assert [P.generator_count(1, r) for r in range(5)] == [1] * 5
+
+    def test_negative_input(self):
+        with pytest.raises(ValueError):
+            P.orbit_count(3, -1)
+        with pytest.raises(ValueError):
+            P.generator_count(-1, 2)
 
 
 class TestS3Algorithm:
