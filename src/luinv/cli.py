@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
 from . import __version__
-from .closedform import alternate_writings, closed_form, formula_text
+from .closedform import alternate_writings, closed_form, formula_text, has_closed_form
 from .contract import eval_mixed, eval_pure
 from .errors import ResourceLimitError
 from .graphs import build_graph, dot_export, expressible_ordering, graph_to_json
@@ -44,6 +45,10 @@ EXIT_RESOURCE = 3
 
 #: Engine disagreement beyond this (relative) makes `eval` exit nonzero.
 EVAL_MISMATCH_TOL = 1e-8
+
+#: Most digits `enumerate --count` prints, below Python's default limit of
+#: 4300 digits on converting an int to str.
+COUNT_DIGIT_LIMIT = 4000
 
 
 def grade(text: str) -> int:
@@ -75,6 +80,11 @@ def _arity(args) -> int:
 def cmd_enumerate(args) -> int:
     r = _arity(args)
     if args.count:
+        # the count is at most m!^r, the number of r-tuples
+        if r * math.log10(math.factorial(args.m)) > COUNT_DIGIT_LIMIT:
+            raise ResourceLimitError(
+                f"the count for m={args.m}, r={r} may exceed {COUNT_DIGIT_LIMIT} digits"
+            )
         count = generator_count if args.generators_only else orbit_count
         print(count(args.m, r))
         return EXIT_OK
@@ -151,11 +161,11 @@ def cmd_graph(args) -> int:
         drawn = sigma
     g = build_graph(drawn)
 
-    # closed forms exist up to grade 3; above it "none" stands for the formula
+    # without a closed form (m > 3), "none" stands for the formula
     if args.decompose:
         if kind != "pure":
             raise ValueError("--decompose applies to pure labels")
-        if sigma.m <= 3:
+        if has_closed_form(sigma.m):
             rows = [(w.label, w.text) for w in alternate_writings(sigma, "pure")]
         else:
             rows = [(member, "none") for member in sim_decompose(sigma).members]
@@ -166,7 +176,7 @@ def cmd_graph(args) -> int:
     emitted = False
     if args.formula:
         lab = canonical_form(drawn)
-        if sigma.m <= 3:
+        if has_closed_form(sigma.m):
             print(formula_text(lab.rep, kind))
         else:
             print(f"{format_label(lab.rep):<24} none")

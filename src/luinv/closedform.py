@@ -70,6 +70,14 @@ _S2_IMAGES = (3, 1, 2)
 _FACTOR_ORDER = (_TS_IMAGES, _TS2_IMAGES, _T_IMAGES)
 _T2 = Perm((2, 1))
 
+#: Highest grade with a closed form: the formulas stop at degree six.
+MAX_CLOSED_FORM_GRADE = 3
+
+
+def has_closed_form(m: int) -> bool:
+    """Whether the labels of grade m have a closed form (1 <= m <= 3)."""
+    return 1 <= m <= MAX_CLOSED_FORM_GRADE
+
 
 def _of_grade(sigma: Label, m: int) -> Label:
     if as_tuple(sigma).m != m:
@@ -131,7 +139,7 @@ def closed_form_batch(sigma: Label, kind: str, states: Sequence,
     cls = PureState if kind == "pure" else DensityMatrix
     if not all(isinstance(state, cls) for state in states):
         raise TypeError(f"{kind} labels take a {cls.__name__}")
-    if not 1 <= sigma.m <= 3:
+    if not has_closed_form(sigma.m):
         raise ValueError(f"no closed form for grade {sigma.m} (only m <= 3)")
     dims = _stack_dims(states, sigma.r, kind == "pure")
     programs = _programs(sigma, kind, dims)
@@ -221,6 +229,8 @@ def formula_text(sigma: Label, kind: str) -> str:
     kind selects the argument symbol: "mixed" -> rho, "pure" -> pi (the label
     is then one conjugation class of an embedded pure label)."""
     sigma = as_tuple(sigma)
+    if not has_closed_form(sigma.m):
+        raise ValueError(f"no closed form for grade {sigma.m}")
     arg = "rho" if kind == "mixed" else "pi"
     k = sigma.r
     if sigma.m == 1:
@@ -228,9 +238,7 @@ def formula_text(sigma: Label, kind: str) -> str:
     if sigma.m == 2:
         keep = [j for j, p in enumerate(sigma.perms, start=1) if not p.is_identity()]
         return f"Tr( {_operand_text(arg, keep, [], k)}^2 )"
-    if sigma.m == 3:
-        return f"Tr( {_merge_powers(_m3_factor_texts(sigma, arg))} )"
-    raise ValueError(f"no closed form for grade {sigma.m}")
+    return f"Tr( {_merge_powers(_m3_factor_texts(sigma, arg))} )"
 
 
 @dataclass(frozen=True)
@@ -261,7 +269,7 @@ def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
     pure state.  For a mixed label there is a single descriptor.
     """
     sigma = as_tuple(sigma)
-    if sigma.m > 3:
+    if not has_closed_form(sigma.m):
         raise ValueError(f"no closed form for grade {sigma.m}")
     if kind == "mixed":
         lab = canonical_form(sigma)

@@ -34,8 +34,9 @@ centralizer of the entries before it.  So a depth-first walk that keeps, at
 each depth, the first candidate of every orbit of the current stabilizer,
 and recurses with that candidate's stabilizer, meets every label once, in
 sorted order; once the stabilizer is trivial the remaining entries are free.
-Its cost follows the output, which ``orbit_count`` gives in advance by
-Burnside's lemma; ``generator_count`` counts the transitive labels.  Every
+Its output, which ``orbit_count`` gives in advance by Burnside's lemma, and a
+bound on its search are checked before any work; ``generator_count`` counts
+the transitive labels.  Every
 label the package builds shares the interned ``Perm`` objects of
 ``symmetric_group(m)``.
 """
@@ -43,10 +44,9 @@ label the package builds shares the interned ``Perm`` objects of
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Iterator, Union
 
 from .errors import ResourceLimitError
@@ -54,13 +54,16 @@ from .errors import ResourceLimitError
 #: Upper bound on the grade for brute-force orbit routines.
 MAX_GRADE = 8
 
-#: Cost cap (conjugation-tuple operations) for the double-coset split.
+#: Cost cap (conjugation-tuple operations) for the double-coset split and
+#: for the search of enumerate_orbits.
 _ENUM_OP_LIMIT = 100_000_000
 
-#: Most labels enumerate_orbits returns.  A label of interned perms takes
-#: at most about 0.5 KB (0.24 KB at r = 3, 0.37 KB at r = 19), so this
-#: bounds an enumeration at about 0.3 GB.
-ENUM_LABEL_LIMIT = 600_000
+#: Most label entries (labels times max(r, 1)) enumerate_orbits returns.  A
+#: label of interned perms takes about 0.22 KB plus 8 bytes per entry, under
+#: 0.4 KB at every admitted r >= 1 with m >= 2, so this bounds an enumeration
+#: at about 0.45 GB; the largest admitted, (6,3) and (4,5), hold 126 MB and
+#: 87 MB by tracemalloc.
+ENUM_ENTRY_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -133,16 +136,20 @@ def conjugate(beta: Perm, g: Perm) -> Perm:
     return compose(compose(beta, g), beta.inverse())
 
 
+def _check_grade(m: int):
+    if m > MAX_GRADE:
+        raise ResourceLimitError(
+            f"grade {m} exceeds MAX_GRADE={MAX_GRADE}: too large for brute-force canonicalization"
+        )
+
+
 @lru_cache(maxsize=None)
 def _conjugators(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every b in S_m, in lexicographic image order, as the pair (value map,
     index order): ``vmap[l] = b(l)`` for 1-based l (``vmap[0]`` is unused) and
     ``order[i] = b^-1(i+1) - 1``, the 0-based position a relabeled image list
     reads its (i+1)-th entry from."""
-    if m > MAX_GRADE:
-        raise ResourceLimitError(
-            f"grade {m} exceeds MAX_GRADE={MAX_GRADE}: too large for brute-force canonicalization"
-        )
+    _check_grade(m)
     out = []
     for b in itertools.permutations(range(m)):
         order = [0] * m
@@ -375,15 +382,17 @@ def _centralizer_orders(m: int) -> Iterator[int]:
     permutation of cycle type lambda (a_i cycles of length i), for every
     partition lambda of m."""
 
-    def partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-        if n == 0:
-            yield ()
-        for part in range(min(n, largest), 0, -1):
-            for rest in partitions(n - part, part):
-                yield (part,) + rest
+    def orders(n: int, part: int) -> Iterator[int]:
+        # partitions of n into parts <= part, choosing a_part first
+        if part == 1:
+            yield factorial(n)
+            return
+        for a in range(n // part, -1, -1):
+            here = part ** a * factorial(a)
+            for rest in orders(n - a * part, part - 1):
+                yield here * rest
 
-    for lam in partitions(m, m):
-        yield prod(i ** a * factorial(a) for i, a in Counter(lam).items())
+    yield from orders(m, max(m, 1))
 
 
 def _check_sizes(m: int, r: int):
@@ -421,19 +430,44 @@ def generator_count(m: int, r: int) -> int:
 
 
 def _check_enum_cost(m: int, r: int):
+    _check_sizes(m, r)
+    _check_grade(m)
+    # A label has r entries, and for m >= 2 there are at least m!^(r-1) >=
+    # 2^(r-1) labels (an orbit holds at most m! tuples): a long r is refused
+    # on these bounds, before the exact counts, whose cost grows with r.
+    if r > ENUM_ENTRY_LIMIT or (m > 1 and r > ENUM_ENTRY_LIMIT.bit_length()):
+        raise ResourceLimitError(
+            f"orbit enumeration for m={m}, r={r} would return over "
+            f"{ENUM_ENTRY_LIMIT} label entries"
+        )
     labels = orbit_count(m, r)
-    if labels > ENUM_LABEL_LIMIT:
+    if labels * max(r, 1) > ENUM_ENTRY_LIMIT:
         raise ResourceLimitError(
             f"orbit enumeration for m={m}, r={r} would return {labels} labels "
-            f"(limit {ENUM_LABEL_LIMIT})"
+            f"of {r} entries (limit {ENUM_ENTRY_LIMIT} entries)"
         )
+    # The walk's inner nodes are canonical prefixes shorter than r.  Each
+    # scans S_m and conjugates its H-orbit representatives by H, which is
+    # sum_{h in H} |C(h)| <= sum_{h in S_m} |C(h)| = m! p(m) tuples of m
+    # entries.  For m <= 1 the stabilizer is trivial at the root.
+    if m > 1:
+        orders = list(_centralizer_orders(m))
+        # sum_{d<r} orbit_count(m, d), as orbit_count(m, d) = sum_lambda
+        # z_lambda^(d-1) for d >= 1
+        nodes = 1 + sum(z ** d for z in orders for d in range(r - 1))
+        cost = nodes * factorial(m) * len(orders) * m
+        if cost > _ENUM_OP_LIMIT:
+            raise ResourceLimitError(
+                f"orbit enumeration for m={m}, r={r} needs ~{cost:.2e} operations"
+            )
 
 
 def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
     """All distinct conjugation-orbit labels of r-tuples over S_m, sorted
     lexicographically by concatenated image lists, by orderly generation
     (see the module docstring).  Refused with ResourceLimitError, before
-    any work, when orbit_count(m, r) exceeds ENUM_LABEL_LIMIT."""
+    any work, when the labels would hold more than ENUM_ENTRY_LIMIT entries
+    or the search would exceed its operation bound (see _check_enum_cost)."""
     _check_enum_cost(m, r)
     group = symmetric_group(m)
     trusted = OrbitLabel._trusted

@@ -77,6 +77,18 @@ class TestEnumerate:
                            "--generators-only")
         assert code == 0 and out == "24875000437\n"
 
+    def test_count_too_long_to_print_trips_the_guard(self, capsys):
+        """2^20000 has over 4000 digits: refused before it is computed."""
+        code, out, err = run(capsys, "enumerate", "--m", "2", "--r", "20000", "--count")
+        assert code == 3 and out == "" and "4000 digits" in err
+
+    def test_long_arity_at_grade_one(self, capsys):
+        """One label of 1e8 entries: counted at once, refused as a listing."""
+        code, out, _ = run(capsys, "enumerate", "--m", "1", "--r", "100000000", "--count")
+        assert code == 0 and out == "1\n"
+        code, out, err = run(capsys, "enumerate", "--m", "1", "--r", "100000000")
+        assert code == 3 and out == "" and "label entries" in err
+
     @pytest.mark.parametrize("m,r", [(1, 0), (2, 0), (3, 0), (3, 3), (4, 2), (5, 1)])
     def test_count_equals_listed_lines(self, capsys, m, r):
         argv = ["enumerate", "--m", str(m), "--r", str(r)]

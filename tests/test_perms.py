@@ -257,6 +257,21 @@ class TestEnumerateOrbits:
         with pytest.raises(ResourceLimitError, match="m=5, r=6"):
             P.enumerate_orbits(5, 6)
 
+    @pytest.mark.parametrize("m,r,why", [
+        (1, 10 ** 8, "over 2000000 label entries"),  # one label, but 1e8 entries
+        (2, 17, "131072 labels of 17 entries"),
+        (2, 10 ** 6, "over 2000000 label entries"),
+        (8, 2, "operations"),  # 43 206 labels, but a wide search
+    ])
+    def test_resource_guard_bounds_entries_and_search(self, monkeypatch, m, r, why):
+        def no_work(m):
+            raise AssertionError("the guard let the enumeration start")
+
+        monkeypatch.setattr(P, "symmetric_group", no_work)
+        monkeypatch.setattr(P, "_conjugators", no_work)
+        with pytest.raises(ResourceLimitError, match=why):
+            P.enumerate_orbits(m, r)
+
     @pytest.mark.parametrize("m,r,count", [(4, 3, 681), (5, 2, 161), (3, 5, 1393), (2, 6, 64)])
     def test_burnside_counts(self, m, r, count):
         assert burnside_count(m, r) == count
@@ -289,7 +304,7 @@ class TestEnumerateOrbits:
 
     @pytest.mark.parametrize("m,r", [(4, 5), (6, 3)])
     def test_guard_admits_cases_brute_force_refused(self, m, r):
-        assert P.orbit_count(m, r) <= P.ENUM_LABEL_LIMIT
+        assert P.orbit_count(m, r) * r <= P.ENUM_ENTRY_LIMIT
         P._check_enum_cost(m, r)
 
     def test_negative_arity(self):
