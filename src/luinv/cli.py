@@ -18,8 +18,7 @@ import re
 import sys
 
 from . import __version__
-from .closedform import alternate_writings, closed_form, formula_text, has_closed_form
-from .contract import eval_mixed, eval_pure
+from .cycletypes import generator_count, orbit_count
 from .errors import ResourceLimitError
 from .graphs import build_graph, dot_export, expressible_ordering, graph_to_json
 from .perms import (
@@ -27,14 +26,10 @@ from .perms import (
     canonical_form,
     enumerate_orbits,
     format_label,
-    generator_count,
     is_transitive,
-    orbit_count,
     parse_label,
     sim_decompose,
 )
-from .states import DensityMatrix, PureState, dim_limit, load_state, set_dim_limit
-from .verify import render_table, reports_to_json, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -110,6 +105,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # the numerical modules load numpy: imported where a command needs them
+    from .closedform import closed_form
+    from .contract import eval_mixed, eval_pure
+    from .states import DensityMatrix, PureState, load_state
+
     state = load_state(args.state)
     if args.kind == "pure" and not isinstance(state, PureState):
         raise ValueError("state file holds a mixed state but --kind pure was given")
@@ -149,6 +149,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .closedform import alternate_writings, formula_text, has_closed_form
+
     sigma = parse_label(args.label, args.m)
     kind = args.kind
     if kind == "pure":
@@ -194,6 +196,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import render_table, reports_to_json, run_suite
+
     dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else (2, 2)
     reports = run_suite(args.suite, seed=args.seed, dims=dims)
     print(render_table(reports))
@@ -269,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .states import dim_limit, set_dim_limit
+
     previous_limit = dim_limit()
     try:
         try:

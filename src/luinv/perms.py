@@ -19,11 +19,16 @@ Two equivalences on r-tuples of permutations are used throughout:
   whose classes label pure-state invariants.  A two-sided class splits into
   finitely many conjugation classes; ``sim_decompose`` computes the split.
 
-One private kernel, ``_relabelings``, maps the flat key of a tuple
-(``PermTuple.key()``) to the keys of its m! conjugates, or of its m! left
-translates, using conjugator tables built once per grade.  Canonicalization
-(``canonical_form`` and the ``OrbitLabel`` check), ``orbit``, the
-``sim_decompose`` split and ``graphs.canonical_graph`` all run on it.
+Canonical forms (``canonical_form``, the ``OrbitLabel`` check, the
+``sim_decompose`` split and so ``graphs.canonical_graph``) scan no S_m.
+``cycletypes._classes`` holds, once per grade, each cycle type's class
+representative (its class minimum) and the centralizer of that
+representative, of order z_lambda.  A tuple's first non-identity entry goes
+to its representative; the conjugators that do so are one coset of the
+centralizer, and each later entry keeps only the part of that coset that
+gives it its least image.  The kernel ``_relabelings`` lists the m!
+conjugates of a tuple (for ``orbit``) or its m! left translates (for
+``sim_decompose``).
 ``orbit_partition`` is the one orbit routine on points, shared by
 ``is_transitive`` and ``graphs.connected_components``.
 
@@ -34,6 +39,8 @@ centralizer of the entries before it.  So a depth-first walk that keeps, at
 each depth, the first candidate of every orbit of the current stabilizer,
 and recurses with that candidate's stabilizer, meets every label once, in
 sorted order; once the stabilizer is trivial the remaining entries are free.
+Where the stabilizer is all of S_m (the root, or after identity entries) the
+children are the class representatives, each with its centralizer.
 Its output, which ``orbit_count`` gives in advance by Burnside's lemma, and a
 bound on its search are checked before any work; ``generator_count`` counts
 the transitive labels.  Every
@@ -49,9 +56,17 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Union
 
+from .cycletypes import (
+    _centralizer_orders,
+    _check_sizes,
+    _classes,
+    _Conjugator,
+    orbit_count,
+)
 from .errors import ResourceLimitError
 
-#: Upper bound on the grade for brute-force orbit routines.
+#: Upper bound on the grade: the routines that list S_m (symmetric_group,
+#: orbit, sim_decompose, the enumeration walk) and the class table.
 MAX_GRADE = 8
 
 #: Cost cap (conjugation-tuple operations) for the double-coset split and
@@ -144,11 +159,9 @@ def _check_grade(m: int):
 
 
 @lru_cache(maxsize=None)
-def _conjugators(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def _conjugators(m: int) -> tuple[_Conjugator, ...]:
     """Every b in S_m, in lexicographic image order, as the pair (value map,
-    index order): ``vmap[l] = b(l)`` for 1-based l (``vmap[0]`` is unused) and
-    ``order[i] = b^-1(i+1) - 1``, the 0-based position a relabeled image list
-    reads its (i+1)-th entry from."""
+    index order) of cycletypes._Conjugator."""
     _check_grade(m)
     out = []
     for b in itertools.permutations(range(m)):
@@ -162,7 +175,8 @@ def _conjugators(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 @lru_cache(maxsize=None)
 def symmetric_group(m: int) -> tuple[Perm, ...]:
     """All m! permutations of {1..m}, in lexicographic image order."""
-    return tuple(Perm(vmap[1:]) for vmap, _ in _conjugators(m))
+    _check_grade(m)
+    return tuple(Perm(p) for p in itertools.permutations(range(1, m + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -286,23 +300,82 @@ def parse_label(text: str, m: int) -> PermTuple:
 
 
 def _relabelings(
-    key: tuple[int, ...], m: int, r: int, translate: bool = False
-) -> list[tuple[int, ...]]:
-    """The permutation kernel: flat keys (see PermTuple.key) of relabelings
-    of one r-tuple over S_m, one per b in S_m in symmetric_group order.
+    images: tuple[tuple[int, ...], ...], m: int, translate: bool = False
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Relabelings of one tuple of image lists over S_m, one per b in S_m in
+    symmetric_group order (so the identity's comes first).
 
     By default these are the conjugates b·sigma_j·b^-1; with translate, the
     left translates b·sigma_j.  Every two-sided relabeling a·sigma_j·b^-1
-    equals b·((b^-1 a)·sigma_j)·b^-1, a conjugate of a left translate.  This
-    is the only loop over all the conjugators of S_m (enumerate_orbits walks
-    stabilizers, subsets of them), and it holds the MAX_GRADE guard through
-    _conjugators."""
-    slices = [key[i * m:(i + 1) * m] for i in range(r)]
+    equals b·((b^-1 a)·sigma_j)·b^-1, a conjugate of a left translate.  orbit
+    needs every conjugate and sim_decompose every translate; canonical forms
+    come from _canonical_images, which scans no S_m."""
     if translate:
-        return [tuple([vmap[x] for s in slices for x in s]) for vmap, _ in _conjugators(m)]
-    return [
-        tuple([vmap[s[i]] for s in slices for i in order]) for vmap, order in _conjugators(m)
-    ]
+        return [tuple([tuple([vmap[x] for x in s]) for s in images])
+                for vmap, _ in _conjugators(m)]
+    return [tuple([tuple([vmap[s[i]] for i in order]) for s in images])
+            for vmap, order in _conjugators(m)]
+
+
+def _canonical_images(
+    images: tuple[tuple[int, ...], ...], m: int
+) -> tuple[tuple[int, ...], ...]:
+    """The canonical form of a tuple of image lists: the least conjugate of
+    the whole tuple, found one entry at a time.
+
+    Leading identities stay.  The first other entry sigma_j goes to the
+    representative of its class; the conjugators that put it there are the
+    coset C(rep)·b0, where b0 lays sigma_j's cycles onto the representative's
+    and C(rep) is the class centralizer.  Every later entry is carried over by
+    b0, and only the part of C(rep) that gives it its least image is kept."""
+    _check_grade(m)
+    classes = _classes(m)
+    identity = tuple(range(1, m + 1))
+    for j, sigma in enumerate(images):
+        if sigma != identity:
+            break
+    else:
+        return images
+    rest = images[j:]
+    keep = classes.get(sigma)
+    if keep is None:  # sigma is not its class representative
+        # b0 lays the fixed points, then the other cycles by length, onto
+        # consecutive points: slots[i] = b0^-1(i+1) - 1 and b0_map[l] = b0(l)
+        slots, cycles = [], []
+        seen = [False] * (m + 1)
+        for start in identity:
+            l = sigma[start - 1]
+            if l == start:
+                slots.append(start - 1)
+            elif not seen[start]:
+                cycle = [start - 1]
+                while l != start:
+                    seen[l] = True
+                    cycle.append(l - 1)
+                    l = sigma[l - 1]
+                cycles.append(cycle)
+        cycles.sort(key=len)
+        for cycle in cycles:
+            slots += cycle
+        b0_map = [0] * (m + 1)
+        for i, x in enumerate(slots, 1):
+            b0_map[x + 1] = i
+        rest = [tuple([b0_map[tau[x]] for x in slots]) for tau in rest]
+        keep = classes[rest[0]]
+    out = list(images[:j])
+    out.append(rest[0])
+    for tau in rest[1:]:
+        if tau == identity:
+            out.append(tau)
+        elif len(keep) == 1:
+            vmap, order = keep[0]
+            out.append(tuple([vmap[tau[i]] for i in order]))
+        else:
+            conjugates = [tuple([vmap[tau[i]] for i in order]) for vmap, order in keep]
+            least = min(conjugates)
+            out.append(least)
+            keep = [c for c, x in zip(keep, conjugates) if x == least]
+    return tuple(out)
 
 
 def _from_perms(perms: tuple[Perm, ...], m: int) -> PermTuple:
@@ -313,11 +386,11 @@ def _from_perms(perms: tuple[Perm, ...], m: int) -> PermTuple:
     return rep
 
 
-def _from_key(key: tuple[int, ...], m: int, r: int) -> PermTuple:
-    """The tuple of a flat key (see PermTuple.key), built from the interned
-    perms of symmetric_group(m) without per-entry validation."""
+def _from_images(images: tuple[tuple[int, ...], ...], m: int) -> PermTuple:
+    """The tuple of these image lists, built from the interned perms of
+    symmetric_group(m) without per-entry validation."""
     interned = _interned(m)
-    return _from_perms(tuple([interned[key[i * m:(i + 1) * m]] for i in range(r)]), m)
+    return _from_perms(tuple([interned[x] for x in images]), m)
 
 
 @dataclass(frozen=True, order=True)
@@ -329,8 +402,8 @@ class OrbitLabel:
     rep: PermTuple
 
     def __post_init__(self):
-        key = self.rep.key()
-        if key != min(_relabelings(key, self.m, self.r)):
+        images = tuple([p.images for p in self.rep.perms])
+        if images != _canonical_images(images, self.m):
             raise ValueError(f"representative {self.rep} is not canonical")
 
     @classmethod
@@ -364,69 +437,21 @@ def canonical_form(sigma: PermTuple) -> OrbitLabel:
     """Canonical label of sigma's simultaneous-conjugation class.
 
     Deterministic and idempotent: the lexicographic minimum of the
-    concatenated image lists over all conjugates.  Brute force over the m!
-    conjugators of the kernel, guarded by MAX_GRADE.
+    concatenated image lists over all conjugates.  Found without scanning
+    S_m: the first non-identity entry goes to its class representative, and
+    each later entry to its least image under the conjugators left (see
+    _canonical_images).  Guarded by MAX_GRADE.
     """
-    m, r = sigma.m, sigma.r
-    return OrbitLabel._trusted(_from_key(min(_relabelings(sigma.key(), m, r)), m, r))
+    m = sigma.m
+    images = _canonical_images(tuple([p.images for p in sigma.perms]), m)
+    return OrbitLabel._trusted(_from_images(images, m))
 
 
 def orbit(sigma: PermTuple) -> set[PermTuple]:
     """The full simultaneous-conjugation orbit of sigma."""
-    m, r = sigma.m, sigma.r
-    return {_from_key(key, m, r) for key in set(_relabelings(sigma.key(), m, r))}
-
-
-def _centralizer_orders(m: int) -> Iterator[int]:
-    """z_lambda = prod_i i^(a_i) a_i!, the order of the centralizer of a
-    permutation of cycle type lambda (a_i cycles of length i), for every
-    partition lambda of m."""
-
-    def orders(n: int, part: int) -> Iterator[int]:
-        # partitions of n into parts <= part, choosing a_part first
-        if part == 1:
-            yield factorial(n)
-            return
-        for a in range(n // part, -1, -1):
-            here = part ** a * factorial(a)
-            for rest in orders(n - a * part, part - 1):
-                yield here * rest
-
-    yield from orders(m, max(m, 1))
-
-
-def _check_sizes(m: int, r: int):
-    if m < 0 or r < 0:
-        raise ValueError(f"grade and arity must be >= 0, got m={m}, r={r}")
-
-
-def orbit_count(m: int, r: int) -> int:
-    """The number of simultaneous-conjugation orbits of S_m^r, that is
-    len(enumerate_orbits(m, r)), without enumerating: by Burnside's lemma,
-    sum over cycle types lambda of z_lambda^(r-1), in exact integer
-    arithmetic (so r = 0 gives 1).  A class of m!/z_lambda elements each
-    fixes z_lambda^r tuples."""
-    _check_sizes(m, r)
-    group_order = factorial(m)
-    return sum(z ** r * (group_order // z) for z in _centralizer_orders(m)) // group_order
-
-
-def generator_count(m: int, r: int) -> int:
-    """The number of transitive orbits of S_m^r, that is
-    len(generator_labels(m, r)), without enumerating.
-
-    A label is a multiset of transitive components, so the orbit counts
-    a_n = orbit_count(n, r) are the Euler transform of the transitive counts
-    t_n; it is inverted by c_n = n a_n - sum_{k<n} c_k a_{n-k} and
-    t_n = (c_n - sum_{d|n, d<n} d t_d) / n."""
-    _check_sizes(m, r)
-    a = [orbit_count(n, r) for n in range(m + 1)]
-    c = [0] * (m + 1)
-    t = [0] * (m + 1)
-    for n in range(1, m + 1):
-        c[n] = n * a[n] - sum(c[k] * a[n - k] for k in range(1, n))
-        t[n] = (c[n] - sum(d * t[d] for d in range(1, n) if n % d == 0)) // n
-    return t[m]
+    m = sigma.m
+    images = tuple([p.images for p in sigma.perms])
+    return {_from_images(x, m) for x in set(_relabelings(images, m))}
 
 
 def _check_enum_cost(m: int, r: int):
@@ -469,17 +494,25 @@ def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
     any work, when the labels would hold more than ENUM_ENTRY_LIMIT entries
     or the search would exceed its operation bound (see _check_enum_cost)."""
     _check_enum_cost(m, r)
-    group = symmetric_group(m)
     trusted = OrbitLabel._trusted
+    if r == 0:
+        return [trusted(_from_perms((), m))]
+    group = symmetric_group(m)
+    interned = _interned(m)
+    classes = _classes(m)
     out: list[OrbitLabel] = []
-    # depth first: a node is a canonical prefix and its stabilizer, and its
-    # children go on the stack in reverse so that they come off in order
-    stack = [((), _conjugators(m))]
+    # depth first: a node is a canonical prefix and its stabilizer (None for
+    # all of S_m), and its children go on the stack in reverse so that they
+    # come off in order
+    stack = [((), None)]
     while stack:
         prefix, stabilizer = stack.pop()
         depth = len(prefix)
         if depth == r:
             out.append(trusted(_from_perms(prefix, m)))
+        elif stabilizer is None:  # the orbits of S_m are its classes
+            stack.extend(reversed([(prefix + (interned[rep],), centralizer)
+                                   for rep, centralizer in classes.items()]))
         elif len(stabilizer) == 1:  # only the identity: every tail is canonical
             out.extend(trusted(_from_perms(prefix + tail, m))
                        for tail in itertools.product(group, repeat=r - depth))
@@ -623,17 +656,18 @@ def sim_decompose(sigma: PermTuple) -> SimClass:
     forms of the m! left translates.
     """
     m = sigma.m
-    embedded = sigma.embed()
-    k = embedded.r
-    # m! translates, each canonicalized over m! conjugators of k entries of m
+    k = sigma.r + 1
+    # m! translates, each bounded by a scan of m! conjugators of k entries of
+    # m (canonicalization does far less: the bound is conservative)
     cost = factorial(m) ** 2 * k * m
     if cost > _ENUM_OP_LIMIT:
         raise ResourceLimitError(
             f"double-coset split for m={m}, r={sigma.r} needs ~{cost:.2e} operations"
         )
-    classes = {
-        min(_relabelings(key, m, k)) for key in _relabelings(embedded.key(), m, k, translate=True)
-    }
-    anchor = canonical_form(embedded)
-    members = tuple(OrbitLabel._trusted(_from_key(key, m, k)) for key in sorted(classes))
-    return SimClass(anchor=anchor, members=members)
+    embedded = tuple([p.images for p in sigma.perms]) + (tuple(range(1, m + 1)),)
+    translates = _relabelings(embedded, m, translate=True)
+    classes = [_canonical_images(x, m) for x in translates]
+    keys = sorted(set(classes))
+    members = tuple(OrbitLabel._trusted(_from_images(x, m)) for x in keys)
+    # the first translate is by the identity: the embedded tuple itself
+    return SimClass(anchor=members[keys.index(classes[0])], members=members)

@@ -352,3 +352,23 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "4\n"
+
+
+def test_label_algebra_loads_no_numpy():
+    """The package and the CLI module import, and the label algebra runs,
+    without numpy; the numerical API loads it on first use."""
+    code = (
+        "import sys, luinv, luinv.cli\n"
+        "labels = luinv.enumerate_orbits(3, 2)\n"
+        "luinv.sim_decompose(labels[3].rep)\n"
+        "luinv.canonical_graph(luinv.build_graph(labels[5].rep))\n"
+        "luinv.expressible_ordering(luinv.build_graph(labels[5].rep))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+        "assert luinv.eval_mixed is luinv.contract.eval_mixed\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(luinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
@@ -6,7 +7,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luinv import perms as P
+from luinv import cycletypes as C, perms as P
 from luinv.errors import ResourceLimitError
 
 
@@ -18,6 +19,22 @@ E, S, S2, T, TS, TS2 = (P.perm_from_name(n, 3) for n in ("e", "s", "s2", "t", "t
 
 
 # -- independent brute-force oracle (no library canonicalization) -------------
+
+def random_tuple(rng, m, r):
+    """r entries over S_m: identities, repeats and random permutations."""
+    entries = []
+    for _ in range(r):
+        roll = rng.random()
+        if roll < 0.25:
+            entries.append(P.identity(m))
+        elif roll < 0.45 and entries:
+            entries.append(rng.choice(entries))
+        else:
+            images = list(range(1, m + 1))
+            rng.shuffle(images)
+            entries.append(P.Perm(tuple(images)))
+    return P.PermTuple(m, tuple(entries))
+
 
 def oracle_canonical(images_tuple):
     """Min over simultaneous conjugation, done with raw index arithmetic."""
@@ -71,6 +88,38 @@ def oracle_transitive(m, images_tuple):
                 reached.add(p[l - 1])
                 todo.append(p[l - 1])
     return len(reached) == m
+
+
+def oracle_classes(m):
+    """Cycle type (ascending lengths) -> the least permutation of that type,
+    and its centralizer as image tuples, by a walk over all of S_m."""
+    def cycle_type(p):
+        seen, lengths = set(), []
+        for start in range(1, m + 1):
+            n, l = 0, start
+            while l not in seen:
+                seen.add(l)
+                l = p[l - 1]
+                n += 1
+            if n:
+                lengths.append(n)
+        return tuple(sorted(lengths))
+
+    group = list(itertools.permutations(range(1, m + 1)))
+    least = {}
+    for p in group:  # lexicographic order: the first of each type is its minimum
+        least.setdefault(cycle_type(p), p)
+    out = {}
+    for lam, rep in least.items():
+        fixing = []
+        for b in group:
+            inv = [0] * m
+            for i, x in enumerate(b):
+                inv[x - 1] = i
+            if tuple(b[rep[inv[l]] - 1] for l in range(m)) == rep:
+                fixing.append(b)
+        out[lam] = (rep, fixing)
+    return out
 
 
 #: every (m, r) on which the brute-force oracle walks at most 2*10^4 tuples
@@ -206,6 +255,56 @@ class TestCanonicalForm:
         got = P.canonical_form(P.PermTuple(m, tuple(P.Perm(p) for p in images))).rep
         assert tuple(p.images for p in got.perms) == oracle_canonical(images)
 
+    def test_noncanonical_label_rejected_at_large_grades(self):
+        # the transposition (4 5) is the least image of its class under the
+        # centralizer of the first entry, (3 5) is not
+        first = P.Perm((1, 2, 3, 4, 6, 5))
+        good = P.PermTuple(6, (first, P.Perm((1, 2, 3, 5, 4, 6))))
+        bad = P.PermTuple(6, (first, P.Perm((1, 2, 5, 4, 3, 6))))
+        assert P.OrbitLabel(good).rep == good
+        with pytest.raises(ValueError, match="not canonical"):
+            P.OrbitLabel(bad)
+        rng = random.Random(5)
+        for m in (6, 7, 8):
+            for r in (1, 2, 3):
+                sigma = random_tuple(rng, m, r)
+                canonical = P.canonical_form(sigma).rep
+                assert P.OrbitLabel(canonical).rep == canonical
+                if canonical != sigma:
+                    with pytest.raises(ValueError, match="not canonical"):
+                        P.OrbitLabel(sigma)
+
+    @pytest.mark.parametrize("m,n", [(7, 12), (8, 4)])
+    def test_matches_the_conjugator_scan(self, m, n):
+        """The least of all m! conjugates, from the relabeling kernel."""
+        rng = random.Random(m)
+        for i in range(n):
+            sigma = random_tuple(rng, m, 1 + i % 4)
+            images = tuple(p.images for p in sigma.perms)
+            got = P.canonical_form(sigma).rep
+            assert tuple(p.images for p in got.perms) == min(P._relabelings(images, m))
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("m", range(0, 8))
+    def test_representatives_and_centralizers(self, m):
+        """Each representative is its class minimum; its centralizer is the
+        set of conjugators that fix it, of order z_lambda."""
+        table = C._classes(m)
+        want = oracle_classes(m)
+        assert list(table) == sorted(rep for rep, _ in want.values())
+        assert sorted(len(c or P._conjugators(m)) for c in table.values()) == sorted(
+            C._centralizer_orders(m))
+        for lam, (rep, fixing) in want.items():
+            centralizer = table[rep]
+            if centralizer is None:  # the identity's: the whole group
+                assert len(lam) == m
+                centralizer = P._conjugators(m)
+            assert len(centralizer) == prod(i ** a * factorial(a) for i, a in Counter(lam).items())
+            assert sorted(vmap[1:] for vmap, _ in centralizer) == fixing
+            for vmap, order in centralizer:
+                assert tuple(vmap[rep[i]] for i in order) == rep
+
 
 class TestEnumerateOrbits:
     def test_m2_r1(self):
@@ -246,6 +345,28 @@ class TestEnumerateOrbits:
         keys = [l.rep.key() for l in labs]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    def test_zero_arity_does_no_work(self, monkeypatch):
+        def no_work(m):
+            raise AssertionError("the empty label needs no group")
+
+        monkeypatch.setattr(P, "symmetric_group", no_work)
+        monkeypatch.setattr(P, "_conjugators", no_work)
+        for m in range(0, 9):
+            labels = P.enumerate_orbits(m, 0)
+            assert [(lab.m, lab.rep.perms) for lab in labels] == [(m, ())]
+        with pytest.raises(ResourceLimitError, match="MAX_GRADE"):
+            P.enumerate_orbits(9, 0)
+
+    def test_grade_eight_classes(self):
+        """At the root the children are the class representatives."""
+        labels = P.enumerate_orbits(8, 1)
+        assert len(labels) == C.orbit_count(8, 1) == 22
+        keys = [lab.rep.key() for lab in labels]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert keys == list(C._classes(8))
+        for lab in labels:
+            assert P.OrbitLabel(lab.rep) == lab
 
     def test_resource_guard(self, monkeypatch):
         """(5,6) is refused from its Burnside count, before any work."""
@@ -290,7 +411,7 @@ class TestEnumerateOrbits:
     @pytest.mark.parametrize("m,r", [(4, 4), (5, 3)])
     def test_large_cases_are_canonical_sorted_and_complete(self, m, r):
         labels = P.enumerate_orbits(m, r)
-        assert len(labels) == P.orbit_count(m, r)
+        assert len(labels) == C.orbit_count(m, r)
         keys = [lab.rep.key() for lab in labels]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         for lab in labels:
@@ -304,7 +425,7 @@ class TestEnumerateOrbits:
 
     @pytest.mark.parametrize("m,r", [(4, 5), (6, 3)])
     def test_guard_admits_cases_brute_force_refused(self, m, r):
-        assert P.orbit_count(m, r) * r <= P.ENUM_ENTRY_LIMIT
+        assert C.orbit_count(m, r) * r <= P.ENUM_ENTRY_LIMIT
         P._check_enum_cost(m, r)
 
     def test_negative_arity(self):
@@ -316,33 +437,33 @@ class TestCounts:
     @pytest.mark.parametrize("m,r", [(m, r) for m in range(1, 5) for r in range(4)]
                              + [(5, 1), (5, 2), (6, 1), (6, 2), (7, 1)])
     def test_match_the_enumeration(self, m, r):
-        assert P.orbit_count(m, r) == len(P.enumerate_orbits(m, r))
-        assert P.generator_count(m, r) == len(P.generator_labels(m, r))
+        assert C.orbit_count(m, r) == len(P.enumerate_orbits(m, r))
+        assert C.generator_count(m, r) == len(P.generator_labels(m, r))
 
     @pytest.mark.parametrize("r", range(0, 9))
     def test_closed_formulas(self, r):
         def power(b):
             return Fraction(b) ** (r - 1)
 
-        assert P.orbit_count(3, r) == power(6) + power(3) + power(2)
-        assert P.generator_count(3, r) == power(6) + power(3) - power(2)
-        assert P.orbit_count(2, r) == 2 ** r
-        assert P.generator_count(2, r) == 2 ** r - 1
+        assert C.orbit_count(3, r) == power(6) + power(3) + power(2)
+        assert C.generator_count(3, r) == power(6) + power(3) - power(2)
+        assert C.orbit_count(2, r) == 2 ** r
+        assert C.generator_count(2, r) == 2 ** r - 1
 
     @pytest.mark.parametrize("m,r", [(4, 3), (5, 2), (4, 4), (5, 6), (7, 3)])
     def test_orbit_count_is_the_burnside_sum(self, m, r):
-        assert P.orbit_count(m, r) == burnside_count(m, r)
+        assert C.orbit_count(m, r) == burnside_count(m, r)
 
     def test_zero_arity_and_grade_one(self):
-        assert [P.orbit_count(m, 0) for m in range(9)] == [1] * 9
-        assert [P.generator_count(m, 0) for m in range(1, 9)] == [1] + [0] * 7
-        assert [P.generator_count(1, r) for r in range(5)] == [1] * 5
+        assert [C.orbit_count(m, 0) for m in range(9)] == [1] * 9
+        assert [C.generator_count(m, 0) for m in range(1, 9)] == [1] + [0] * 7
+        assert [C.generator_count(1, r) for r in range(5)] == [1] * 5
 
     def test_negative_input(self):
         with pytest.raises(ValueError):
-            P.orbit_count(3, -1)
+            C.orbit_count(3, -1)
         with pytest.raises(ValueError):
-            P.generator_count(-1, 2)
+            C.generator_count(-1, 2)
 
 
 class TestS3Algorithm:
