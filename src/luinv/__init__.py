@@ -6,13 +6,12 @@ for any number of subsystems of any finite dimensions, evaluates them by
 direct index contraction and by index-free matrix formulas, and verifies the
 algebraic structure numerically.
 
-The label algebra (``perms``, ``cycletypes``, ``graphs``) imports without
-numpy; the numerical names below load their modules on first use.
+The label algebra (``perms``, ``graphs``) imports without numpy; the
+numerical modules and their names load on first use.
 """
 
 from importlib import import_module as _import_module
 
-from .cycletypes import generator_count, orbit_count
 from .errors import ResourceLimitError, VerificationError
 from .graphs import (
     InvGraph,
@@ -36,9 +35,11 @@ from .perms import (
     conjugate,
     enumerate_orbits,
     format_label,
+    generator_count,
     generator_labels,
     identity,
     is_transitive,
+    orbit_count,
     parse_label,
     perm_from_name,
     perm_name,
@@ -47,67 +48,40 @@ from .perms import (
     sim_decompose,
 )
 
-#: The numerical API by module, imported on first use: the label algebra
-#: above runs without loading numpy.
-_NUMERICAL = {
-    "closedform": (
-        "FormulaDescriptor",
-        "alternate_writings",
-        "closed_form",
-        "closed_form_batch",
-        "formula_text",
-        "mixed_m1",
-        "mixed_m2",
-        "mixed_m3",
-        "parse_formula",
-        "pure_m1",
-        "pure_m2",
-        "pure_m3",
-    ),
-    "contract": (
-        "InvariantSpec",
-        "eval_mixed",
-        "eval_mixed_batch",
-        "eval_pure",
-        "eval_pure_batch",
-        "eval_pure_via_mixed",
-    ),
-    "states": (
-        "DEFAULT_DIM_LIMIT",
-        "DensityMatrix",
-        "PureState",
-        "apply_local_unitaries",
-        "apply_local_unitaries_mixed",
-        "dim_limit",
-        "haar_unitary",
-        "is_hermitian",
-        "load_state",
-        "partial_trace",
-        "partial_transpose",
-        "projector",
-        "purify",
-        "random_density",
-        "random_hermitian",
-        "random_local_unitaries",
-        "random_pure",
-        "save_state",
-        "set_dim_limit",
-        "tensor_with_identity",
-    ),
-    "verify": ("VerifyReport", "all_specs", "render_table", "reports_to_json", "run_suite"),
-}
-_HOME = {name: module for module, names in _NUMERICAL.items() for name in names}
-#: ``from luinv import *`` still binds every public name
-__all__ = [name for name in globals() if not name.startswith("_")] + list(_HOME)
+#: The numerical modules, which load numpy: each is imported on first use of
+#: its name or of a name in its ``__all__``, so the label algebra above runs
+#: without numpy.
+_NUMERICAL = ("closedform", "contract", "states", "verify")
+
+
+def _numerical_modules():
+    return [_import_module(f".{module}", __name__) for module in _NUMERICAL]
+
+
+def _public_names() -> list[str]:
+    names = {name for name in globals() if not name.startswith("_")}
+    names.update(_NUMERICAL)
+    for module in _numerical_modules():
+        names.update(module.__all__)
+    return sorted(names)
 
 
 def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    if name == "__all__":  # so ``from luinv import *`` binds every public name
+        return _public_names()
+    if name in _NUMERICAL:
+        return _import_module(f".{name}", __name__)
+    if not name.startswith("_"):
+        for module in _numerical_modules():
+            if name in module.__all__:
+                value = getattr(module, name)
+                globals()[name] = value
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()).union(_public_names()))
 
 
 __version__ = "0.1.0"

@@ -18,7 +18,6 @@ import re
 import sys
 
 from . import __version__
-from .cycletypes import generator_count, orbit_count
 from .errors import ResourceLimitError
 from .graphs import build_graph, dot_export, expressible_ordering, graph_to_json
 from .perms import (
@@ -26,7 +25,9 @@ from .perms import (
     canonical_form,
     enumerate_orbits,
     format_label,
+    generator_count,
     is_transitive,
+    orbit_count,
     parse_label,
     sim_decompose,
 )
@@ -149,8 +150,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    from .closedform import alternate_writings, formula_text, has_closed_form
-
     sigma = parse_label(args.label, args.m)
     kind = args.kind
     if kind == "pure":
@@ -167,6 +166,8 @@ def cmd_graph(args) -> int:
     if args.decompose:
         if kind != "pure":
             raise ValueError("--decompose applies to pure labels")
+        from .closedform import alternate_writings, has_closed_form
+
         if has_closed_form(sigma.m):
             rows = [(w.label, w.text) for w in alternate_writings(sigma, "pure")]
         else:
@@ -177,6 +178,8 @@ def cmd_graph(args) -> int:
 
     emitted = False
     if args.formula:
+        from .closedform import formula_text, has_closed_form
+
         lab = canonical_form(drawn)
         if has_closed_form(sigma.m):
             print(formula_text(lab.rep, kind))
@@ -273,26 +276,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .states import dim_limit, set_dim_limit
-
-    previous_limit = dim_limit()
     try:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse uses exit code 2 for usage errors already
             return int(exc.code or 0)
-        if args.dim_limit is not None:
+        if args.dim_limit is None:
+            return args.func(args)
+        # the guard lives in states, which loads numpy: imported only when set
+        from .states import dim_limit, set_dim_limit
+
+        previous_limit = dim_limit()
+        try:
             set_dim_limit(args.dim_limit)
-        return args.func(args)
+            return args.func(args)
+        finally:
+            set_dim_limit(previous_limit)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        set_dim_limit(previous_limit)
 
 
 if __name__ == "__main__":

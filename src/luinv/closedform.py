@@ -63,6 +63,22 @@ from .errors import ResourceLimitError, VerificationError
 from .perms import Label, OrbitLabel, Perm, PermTuple, as_tuple, canonical_form, identity, sim_decompose
 from .states import DensityMatrix, PureState, _check_subsystems, _eye, _projector_stack, projector
 
+#: The public names, which ``luinv`` also exports
+__all__ = [
+    "FormulaDescriptor",
+    "alternate_writings",
+    "closed_form",
+    "closed_form_batch",
+    "formula_text",
+    "mixed_m1",
+    "mixed_m2",
+    "mixed_m3",
+    "parse_formula",
+    "pure_m1",
+    "pure_m2",
+    "pure_m3",
+]
+
 _TS_IMAGES = (1, 3, 2)   # swap fixing 1
 _TS2_IMAGES = (3, 2, 1)  # swap fixing 2
 _T_IMAGES = (2, 1, 3)    # swap fixing 3

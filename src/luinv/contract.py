@@ -35,6 +35,16 @@ from .errors import ResourceLimitError, VerificationError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple
 from .states import DensityMatrix, PureState, partial_trace, projector
 
+#: The public names, which ``luinv`` also exports
+__all__ = [
+    "InvariantSpec",
+    "eval_mixed",
+    "eval_mixed_batch",
+    "eval_pure",
+    "eval_pure_batch",
+    "eval_pure_via_mixed",
+]
+
 #: Cap on (prod n)^m * m for a single naive-loop evaluation.
 _EVAL_TERM_LIMIT = 20_000_000
 

@@ -21,7 +21,7 @@ Two equivalences on r-tuples of permutations are used throughout:
 
 Canonical forms (``canonical_form``, the ``OrbitLabel`` check, the
 ``sim_decompose`` split and so ``graphs.canonical_graph``) scan no S_m.
-``cycletypes._classes`` holds, once per grade, each cycle type's class
+``_classes`` holds, once per grade, each cycle type's class
 representative (its class minimum) and the centralizer of that
 representative, of order z_lambda.  A tuple's first non-identity entry goes
 to its representative; the conjugators that do so are one coset of the
@@ -56,13 +56,6 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterator, Union
 
-from .cycletypes import (
-    _centralizer_orders,
-    _check_sizes,
-    _classes,
-    _Conjugator,
-    orbit_count,
-)
 from .errors import ResourceLimitError
 
 #: Upper bound on the grade: the routines that list S_m (symmetric_group,
@@ -151,6 +144,13 @@ def conjugate(beta: Perm, g: Perm) -> Perm:
     return compose(compose(beta, g), beta.inverse())
 
 
+#: A permutation b as the pair (value map, index order) that conjugates an
+#: image list x to b·x·b^-1 as ``tuple(vmap[x[i]] for i in order)``:
+#: ``vmap[l] = b(l)`` for 1-based l (``vmap[0]`` is unused) and
+#: ``order[i] = b^-1(i+1) - 1``.
+_Conjugator = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 def _check_grade(m: int):
     if m > MAX_GRADE:
         raise ResourceLimitError(
@@ -161,7 +161,7 @@ def _check_grade(m: int):
 @lru_cache(maxsize=None)
 def _conjugators(m: int) -> tuple[_Conjugator, ...]:
     """Every b in S_m, in lexicographic image order, as the pair (value map,
-    index order) of cycletypes._Conjugator."""
+    index order) of _Conjugator."""
     _check_grade(m)
     out = []
     for b in itertools.permutations(range(m)):
@@ -184,6 +184,70 @@ def _interned(m: int) -> dict[tuple[int, ...], Perm]:
     """symmetric_group(m) by image list: the one Perm object per element
     that every label built by this module shares."""
     return {p.images: p for p in symmetric_group(m)}
+
+
+def _cycle_types(n: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts >= smallest, each as ascending cycle
+    lengths."""
+    if n == 0:
+        yield ()
+    for part in range(smallest, n + 1):
+        for rest in _cycle_types(n - part, part):
+            yield (part,) + rest
+
+
+def _centralizer(lengths: tuple[int, ...], m: int) -> tuple[_Conjugator, ...]:
+    """The centralizer of the class representative of these cycle lengths,
+    as sorted conjugator pairs: each element sends equal-length cycles onto
+    each other (a_i! ways) and rotates each (i ways), z_lambda in all."""
+    cycles, start = [], 1
+    for n in lengths:
+        cycles.append(range(start, start + n))
+        start += n
+    factors = []  # per length: the point pairs (l, b(l)) of each choice
+    for n, group in itertools.groupby(cycles, key=len):
+        group = list(group)
+        factors.append([
+            [(a, target[(t + shift) % n])
+             for cycle, target, shift in zip(group, targets, shifts)
+             for t, a in enumerate(cycle)]
+            for targets in itertools.permutations(group)
+            for shifts in itertools.product(range(n), repeat=len(group))
+        ])
+    out = []
+    for choice in itertools.product(*factors):
+        vmap = [0] * (m + 1)
+        order = [0] * m
+        for pairs in choice:
+            for a, b in pairs:
+                vmap[a] = b
+                order[b - 1] = a - 1
+        out.append((tuple(vmap), tuple(order)))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _classes(m: int) -> dict[tuple[int, ...], tuple[_Conjugator, ...] | None]:
+    """The conjugacy classes of S_m, one per cycle type: representative ->
+    centralizer, in the image order of the representatives.
+
+    The representative is the class minimum: the fixed points first, then the
+    cycles by increasing length, each on consecutive points (i -> i+1, last ->
+    first).  Its centralizer is listed as conjugator pairs, except the
+    identity's for m >= 2: that is the whole group, given as None.  For
+    m <= 1 the whole group is the one conjugator, listed like the others, so
+    that the enumeration fills a tail of identities in one product."""
+    _check_grade(m)
+    table = []
+    for lengths in _cycle_types(m):
+        rep, start = [], 1
+        for n in lengths:
+            rep += range(start + 1, start + n)
+            rep.append(start)
+            start += n
+        whole = m > 1 and len(lengths) == m
+        table.append((tuple(rep), None if whole else _centralizer(lengths, m)))
+    return dict(sorted(table))
 
 
 # Named elements for small grades.  The m=3 names follow the conventions in
@@ -328,7 +392,6 @@ def _canonical_images(
     coset C(rep)·b0, where b0 lays sigma_j's cycles onto the representative's
     and C(rep) is the class centralizer.  Every later entry is carried over by
     b0, and only the part of C(rep) that gives it its least image is kept."""
-    _check_grade(m)
     classes = _classes(m)
     identity = tuple(range(1, m + 1))
     for j, sigma in enumerate(images):
@@ -454,6 +517,58 @@ def orbit(sigma: PermTuple) -> set[PermTuple]:
     return {_from_images(x, m) for x in set(_relabelings(images, m))}
 
 
+def _centralizer_orders(m: int) -> Iterator[int]:
+    """z_lambda = prod_i i^(a_i) a_i!, the order of the centralizer of a
+    permutation of cycle type lambda (a_i cycles of length i), for every
+    partition lambda of m."""
+
+    def orders(n: int, part: int) -> Iterator[int]:
+        # partitions of n into parts <= part, choosing a_part first
+        if part == 1:
+            yield factorial(n)
+            return
+        for a in range(n // part, -1, -1):
+            here = part ** a * factorial(a)
+            for rest in orders(n - a * part, part - 1):
+                yield here * rest
+
+    yield from orders(m, max(m, 1))
+
+
+def _check_sizes(m: int, r: int):
+    if m < 0 or r < 0:
+        raise ValueError(f"grade and arity must be >= 0, got m={m}, r={r}")
+
+
+def orbit_count(m: int, r: int) -> int:
+    """The number of simultaneous-conjugation orbits of S_m^r, that is
+    len(enumerate_orbits(m, r)), without enumerating: by Burnside's lemma,
+    sum over cycle types lambda of z_lambda^(r-1), in exact integer
+    arithmetic (so r = 0 gives 1).  A class of m!/z_lambda elements each
+    fixes z_lambda^r tuples."""
+    _check_sizes(m, r)
+    group_order = factorial(m)
+    return sum(z ** r * (group_order // z) for z in _centralizer_orders(m)) // group_order
+
+
+def generator_count(m: int, r: int) -> int:
+    """The number of transitive orbits of S_m^r, that is
+    len(generator_labels(m, r)), without enumerating.
+
+    A label is a multiset of transitive components, so the orbit counts
+    a_n = orbit_count(n, r) are the Euler transform of the transitive counts
+    t_n; it is inverted by c_n = n a_n - sum_{k<n} c_k a_{n-k} and
+    t_n = (c_n - sum_{d|n, d<n} d t_d) / n."""
+    _check_sizes(m, r)
+    a = [orbit_count(n, r) for n in range(m + 1)]
+    c = [0] * (m + 1)
+    t = [0] * (m + 1)
+    for n in range(1, m + 1):
+        c[n] = n * a[n] - sum(c[k] * a[n - k] for k in range(1, n))
+        t[n] = (c[n] - sum(d * t[d] for d in range(1, n) if n % d == 0)) // n
+    return t[m]
+
+
 def _check_enum_cost(m: int, r: int):
     _check_sizes(m, r)
     _check_grade(m)
@@ -474,7 +589,9 @@ def _check_enum_cost(m: int, r: int):
     # The walk's inner nodes are canonical prefixes shorter than r.  Each
     # scans S_m and conjugates its H-orbit representatives by H, which is
     # sum_{h in H} |C(h)| <= sum_{h in S_m} |C(h)| = m! p(m) tuples of m
-    # entries.  For m <= 1 the stabilizer is trivial at the root.
+    # entries (an upper bound: the root and the identity prefixes take the
+    # class table instead).  For m <= 1 the root's one child, the identity,
+    # has the trivial stabilizer, and the rest of the label is one product.
     if m > 1:
         orders = list(_centralizer_orders(m))
         # sum_{d<r} orbit_count(m, d), as orbit_count(m, d) = sum_lambda

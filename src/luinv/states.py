@@ -23,6 +23,30 @@ import numpy as np
 from ._einsum import PLAN_CACHE_SIZE, plan
 from .errors import ResourceLimitError
 
+#: The public names, which ``luinv`` also exports
+__all__ = [
+    "DEFAULT_DIM_LIMIT",
+    "DensityMatrix",
+    "PureState",
+    "apply_local_unitaries",
+    "apply_local_unitaries_mixed",
+    "dim_limit",
+    "haar_unitary",
+    "is_hermitian",
+    "load_state",
+    "partial_trace",
+    "partial_transpose",
+    "projector",
+    "purify",
+    "random_density",
+    "random_hermitian",
+    "random_local_unitaries",
+    "random_pure",
+    "save_state",
+    "set_dim_limit",
+    "tensor_with_identity",
+]
+
 #: Default cap on the total Hilbert-space dimension prod(n_j).
 DEFAULT_DIM_LIMIT = 4096
 

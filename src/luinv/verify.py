@@ -41,6 +41,15 @@ from .states import (
     _unitary_stacks,
 )
 
+#: The public names, which ``luinv`` also exports
+__all__ = [
+    "VerifyReport",
+    "all_specs",
+    "render_table",
+    "reports_to_json",
+    "run_suite",
+]
+
 SCHEMA_VERSION = 1
 
 

@@ -359,6 +359,8 @@ def test_label_algebra_loads_no_numpy():
     without numpy; the numerical API loads it on first use."""
     code = (
         "import sys, luinv, luinv.cli\n"
+        "assert luinv.cli.main(['enumerate', '--m', '3', '--r', '2', '--count']) == 0\n"
+        "assert luinv.cli.main(['graph', '--m', '3', '--k', '2', '--label', 't']) == 0\n"
         "labels = luinv.enumerate_orbits(3, 2)\n"
         "luinv.sim_decompose(labels[3].rep)\n"
         "luinv.canonical_graph(luinv.build_graph(labels[5].rep))\n"
@@ -366,6 +368,22 @@ def test_label_algebra_loads_no_numpy():
         "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
         "assert luinv.eval_mixed is luinv.contract.eval_mixed\n"
         "assert 'numpy' in sys.modules\n"
+    )
+    src = str(Path(luinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numerical_modules_resolve_after_a_bare_import():
+    """The lazily loaded modules and names are attributes of the package."""
+    code = (
+        "import luinv\n"
+        "assert luinv.states.random_pure is luinv.random_pure\n"
+        "assert {'states', 'verify', 'eval_mixed', 'run_suite'} <= set(dir(luinv))\n"
+        "assert set(luinv.__all__) >= set(luinv.contract.__all__) | {'enumerate_orbits'}\n"
+        "assert not hasattr(luinv, 'np')\n"
     )
     src = str(Path(luinv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -201,7 +201,7 @@ class TestPlan:
             "luinv.perms._conjugators": "one entry per grade, at most MAX_GRADE",
             "luinv.perms.symmetric_group": "one entry per grade, at most MAX_GRADE",
             "luinv.perms._interned": "one entry per grade, at most MAX_GRADE",
-            "luinv.cycletypes._classes": "one entry per grade, at most MAX_GRADE",
+            "luinv.perms._classes": "one entry per grade, at most MAX_GRADE",
             "luinv.cli.build_parser": "one entry: it takes no arguments",
         }
         found = set()

@@ -7,7 +7,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luinv import cycletypes as C, perms as P
+from luinv import perms as P
 from luinv.errors import ResourceLimitError
 
 
@@ -290,20 +290,24 @@ class TestClassTable:
     def test_representatives_and_centralizers(self, m):
         """Each representative is its class minimum; its centralizer is the
         set of conjugators that fix it, of order z_lambda."""
-        table = C._classes(m)
+        table = P._classes(m)
         want = oracle_classes(m)
         assert list(table) == sorted(rep for rep, _ in want.values())
         assert sorted(len(c or P._conjugators(m)) for c in table.values()) == sorted(
-            C._centralizer_orders(m))
+            P._centralizer_orders(m))
         for lam, (rep, fixing) in want.items():
             centralizer = table[rep]
             if centralizer is None:  # the identity's: the whole group
-                assert len(lam) == m
+                assert len(lam) == m > 1
                 centralizer = P._conjugators(m)
             assert len(centralizer) == prod(i ** a * factorial(a) for i, a in Counter(lam).items())
             assert sorted(vmap[1:] for vmap, _ in centralizer) == fixing
             for vmap, order in centralizer:
                 assert tuple(vmap[rep[i]] for i in order) == rep
+
+    def test_grade_guard(self):
+        with pytest.raises(ResourceLimitError, match="MAX_GRADE"):
+            P._classes(P.MAX_GRADE + 1)
 
 
 class TestEnumerateOrbits:
@@ -361,12 +365,22 @@ class TestEnumerateOrbits:
     def test_grade_eight_classes(self):
         """At the root the children are the class representatives."""
         labels = P.enumerate_orbits(8, 1)
-        assert len(labels) == C.orbit_count(8, 1) == 22
+        assert len(labels) == P.orbit_count(8, 1) == 22
         keys = [lab.rep.key() for lab in labels]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert keys == list(C._classes(8))
+        assert keys == list(P._classes(8))
         for lab in labels:
             assert P.OrbitLabel(lab.rep) == lab
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_trivial_group_long_label(self, m):
+        """For m <= 1 the identity's centralizer is the one conjugator, so the
+        walk fills the label in one product instead of one level per entry."""
+        assert list(P._classes(m).values()) == [((tuple(range(m + 1)), tuple(range(m))),)]
+        r = 10 ** 6
+        labels = P.enumerate_orbits(m, r)
+        assert len(labels) == P.orbit_count(m, r) == 1
+        assert labels[0].rep.perms == (P.identity(m),) * r
 
     def test_resource_guard(self, monkeypatch):
         """(5,6) is refused from its Burnside count, before any work."""
@@ -411,7 +425,7 @@ class TestEnumerateOrbits:
     @pytest.mark.parametrize("m,r", [(4, 4), (5, 3)])
     def test_large_cases_are_canonical_sorted_and_complete(self, m, r):
         labels = P.enumerate_orbits(m, r)
-        assert len(labels) == C.orbit_count(m, r)
+        assert len(labels) == P.orbit_count(m, r)
         keys = [lab.rep.key() for lab in labels]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         for lab in labels:
@@ -425,7 +439,7 @@ class TestEnumerateOrbits:
 
     @pytest.mark.parametrize("m,r", [(4, 5), (6, 3)])
     def test_guard_admits_cases_brute_force_refused(self, m, r):
-        assert C.orbit_count(m, r) * r <= P.ENUM_ENTRY_LIMIT
+        assert P.orbit_count(m, r) * r <= P.ENUM_ENTRY_LIMIT
         P._check_enum_cost(m, r)
 
     def test_negative_arity(self):
@@ -437,33 +451,33 @@ class TestCounts:
     @pytest.mark.parametrize("m,r", [(m, r) for m in range(1, 5) for r in range(4)]
                              + [(5, 1), (5, 2), (6, 1), (6, 2), (7, 1)])
     def test_match_the_enumeration(self, m, r):
-        assert C.orbit_count(m, r) == len(P.enumerate_orbits(m, r))
-        assert C.generator_count(m, r) == len(P.generator_labels(m, r))
+        assert P.orbit_count(m, r) == len(P.enumerate_orbits(m, r))
+        assert P.generator_count(m, r) == len(P.generator_labels(m, r))
 
     @pytest.mark.parametrize("r", range(0, 9))
     def test_closed_formulas(self, r):
         def power(b):
             return Fraction(b) ** (r - 1)
 
-        assert C.orbit_count(3, r) == power(6) + power(3) + power(2)
-        assert C.generator_count(3, r) == power(6) + power(3) - power(2)
-        assert C.orbit_count(2, r) == 2 ** r
-        assert C.generator_count(2, r) == 2 ** r - 1
+        assert P.orbit_count(3, r) == power(6) + power(3) + power(2)
+        assert P.generator_count(3, r) == power(6) + power(3) - power(2)
+        assert P.orbit_count(2, r) == 2 ** r
+        assert P.generator_count(2, r) == 2 ** r - 1
 
     @pytest.mark.parametrize("m,r", [(4, 3), (5, 2), (4, 4), (5, 6), (7, 3)])
     def test_orbit_count_is_the_burnside_sum(self, m, r):
-        assert C.orbit_count(m, r) == burnside_count(m, r)
+        assert P.orbit_count(m, r) == burnside_count(m, r)
 
     def test_zero_arity_and_grade_one(self):
-        assert [C.orbit_count(m, 0) for m in range(9)] == [1] * 9
-        assert [C.generator_count(m, 0) for m in range(1, 9)] == [1] + [0] * 7
-        assert [C.generator_count(1, r) for r in range(5)] == [1] * 5
+        assert [P.orbit_count(m, 0) for m in range(9)] == [1] * 9
+        assert [P.generator_count(m, 0) for m in range(1, 9)] == [1] + [0] * 7
+        assert [P.generator_count(1, r) for r in range(5)] == [1] * 5
 
     def test_negative_input(self):
         with pytest.raises(ValueError):
-            C.orbit_count(3, -1)
+            P.orbit_count(3, -1)
         with pytest.raises(ValueError):
-            C.generator_count(-1, 2)
+            P.generator_count(-1, 2)
 
 
 class TestS3Algorithm:
