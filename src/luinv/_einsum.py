@@ -19,7 +19,10 @@ is one ``np.einsum`` call.  Plans hold index bookkeeping only, never arrays
 of operand size.
 
 Callers with their own cheap keys (a label and dims, a subsystem list) wrap
-``plan`` in a cache of their own, so that a hit does no per-axis work.
+``plan`` in a cache of their own, so that a hit does no per-axis work.  The
+closed forms keep each formula's network renumbered once per (syntax tree,
+dims) and call ``compile_plan`` per stack, whose size is in the shapes.
+This module is the only one that writes einsum's letter format.
 """
 
 from __future__ import annotations
@@ -181,6 +184,20 @@ def compile_plan(
     return Plan(terms, out, shapes)
 
 
+def renumber(
+    subscripts: Sequence[Sequence[Hashable]], out: Sequence[Hashable]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Integer subscripts and output for arbitrary hashable axis ids,
+    renumbered from 0 in order of first use: the key ``compile_plan`` takes."""
+    mapping: dict[Hashable, int] = {}
+
+    def ints(ids: Sequence[Hashable]) -> tuple[int, ...]:
+        return tuple(mapping.setdefault(i, len(mapping)) for i in ids)
+
+    terms = tuple(ints(ids) for ids in subscripts)
+    return terms, ints(out)
+
+
 def plan(
     subscripts: Sequence[Sequence[Hashable]],
     out: Sequence[Hashable],
@@ -188,10 +205,4 @@ def plan(
 ) -> Plan:
     """The cached plan for operands of the given shapes, with arbitrary
     hashable axis ids (renumbered in order of first use)."""
-    mapping: dict[Hashable, int] = {}
-
-    def renumber(ids: Sequence[Hashable]) -> tuple[int, ...]:
-        return tuple(mapping.setdefault(i, len(mapping)) for i in ids)
-
-    terms = tuple(renumber(ids) for ids in subscripts)
-    return compile_plan(terms, renumber(out), tuple(tuple(s) for s in shapes))
+    return compile_plan(*renumber(subscripts, out), tuple(tuple(s) for s in shapes))

@@ -1,10 +1,11 @@
 """Index-free evaluators for grades 1-3.
 
 Every closed form is the formula text that ``formula_text`` renders,
-compiled once per (text, dims) into a ``Program`` that runs on a stack of
-operators.  ``closed_form_batch`` evaluates one label's formula once over n
-states of equal dims; ``closed_form`` and the per-grade entry points are its
-batch of one.
+compiled once per (syntax tree, dims) into a ``Program``: one contraction
+network, run on a stack of operators by one ``_einsum`` plan call.
+``closed_form_batch`` evaluates one label's formula once over n states of
+equal dims; ``closed_form`` and the per-grade entry points are its batch of
+one.
 
 Grade 1: the full trace.
 
@@ -40,10 +41,9 @@ Operands carry their subsystem lists, so "(x)" assembles disjoint operands
 onto their slots regardless of textual order; pt[] is the full trace, a
 scalar.  Exponents are at least 1.
 
-``parse_formula`` is the compiler's front end.  A program runs the partial
-trace and transpose of an operand as one ``np.einsum``, identity padding as
-one broadcast multiply and products as batched ``matmul`` (README,
-"Evaluation engines").
+``parse_formula`` is the compiler's front end; ``Program`` turns a syntax
+tree into the formula's contraction network, the paper's graph of it
+(README, "Evaluation engines").
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._einsum import _LETTERS, MAX_AXIS_IDS, PLAN_CACHE_SIZE
+from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
 from .contract import _stack_dims
 from .errors import ResourceLimitError, VerificationError
 from .perms import Label, OrbitLabel, Perm, PermTuple, as_tuple, canonical_form, identity, sim_decompose
-from .states import DensityMatrix, PureState, _check_subsystems, _eye, _projector_stack, projector
+from .states import DensityMatrix, PureState, _check_subsystems, _projector_stack, projector
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -185,16 +185,16 @@ def _programs(sigma: PermTuple, kind: str, dims: tuple[int, ...]) -> tuple["Prog
     and its e/t complement).  A pure writing whose product leaves out the
     last subsystem is compiled for the other subsystems."""
     if kind == "mixed":
-        return (_compiled(formula_text(sigma, "mixed"), dims),)
+        return (_compiled(_parse(formula_text(sigma, "mixed")), dims),)
     writings = [sigma.embed()]
     if sigma.m == 2:  # the complement: t times every entry
         writings.append(PermTuple(2, tuple(_T2 * p for p in writings[0].perms)))
     programs = []
     for label in writings:
-        text = formula_text(label, "pure")
-        program = _compiled(text, dims)
+        tree = _parse(formula_text(label, "pure"))
+        program = _compiled(tree, dims)
         if len(dims) > 1 and len(dims) not in program.support:
-            program = _compiled(text, dims[:-1])
+            program = _compiled(tree, dims[:-1])
         programs.append(program)
     return tuple(programs)
 
@@ -247,6 +247,8 @@ def formula_text(sigma: Label, kind: str) -> str:
     sigma = as_tuple(sigma)
     if not has_closed_form(sigma.m):
         raise ValueError(f"no closed form for grade {sigma.m}")
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
     arg = "rho" if kind == "mixed" else "pi"
     k = sigma.r
     if sigma.m == 1:
@@ -268,13 +270,14 @@ class FormulaDescriptor:
     text: str
 
     def evaluate(self, state) -> complex:
+        """self.text run through parse_formula, on |psi><psi| for a pure
+        writing: the program its label's closed form runs.  A state on other
+        than the label's r subsystems raises ValueError."""
         rho = projector(state) if self.kind == "pure" else state
-        return closed_form(self.label, "mixed", rho)
-
-    def evaluate_text(self, state) -> complex:
-        """Evaluation of self.text through parse_formula."""
-        rho = projector(state) if self.kind == "pure" else state
+        _stack_dims([rho], self.label.r, 0)
         return parse_formula(self.text)(rho)
+
+    evaluate_text = evaluate
 
 
 def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
@@ -364,101 +367,92 @@ def _parse(text: str) -> tuple:
     return tuple(factors)
 
 
-def _operand(node, k: int) -> tuple[str | None, tuple[int, ...]]:
-    """The einsum subscripts taking the (n, dims, dims) tensor of the
-    argument to the operand's tensor (rows, then columns, of its support in
-    order), and that support; subscripts None for the argument itself."""
-    inp = list(range(2 * k + 1))       # 0: batch, j: row j, k + j: column j
-    rows = {j: j for j in range(1, k + 1)}
-    cols = {j: k + j for j in range(1, k + 1)}
+def _copy(node, k: int) -> tuple[tuple, tuple[int, ...]]:
+    """One copy of the argument under its pt/tp chain: the role of each axis
+    of its (dims, dims) tensor (rows 1..k, then columns 1..k), and the
+    copy's support.  A role is ("row", j) or ("col", j), the copy's row or
+    column on subsystem j, or ("loop", j), a traced row/column pair."""
     chain = []
     while node[0] != "arg":
         if node[0] == "id":
             raise ValueError("pt and tp take rho, pi or another pt/tp")
         chain.append(node)
         node = node[2]
+    roles = [("row", j) for j in range(1, k + 1)] + [("col", j) for j in range(1, k + 1)]
+    kept = set(range(1, k + 1))
     for op, subs, _ in reversed(chain):
-        missing = set(_check_subsystems(subs, k)) - set(rows)
+        missing = set(_check_subsystems(subs, k)) - kept
         if missing:
             raise ValueError(f"{op}[{_ints(subs)}] acts on traced subsystems {sorted(missing)}")
         if op == "tp":
             for j in subs:
-                rows[j], cols[j] = cols[j], rows[j]
+                roles[j - 1], roles[k + j - 1] = roles[k + j - 1], roles[j - 1]
         else:
-            for j in set(rows) - set(subs):
-                inp[k + j] = j  # a traced slot repeats its row letter
-                del rows[j], cols[j]
-    support = tuple(sorted(rows))
-    ins = "".join(_LETTERS[i] for i in inp)
-    out = "".join(_LETTERS[i] for i in [0] + [rows[j] for j in support] + [cols[j] for j in support])
-    return (None if ins == out else f"{ins}->{out}"), support
-
-
-def _atom(parts, dims: tuple[int, ...]) -> tuple[Callable, tuple[int, ...]]:
-    """One prepared factor: a function of the stack (n, N, N) and its
-    (n, dims, dims) tensor giving the factor's stack (n, M, M), and the
-    factor's support."""
-    ids: list[int] = []
-    operands = []
-    for node in parts:
-        if node[0] == "id":
-            ids.extend(_check_subsystems(node[1], len(dims)))
-        else:
-            operands.append(_operand(node, len(dims)))
-    covered = ids + [j for _, support in operands for j in support]
-    if len(set(covered)) != len(covered):
-        raise ValueError(f"overlapping subsystems in tensor group: {sorted(covered)}")
-    support = tuple(sorted(covered))
-    size = math.prod(dims[j - 1] for j in support)
-
-    # each operand, and the delta of the identities, with unit axes on the
-    # factor's other slots: their broadcast product is the tensor product
-    def on_slots(slots) -> tuple[int, ...]:
-        return tuple(dims[j - 1] if j in slots else 1 for j in support) * 2
-
-    shapes = [on_slots(sup) for _, sup in operands]
-    delta = _eye(math.prod(dims[j - 1] for j in ids)).reshape((1,) + on_slots(ids))
-
-    def matrix(stack, t):
-        if not operands:
-            return np.broadcast_to(delta.reshape(1, size, size), (len(t), size, size))
-        x = delta if ids else None
-        for (subs, _), shape in zip(operands, shapes):
-            y = (stack if subs is None else np.einsum(subs, t)).reshape((len(t),) + shape)
-            x = y if x is None else x * y
-        return x.reshape(len(t), size, size)
-    return matrix, support
+            for j in kept - set(subs):
+                roles[j - 1] = roles[k + j - 1] = ("loop", j)
+            kept &= set(subs)
+    return tuple(roles), tuple(sorted(kept))
 
 
 class Program:
-    """A formula text compiled for one dims.  Called on a stack (n, N, N) of
-    operators on dims, it returns the formula's values, shape (n,)."""
+    """A formula compiled for one dims into one contraction network.  Each
+    copy of the argument is one operand, the (n, dims, dims) tensor of the
+    stack, and the batch axis is the output.  Subsystem j's index runs
+    through the copies that keep j in product order: each copy's column
+    meets the next copy's row, and the last copy's column closes on the
+    first copy's row.  Identities pass the index on; a support subsystem
+    that no copy keeps is a free loop, a factor d_j of ``scale``.  The
+    network has 1 + k axis ids per copy, and einsum allows 52.  Called on a
+    stack (n, N, N) of operators on dims, it returns the formula's values,
+    shape (n,)."""
 
-    def __init__(self, factors, dims: tuple[int, ...]):
-        if 2 * len(dims) + 1 > MAX_AXIS_IDS:
-            raise ResourceLimitError(f"a formula on {len(dims)} subsystems needs "
-                                     f"{2 * len(dims) + 1} axis ids; einsum allows {MAX_AXIS_IDS}")
+    def __init__(self, tree, dims: tuple[int, ...]):
+        k = len(dims)
+        n_copies = sum(power * sum(node[0] != "id" for node in parts) for parts, power in tree)
+        if n_copies > MAX_AXIS_IDS:
+            raise ResourceLimitError(f"a formula with {n_copies} copies of its argument needs "
+                                     f"more than einsum's {MAX_AXIS_IDS} axis ids")
         self.dims = dims
-        self.atoms = []   # the prepared factors in order, powers written out
         self.support = None
-        for parts, power in factors:
-            atom, support = _atom(parts, dims)
+        copies = []   # the roles of each copy's axes, in product order
+        for parts, power in tree:
+            ids, operands = [], []
+            for node in parts:
+                if node[0] == "id":
+                    ids.extend(_check_subsystems(node[1], k))
+                else:
+                    operands.append(_copy(node, k))
+            covered = ids + [j for _, support in operands for j in support]
+            if len(set(covered)) != len(covered):
+                raise ValueError(f"overlapping subsystems in tensor group: {sorted(covered)}")
+            support = tuple(sorted(covered))
             if self.support is not None and support != self.support:
                 raise ValueError(f"factors on different supports: {self.support} vs {support}")
             self.support = support
-            self.atoms += [atom] * power
+            if operands:  # a factor of identities alone passes every index on
+                copies += [roles for roles, _ in operands] * power
 
-    def factors(self, stack: np.ndarray) -> list[np.ndarray]:
-        """The stacks of the product's matrices in order, powers written out."""
-        t = stack.reshape((len(stack),) + self.dims * 2)
-        mats = {atom: atom(stack, t) for atom in dict.fromkeys(self.atoms)}
-        return [mats[atom] for atom in self.atoms]
+        ring = {j: [c for c, roles in enumerate(copies) if ("row", j) in roles]
+                for j in self.support}
+
+        def axis(c, role):
+            what, j = role
+            if what == "loop":
+                return role, c
+            i = ring[j].index(c) + (what == "col")
+            return j, i % len(ring[j])
+        subscripts = [["n"] + [axis(c, role) for role in roles] for c, roles in enumerate(copies)]
+        self.terms, self.out = renumber(subscripts, ["n"])
+        self.scale = math.prod(dims[j - 1] for j, cs in ring.items() if not cs)
 
     def __call__(self, stack: np.ndarray) -> np.ndarray:
-        mats = self.factors(stack)
-        if len(mats) == 1:
-            return np.einsum("nii->n", mats[0])
-        return np.einsum("nij,nji->n", functools.reduce(np.matmul, mats[:-1]), mats[-1])
+        n = len(stack)
+        if not self.terms:
+            return np.full(n, self.scale, dtype=complex)
+        shape = (n,) + self.dims * 2
+        shapes = (shape,) * len(self.terms)
+        values = compile_plan(self.terms, self.out, shapes)(*[stack.reshape(shape)] * len(shapes))
+        return values if self.scale == 1 else self.scale * values
 
     def on_pure(self, amps: np.ndarray) -> np.ndarray:
         """The program on the projectors of a stack of amplitude tensors
@@ -471,15 +465,17 @@ class Program:
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _compiled(text: str, dims: tuple[int, ...]) -> Program:
-    return Program(_parse(text), dims)
+def _compiled(tree: tuple, dims: tuple[int, ...]) -> Program:
+    """The program of a syntax tree on dims: the "rho" and "pi" texts of one
+    formula parse to one tree and share it."""
+    return Program(tree, dims)
 
 
 def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
     """The compiler's front end: parse the descriptor grammar (ValueError
     for malformed text) and return an evaluator of the operator argument (a
     DensityMatrix; pass a projector for pure-state formulas).  It runs the
-    program compiled once per (text, dims), whose building checks the
+    program compiled once per (syntax tree, dims), whose building checks the
     subsystem indices and supports against the dims."""
-    _parse(text)
-    return lambda rho: complex(_compiled(text, rho.dims)(rho.entries[None])[0])
+    tree = _parse(text)
+    return lambda rho: complex(_compiled(tree, rho.dims)(rho.entries[None])[0])

@@ -176,22 +176,21 @@ def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
     traced = frozenset(traced)
     if not traced:
         return rho
-    trace, new_dims = _partial_trace_plan(rho.dims, traced, 1)
+    trace, new_dims = _partial_trace_plan(rho.dims, traced)
     size = math.prod(new_dims)
-    entries = trace(rho.entries.reshape((1,) + rho.dims * 2)).reshape(size, size)
-    return DensityMatrix._derived(new_dims, entries)
+    return DensityMatrix._derived(new_dims, trace(rho.tensor()).reshape(size, size))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _partial_trace_plan(dims: tuple[int, ...], traced: frozenset, batch: int):
+def _partial_trace_plan(dims: tuple[int, ...], traced: frozenset):
     traced = _check_subsystems(traced, len(dims))
     k = len(dims)
     keep = [j for j in range(1, k + 1) if j not in traced]
-    subs = ["n"] + [("t", j) if j in traced else ("r", j) for j in range(1, k + 1)]
+    subs = [("t", j) if j in traced else ("r", j) for j in range(1, k + 1)]
     subs += [("t", j) if j in traced else ("c", j) for j in range(1, k + 1)]
-    out = ["n"] + [("r", j) for j in keep] + [("c", j) for j in keep]
+    out = [("r", j) for j in keep] + [("c", j) for j in keep]
     new_dims = tuple(dims[j - 1] for j in keep) or (1,)
-    return plan([subs], out, [(batch,) + dims + dims]), new_dims
+    return plan([subs], out, [dims + dims]), new_dims
 
 
 def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int]) -> DensityMatrix:
@@ -216,23 +215,37 @@ def tensor_with_identity(
     scalar multiple of the identity.
     """
     full_dims = check_dims(full_dims)
-    id_set, rest = _padding_slots(frozenset(id_set), full_dims)
+    rest, pad, eyes = _padding(frozenset(id_set), full_dims)
     expected = tuple(full_dims[j - 1] for j in rest) or (1,)
     if rho.dims != expected:
         raise ValueError(
             f"operator dims {rho.dims} do not match non-identity slots {expected}"
         )
-    if not id_set:
+    size = math.prod(full_dims)
+    if len(rest) == len(full_dims):  # no identity slots
         return rho
     if not rest:  # rho is a 1x1 scalar
-        return DensityMatrix(full_dims, rho.entries * _eye(math.prod(full_dims)))
-    return DensityMatrix(full_dims, tensor_group([rho.entries[None]], (rest,), id_set, full_dims)[0])
+        return DensityMatrix(full_dims, rho.entries * _eye(size))
+    return DensityMatrix(full_dims, pad(rho.tensor(), *eyes).reshape(size, size))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _padding_slots(id_set: frozenset, full_dims: tuple[int, ...]):
+def _padding(id_set: frozenset, full_dims: tuple[int, ...]):
+    """The slots outside id_set and, when both they and id_set are non-empty,
+    the plan placing an operator on them next to identities on id_set, with
+    those identities."""
     id_set = _check_subsystems(id_set, len(full_dims))
-    return id_set, tuple(j for j in range(1, len(full_dims) + 1) if j not in id_set)
+    slots = range(1, len(full_dims) + 1)
+    rest = tuple(j for j in slots if j not in id_set)
+    if not (id_set and rest):
+        return rest, None, ()
+    subscripts = [[("r", j) for j in rest] + [("c", j) for j in rest]]
+    subscripts += [[("r", j), ("c", j)] for j in id_set]
+    shapes = [tuple(full_dims[j - 1] for j in rest) * 2]
+    shapes += [(full_dims[j - 1],) * 2 for j in id_set]
+    out = [("r", j) for j in slots] + [("c", j) for j in slots]
+    eyes = tuple(_eye(full_dims[j - 1]) for j in id_set)
+    return rest, plan(subscripts, out, shapes), eyes
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -240,36 +253,6 @@ def _eye(n: int) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     eye.flags.writeable = False
     return eye
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _group_plan(supports: tuple[tuple[int, ...], ...], id_slots: tuple[int, ...],
-                dims: tuple[int, ...], batch: int):
-    covered = sorted(id_slots + sum(supports, ()))
-    if len(set(covered)) != len(covered):
-        raise ValueError(f"overlapping subsystems in tensor group: {covered}")
-    shapes = [(batch,) + tuple(dims[j - 1] for j in sup) * 2 for sup in supports]
-    subscripts = [["n"] + [("r", j) for j in sup] + [("c", j) for j in sup] for sup in supports]
-    for j in id_slots:
-        shapes.append((dims[j - 1],) * 2)
-        subscripts.append([("r", j), ("c", j)])
-    out = ["n"] + [("r", j) for j in covered] + [("c", j) for j in covered]
-    n = math.prod(dims[j - 1] for j in covered)
-    eyes = tuple(_eye(dims[j - 1]) for j in id_slots)
-    return plan(subscripts, out, shapes), tuple(shapes[: len(supports)]), eyes, n
-
-
-def tensor_group(stacks: Sequence[np.ndarray], supports: tuple[tuple[int, ...], ...],
-                 id_slots: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
-    """Tensor product, as a stack of matrices on the sorted union of its
-    slots, of stacks of operator matrices (stacks[i], of shape (n, M_i, M_i),
-    acting on subsystems supports[i], in that order) and identities on
-    id_slots; dims[j-1] is the dimension of slot j.  The slots must be
-    disjoint, and there must be at least one stack."""
-    batch = len(stacks[0])
-    group, shapes, eyes, n = _group_plan(supports, id_slots, dims, batch)
-    ops = [mat.reshape(shape) for mat, shape in zip(stacks, shapes)]
-    return group(*ops, *eyes).reshape(batch, n, n)
 
 
 def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:

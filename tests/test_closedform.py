@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from luinv import closedform as F
 from luinv import contract as C
 from luinv import perms as P
 from luinv import states as S
-from luinv.errors import VerificationError
+from luinv._einsum import compile_plan
+from luinv.errors import ResourceLimitError, VerificationError
 
 
 def kron(*mats):
@@ -133,20 +136,21 @@ class TestGradeThreeMixed:
             assert relerr(a, b) < 1e-10, P.format_label(lab.rep)
 
 
-def compiled_factors(sig, rho):
-    """The ordered factor matrices of a label's compiled mixed program."""
-    (program,) = F._programs(sig, "mixed", rho.dims)
-    return [f[0] for f in program.factors(rho.entries[None])]
+def reordered(sig, rho, order):
+    """The label's mixed formula with its three factors in the given order,
+    evaluated through parse_formula."""
+    texts = F._m3_factor_texts(sig, "rho")
+    return F.parse_formula("Tr( " + " * ".join(texts[i] for i in order) + " )")(rho)
 
 
 class TestFactorOrder:
     def test_cyclic_rotations_agree(self):
         sig = P.perm_tuple(3, "t", "ts", "s")
         rho = S.random_density((2, 2, 2), seed=14)
-        f1, f2, f3 = compiled_factors(sig, rho)
-        ref = np.trace(f1 @ f2 @ f3)
-        assert relerr(np.trace(f2 @ f3 @ f1), ref) < 1e-13
-        assert relerr(np.trace(f3 @ f1 @ f2), ref) < 1e-13
+        ref = reordered(sig, rho, (0, 1, 2))
+        assert relerr(ref, F.mixed_m3(sig, rho)) < 1e-13
+        assert relerr(reordered(sig, rho, (1, 2, 0)), ref) < 1e-13
+        assert relerr(reordered(sig, rho, (2, 0, 1)), ref) < 1e-13
 
     def test_swap_changes_value_when_three_cycle_present(self):
         # regression guard on the factor ordering
@@ -154,9 +158,8 @@ class TestFactorOrder:
         found = False
         for seed in range(5):
             rho = unit_density((2, 2, 2), seed=15 + seed)
-            f1, f2, f3 = compiled_factors(sig, rho)
-            good = np.trace(f1 @ f2 @ f3)
-            swapped = np.trace(f2 @ f1 @ f3)
+            good = reordered(sig, rho, (0, 1, 2))
+            swapped = reordered(sig, rho, (1, 0, 2))
             if relerr(good, swapped) > 1e-6:
                 found = True
                 break
@@ -286,7 +289,7 @@ class TestBatch:
         lab = P.enumerate_orbits(3, 2)[7]
         F.closed_form(lab, "mixed", rho)
         (program,) = F._programs(lab.rep, "mixed", rho.dims)
-        assert program is F._compiled(F.formula_text(lab.rep, "mixed"), rho.dims)
+        assert program is F._compiled(F._parse(F.formula_text(lab.rep, "mixed")), rho.dims)
         before, compiled = F._programs.cache_info(), F._compiled.cache_info()
         F.closed_form(lab, "mixed", rho)
         after = F._programs.cache_info()
@@ -298,6 +301,26 @@ class TestBatch:
         assert F._compiled.cache_info().misses == compiled.misses
         # a pure grade-2 label has two writings, asserted equal
         assert len(F._programs(P.perm_tuple(2, "t"), "pure", (2, 3))) == 2
+
+    def test_writings_of_both_kinds_share_programs(self):
+        # the "rho" and "pi" texts of a writing parse to one tree: one program
+        psi = unit_pure((2, 2, 2), seed=330)
+        writings = F.alternate_writings(P.perm_tuple(3, "s", "t"), "pure")
+        assert len(writings) == 6
+        F._programs.cache_clear()
+        F._compiled.cache_clear()
+        for w in writings:
+            assert w.evaluate(psi) == w.evaluate_text(psi)
+        assert F._compiled.cache_info().misses == 6
+
+    def test_closed_form_runs_an_einsum_plan(self):
+        # a closed form at dims no other test uses compiles its network
+        rho = S.random_density((3, 5), seed=340)
+        lab = P.perm_tuple(3, "t", "s")
+        misses = compile_plan.cache_info().misses
+        value = F.closed_form(lab, "mixed", rho)
+        assert compile_plan.cache_info().misses > misses
+        assert relerr(value, C.eval_mixed(lab, rho)) < 1e-10
 
     def test_pure_m2_writings_checked_on_a_stack(self):
         states = sample_stack("pure", (2, 2, 2), 3, seed=310)
@@ -355,6 +378,15 @@ class TestAlternateWritings:
         assert relerr(writings[0].evaluate(rho), C.eval_mixed(sig, rho)) < 1e-10
         assert relerr(writings[0].evaluate_text(rho), C.eval_mixed(sig, rho)) < 1e-10
 
+    def test_writings_check_the_state_arity(self):
+        (w,) = F.alternate_writings(P.perm_tuple(3, "t", "s"), "mixed")
+        (p, *_) = F.alternate_writings(P.perm_tuple(2, "t"), "pure")
+        for call, state in ((w.evaluate, S.random_density((2, 2, 2), seed=108)),
+                            (w.evaluate_text, S.random_density((2, 2, 2), seed=108)),
+                            (p.evaluate_text, S.random_pure((2, 2, 2), seed=109))):
+            with pytest.raises(ValueError, match="arity"):
+                call(state)
+
     def test_every_writing_parses_back(self):
         # every writing's text, run by the compiler, gives its label's closed form
         for dims in [(2, 3), (2, 2, 3)]:
@@ -408,13 +440,49 @@ class TestFormulaText:
         rhos = [S.random_density((2, 3), seed=102 + i) for i in range(3)]
         text = ("Tr( (pt[2](rho) (x) pt[1](rho)) * tp[1](pt[1,2](rho))"
                 " * (pt[](rho) (x) I[1] (x) pt[2](rho)) )")
-        for rho, got in zip(rhos, F._compiled(text, (2, 3))(np.stack([r.entries for r in rhos]))):
+        program = F._compiled(F._parse(text), (2, 3))
+        for rho, got in zip(rhos, program(np.stack([r.entries for r in rhos]))):
             r1 = S.partial_trace(rho, {2}).entries
             r2 = S.partial_trace(rho, {1}).entries
             want = rho.trace() * np.trace(
                 kron(r1, r2) @ S.partial_transpose(rho, {1}).entries @ kron(np.eye(2), r2))
             assert relerr(got, want) < 1e-12
             assert relerr(F.parse_formula(text)(rho), want) < 1e-12
+
+    def test_formula_text_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            F.formula_text(P.perm_tuple(2, "t", "e"), "bogus")
+
+    @pytest.mark.parametrize("text,want", [("Tr( I[1] )", 2), ("Tr( I[1,2] )", 6),
+                                           ("Tr( I[2]^99999999999 )", 3)])
+    def test_identities_alone_are_free_loops(self, text, want):
+        rho = S.random_density((2, 3), seed=103)
+        assert F.parse_formula(text)(rho) == want
+
+    def test_padding_against_kron(self):
+        rho = S.random_density((2, 3), seed=104)
+        r2 = S.partial_trace(rho, {1}).entries
+        want = np.trace(np.kron(np.eye(2), r2) @ rho.entries)
+        got = F.parse_formula("Tr( (I[1] (x) pt[2](rho)) * rho )")(rho)
+        assert relerr(got, want) < 1e-12
+
+    def test_high_power_within_the_axis_ids(self):
+        # 25 copies on two subsystems need 1 + 25 * 2 = 51 of the 52 ids
+        rho = unit_density((2, 3), seed=105)
+        want = np.trace(np.linalg.matrix_power(rho.entries, 25))
+        assert relerr(F.parse_formula("Tr( rho^25 )")(rho), want) < 1e-12
+
+    def test_too_many_axis_ids_is_a_resource_limit(self):
+        rho = S.random_density((2, 3), seed=106)
+        with pytest.raises(ResourceLimitError, match="61 axis ids"):
+            F.parse_formula("Tr( rho^30 )")(rho)
+
+    def test_huge_power_is_refused_before_expanding(self):
+        rho = S.random_density((2, 3), seed=107)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="copies"):
+            F.parse_formula("Tr( rho^99999999999 )")(rho)
+        assert time.perf_counter() - start < 1.0
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
