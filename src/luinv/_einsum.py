@@ -21,7 +21,8 @@ of operand size.
 Callers with their own cheap keys (a label and dims, a subsystem list) wrap
 ``plan`` in a cache of their own, so that a hit does no per-axis work.  The
 closed forms keep each formula's network renumbered once per (syntax tree,
-dims) and call ``compile_plan`` per stack, whose size is in the shapes.
+dims) and call ``compile_plan`` when the stack size, which is in the
+shapes, changes.
 This module is the only one that writes einsum's letter format.
 """
 

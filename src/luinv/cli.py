@@ -42,6 +42,9 @@ EXIT_RESOURCE = 3
 #: Engine disagreement beyond this (relative) makes `eval` exit nonzero.
 EVAL_MISMATCH_TOL = 1e-8
 
+#: Significant digits, of the value's modulus, that `eval` prints.
+EVAL_DIGITS = 12
+
 #: Most digits `enumerate --count` prints, below Python's default limit of
 #: 4300 digits on converting an int to str.
 COUNT_DIGIT_LIMIT = 4000
@@ -105,6 +108,15 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _rounded(z: complex) -> str:
+    """z with both parts rounded to EVAL_DIGITS significant digits of |z|,
+    so that rounding noise far below the value does not print."""
+    scale = abs(z)
+    places = EVAL_DIGITS - 1 - math.floor(math.log10(scale)) if 0 < scale < math.inf else 0
+    # adding 0.0 turns a rounded -0.0 into 0.0
+    return f"{complex(round(z.real, places) + 0.0, round(z.imag, places) + 0.0):.{EVAL_DIGITS}g}"
+
+
 def cmd_eval(args) -> int:
     # the numerical modules load numpy: imported where a command needs them
     from .closedform import closed_form
@@ -143,8 +155,8 @@ def cmd_eval(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(f"label        : {doc['label']} ({args.kind}, grade {sigma.m})")
-        print(f"contract     : {via_contract:.15g}")
-        print(f"closed form  : {via_closed:.15g}")
+        print(f"contract     : {_rounded(via_contract)}")
+        print(f"closed form  : {_rounded(via_closed)}")
         print(f"difference   : {diff:.3e} (relative)")
     return EXIT_OK if diff <= EVAL_MISMATCH_TOL else EXIT_VERIFY
 

@@ -3,9 +3,9 @@
 Every closed form is the formula text that ``formula_text`` renders,
 compiled once per (syntax tree, dims) into a ``Program``: one contraction
 network, run on a stack of operators by one ``_einsum`` plan call.
-``closed_form_batch`` evaluates one label's formula once over n states of
-equal dims; ``closed_form`` and the per-grade entry points are its batch of
-one.
+``closed_form_batch`` evaluates one label's formula once over a stack of n
+states on one dims, an array; ``closed_form`` and the per-grade entry points
+are its batch of one.
 
 Grade 1: the full trace.
 
@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
-from .contract import _stack_dims
+from .contract import _check_arity, _checked_stack
 from .errors import ResourceLimitError, VerificationError
 from .perms import Label, OrbitLabel, Perm, PermTuple, as_tuple, canonical_form, identity, sim_decompose
 from .states import DensityMatrix, PureState, _check_subsystems, _projector_stack, projector
@@ -117,7 +117,8 @@ def mixed_m2(sigma: Label, rho: DensityMatrix) -> complex:
 def pure_m2(sigma: Label, psi: PureState, rtol: float = 1e-10) -> complex:
     """Both writings, asserted equal: trace out the last subsystem together
     with the e-slots, or trace out the t-slots."""
-    return complex(closed_form_batch(_of_grade(sigma, 2), "pure", [psi], rtol)[0])
+    return complex(closed_form_batch(_of_grade(sigma, 2), "pure", psi.dims,
+                                     psi.amplitudes[None], rtol)[0])
 
 
 def mixed_m3(sigma: Label, rho: DensityMatrix) -> complex:
@@ -136,33 +137,32 @@ def pure_m3(sigma: Label, psi: PureState) -> complex:
 def closed_form(sigma: Label, kind: str, state) -> complex:
     """The grade-1/2/3 closed form of one label on one state: the batch of
     one of closed_form_batch."""
-    return complex(closed_form_batch(sigma, kind, [state])[0])
+    cls = PureState if kind == "pure" else DensityMatrix
+    if not isinstance(state, cls):
+        raise TypeError(f"{kind} labels take a {cls.__name__}")
+    data = state.amplitudes if kind == "pure" else state.entries
+    return complex(closed_form_batch(sigma, kind, state.dims, data[None])[0])
 
 
-def closed_form_batch(sigma: Label, kind: str, states: Sequence,
+def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int], stack: np.ndarray,
                       rtol: float = 1e-10) -> np.ndarray:
     """The closed form of one label on each of a non-empty stack of states
-    with equal dims, as a complex array of shape (n,): the label's compiled
-    formula runs once over the stack.  For pure grade-2 labels the two
-    writings are asserted equal to rtol on every state.
+    on dims, as a complex array of shape (n,): the label's compiled formula
+    runs once over the stack.  The stack holds amplitude tensors (n, *dims)
+    for kind "pure", matrices (n, N, N) for "mixed".  For pure grade-2
+    labels the two writings are asserted equal to rtol on every state.
 
-    An empty stack, mixed dims or a wrong label arity raise ValueError, as
-    in contract.eval_mixed_batch / eval_pure_batch.
+    An empty stack, a wrong shape or a wrong label arity raise ValueError,
+    as in contract.eval_mixed_batch / eval_pure_batch.
     """
     sigma = as_tuple(sigma)
-    if kind not in ("pure", "mixed"):
-        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-    cls = PureState if kind == "pure" else DensityMatrix
-    if not all(isinstance(state, cls) for state in states):
-        raise TypeError(f"{kind} labels take a {cls.__name__}")
+    dims, stack = _checked_stack(sigma, kind, dims, stack)
     if not has_closed_form(sigma.m):
         raise ValueError(f"no closed form for grade {sigma.m} (only m <= 3)")
-    dims = _stack_dims(states, sigma.r, kind == "pure")
     programs = _programs(sigma, kind, dims)
     if kind == "mixed":
-        return programs[0](_stacked([rho.entries for rho in states]))
-    amps = _stacked([psi.amplitudes for psi in states])
-    va, *others = (program.on_pure(amps) for program in programs)
+        return programs[0](stack)
+    va, *others = (program.on_pure(stack) for program in programs)
     for vb in others:
         scale = np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
         bad = np.flatnonzero(np.abs(va - vb) > rtol * scale)
@@ -171,11 +171,6 @@ def closed_form_batch(sigma: Label, kind: str, states: Sequence,
             raise VerificationError(
                 f"the two grade-2 writings disagree: {complex(va[i])} vs {complex(vb[i])}")
     return va
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays as one stack; a batch of one is a view of its array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -274,7 +269,7 @@ class FormulaDescriptor:
         writing: the program its label's closed form runs.  A state on other
         than the label's r subsystems raises ValueError."""
         rho = projector(state) if self.kind == "pure" else state
-        _stack_dims([rho], self.label.r, 0)
+        _check_arity(self.label.r, rho.k, "mixed")
         return parse_formula(self.text)(rho)
 
     evaluate_text = evaluate
@@ -404,7 +399,8 @@ class Program:
     that no copy keeps is a free loop, a factor d_j of ``scale``.  The
     network has 1 + k axis ids per copy, and einsum allows 52.  Called on a
     stack (n, N, N) of operators on dims, it returns the formula's values,
-    shape (n,)."""
+    shape (n,); it keeps the plan of its last stack size, so that a call at
+    that size skips the plan cache's key hashing."""
 
     def __init__(self, tree, dims: tuple[int, ...]):
         k = len(dims)
@@ -443,6 +439,7 @@ class Program:
             return j, i % len(ring[j])
         subscripts = [["n"] + [axis(c, role) for role in roles] for c, roles in enumerate(copies)]
         self.terms, self.out = renumber(subscripts, ["n"])
+        self._last = (None, None)  # the stack size of the last call, and its plan
         self.scale = math.prod(dims[j - 1] for j, cs in ring.items() if not cs)
 
     def __call__(self, stack: np.ndarray) -> np.ndarray:
@@ -450,8 +447,10 @@ class Program:
         if not self.terms:
             return np.full(n, self.scale, dtype=complex)
         shape = (n,) + self.dims * 2
-        shapes = (shape,) * len(self.terms)
-        values = compile_plan(self.terms, self.out, shapes)(*[stack.reshape(shape)] * len(shapes))
+        last = self._last
+        if last[0] != n:  # the shapes are fixed by the stack size
+            last = self._last = (n, compile_plan(self.terms, self.out, (shape,) * len(self.terms)))
+        values = last[1](*[stack.reshape(shape)] * len(self.terms))
         return values if self.scale == 1 else self.scale * values
 
     def on_pure(self, amps: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ Two strategies are provided and must agree to 1e-12 relative:
   O((prod n)^m); the independent oracle.
 
 ``eval_mixed_batch`` and ``eval_pure_batch`` evaluate one label on a stack
-of n states of equal dims with one plan call: the same network with one
-shared leading batch axis on every operand and on the output.
+of n states on one dims, an array, with one plan call: the same network
+with one shared leading batch axis on every operand and on the output.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
 from .errors import ResourceLimitError, VerificationError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple
-from .states import DensityMatrix, PureState, partial_trace, projector
+from .states import DensityMatrix, PureState, check_dims, partial_trace, projector
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -80,14 +80,20 @@ def _guard_eval(total_dim: int, m: int, method: str):
         )
 
 
+def _check_arity(r: int, k: int, kind: str) -> None:
+    need = k - 1 if kind == "pure" else k
+    if r != need:
+        raise ValueError(f"label arity {r} does not match {k} subsystems "
+                         f"(need {'k-1' if kind == 'pure' else 'k'})")
+
+
 def eval_mixed(sigma: Label, rho: DensityMatrix, method: str = "einsum") -> complex:
     """Invariant value for a mixed-state label (r = k entries)."""
     sigma = as_tuple(sigma)
-    if sigma.r != rho.k:
-        raise ValueError(f"label arity {sigma.r} does not match {rho.k} subsystems")
+    _check_arity(sigma.r, rho.k, "mixed")
     _guard_eval(math.prod(rho.dims), sigma.m, method)
     if method == "einsum":
-        return _mixed_einsum(sigma, rho)
+        return complex(_mixed_plan(sigma, rho.dims)(*[rho.tensor()] * sigma.m))
     if method == "loop":
         return _mixed_loop(sigma, rho)
     raise ValueError(f"unknown method {method!r}")
@@ -96,49 +102,54 @@ def eval_mixed(sigma: Label, rho: DensityMatrix, method: str = "einsum") -> comp
 def eval_pure(sigma: Label, psi: PureState, method: str = "einsum") -> complex:
     """Invariant value for a pure-state label (r = k-1 entries)."""
     sigma = as_tuple(sigma)
-    if sigma.r != psi.k - 1:
-        raise ValueError(f"label arity {sigma.r} does not match {psi.k} subsystems (need k-1)")
+    _check_arity(sigma.r, psi.k, "pure")
     _guard_eval(math.prod(psi.dims), sigma.m, method)
     if method == "einsum":
-        return _pure_einsum(sigma, psi)
+        amp, m = psi.amplitudes, sigma.m
+        return complex(_pure_plan(sigma, psi.dims)(*[amp] * m, *[amp.conj()] * m))
     if method == "loop":
         return _pure_loop(sigma, psi)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _stack_dims(states: Sequence, arity: int, extra: int) -> tuple[int, ...]:
-    """The common dims of a non-empty stack of states, checked against a
-    label arity of len(dims) - extra."""
-    if not states:
+def _checked_stack(sigma: PermTuple, kind: str, dims: Sequence[int],
+                   stack) -> tuple[tuple[int, ...], np.ndarray]:
+    """dims, checked against the guard, and a non-empty stack on them as a
+    complex array: amplitudes (n, *dims) for kind "pure", (n, N, N) matrices
+    for "mixed"; the label arity must be k - 1 or k."""
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    dims = check_dims(dims)
+    stack = np.asarray(stack, dtype=complex)
+    size = math.prod(dims)
+    shape = dims if kind == "pure" else (size, size)
+    if stack.shape[1:] != shape:
+        raise ValueError(f"a {kind} stack on dims {dims} has shape (n,) + {shape}, "
+                         f"not {stack.shape}")
+    if not len(stack):
         raise ValueError("a batch needs at least one state")
-    dims = states[0].dims
-    if any(state.dims != dims for state in states):
-        got = sorted({state.dims for state in states})
-        raise ValueError(f"states of a batch must share dims; got {got}")
-    if arity != len(dims) - extra:
-        need = "k-1" if extra else "k"
-        raise ValueError(
-            f"label arity {arity} does not match {len(dims)} subsystems (need {need})")
-    return dims
+    _check_arity(sigma.r, len(dims), kind)
+    return dims, stack
 
 
-def eval_mixed_batch(sigma: Label, rhos: Sequence[DensityMatrix]) -> np.ndarray:
-    """eval_mixed of one label on each of a stack of density matrices with
-    equal dims, as a complex array of shape (n,) from one plan call."""
+def eval_mixed_batch(sigma: Label, dims: Sequence[int], rhos: np.ndarray) -> np.ndarray:
+    """eval_mixed of one label on each of a stack of density matrices on
+    dims, an (n, N, N) array, as a complex array of shape (n,) from one plan
+    call."""
     sigma = as_tuple(sigma)
-    dims = _stack_dims(rhos, sigma.r, 0)
-    stack = np.stack([rho.tensor() for rho in rhos])
+    dims, rhos = _checked_stack(sigma, "mixed", dims, rhos)
+    stack = rhos.reshape((len(rhos),) + dims + dims)
     return _mixed_plan(sigma, dims, len(rhos))(*[stack] * sigma.m)
 
 
-def eval_pure_batch(sigma: Label, psis: Sequence[PureState]) -> np.ndarray:
-    """eval_pure of one label on each of a stack of pure states with equal
-    dims, as a complex array of shape (n,) from one plan call."""
+def eval_pure_batch(sigma: Label, dims: Sequence[int], psis: np.ndarray) -> np.ndarray:
+    """eval_pure of one label on each of a stack of pure states on dims, an
+    (n, *dims) array of amplitudes, as a complex array of shape (n,) from one
+    plan call."""
     sigma = as_tuple(sigma)
-    dims = _stack_dims(psis, sigma.r, 1)
-    stack = np.stack([psi.amplitudes for psi in psis])
+    dims, psis = _checked_stack(sigma, "pure", dims, psis)
     m = sigma.m
-    return _pure_plan(sigma, dims, len(psis))(*[stack] * m, *[stack.conj()] * m)
+    return _pure_plan(sigma, dims, len(psis))(*[psis] * m, *[psis.conj()] * m)
 
 
 def eval_pure_via_mixed(sigma: Label, psi: PureState, rtol: float = 1e-10) -> complex:
@@ -195,16 +206,6 @@ def _pure_plan(sigma: PermTuple, dims: tuple[int, ...], batch: int | None = None
         cols = [(j, sigma.perms[j - 1](l)) for j in range(1, k)]
         subscripts.append(cols + [(k, l)])
     return _batched(subscripts, [dims] * (2 * m), batch)
-
-
-def _mixed_einsum(sigma: PermTuple, rho: DensityMatrix) -> complex:
-    return complex(_mixed_plan(sigma, rho.dims)(*[rho.tensor()] * sigma.m))
-
-
-def _pure_einsum(sigma: PermTuple, psi: PureState) -> complex:
-    amp = psi.amplitudes
-    m = sigma.m
-    return complex(_pure_plan(sigma, psi.dims)(*[amp] * m, *[amp.conj()] * m))
 
 
 # -- naive loop strategy -------------------------------------------------------

@@ -332,7 +332,8 @@ def purify(rho: DensityMatrix, tol: float = 1e-12) -> PureState:
 
     Raises ValueError if rho has an eigenvalue below -1e-9 * ||rho||.
     """
-    return _purify_stack(rho.entries[None], rho.dims, tol)[0]
+    amps = _purify_stack(rho.entries[None], rho.dims, tol)[0]
+    return PureState(amps.shape, amps)
 
 
 # -- stacks of samples ---------------------------------------------------------
@@ -403,15 +404,18 @@ def _rotate_mixed_stack(rhos: np.ndarray, dims: tuple[int, ...],
     return t.reshape(rhos.shape)
 
 
-def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...], tol: float = 1e-12) -> list[PureState]:
+def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...], tol: float = 1e-12) -> np.ndarray:
     """purify for each of a stack of matrices (n, N, N) on dims, with one
-    batched eigh; the ranks, and so the purifications' dims, may differ."""
+    batched eigh, as one amplitude stack (n, *dims, top).  The ranks may
+    differ: each purification fills the first rank columns of its last
+    subsystem, and top is the largest rank (1 for an empty stack).  Zero
+    columns leave every invariant unchanged."""
     h = (rhos + rhos.conj().swapaxes(1, 2)) / 2
     asymmetry = np.abs(h - rhos).max(axis=(1, 2))
     size = np.abs(rhos).max(axis=(1, 2))
     if (asymmetry > 1e-9 * np.maximum(size, 1e-300)).any():
         raise ValueError("purify requires a Hermitian matrix")
-    out = []
+    columns = []
     for vals, vecs in zip(*np.linalg.eigh(h)):
         scale = max(float(np.abs(vals).max()), 1e-300)
         if vals.min() < -1e-9 * scale:
@@ -419,10 +423,13 @@ def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...], tol: float = 1e-12) -
                 f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
         rank = max(int((vals > tol * scale).sum()), 1)
         order = np.argsort(vals)[::-1][:rank]
-        # C order: the batched engines' rounding depends on operand layout
-        amp = np.ascontiguousarray(vecs[:, order] * np.sqrt(np.maximum(vals[order], 0.0)))
-        out.append(PureState(dims + (rank,), amp.reshape(dims + (rank,))))
-    return out
+        columns.append((vecs[:, order], np.sqrt(np.maximum(vals[order], 0.0))))
+    top = max((len(weights) for _, weights in columns), default=1)
+    # one fresh C-order stack: the batched engines' rounding depends on layout
+    out = np.zeros((len(rhos), math.prod(dims), top), dtype=complex)
+    for amp, (vecs, weights) in zip(out, columns):
+        amp[:, : len(weights)] = vecs * weights
+    return out.reshape((len(rhos),) + dims + (top,))
 
 
 # -- state files --------------------------------------------------------------

@@ -9,11 +9,13 @@ grade m <= min(n_j); algebraic independence of the transitive generators is
 a statement about the limit of growing local dimensions and is not
 numerically testable, so it is out of scope here (the reports say so).
 
-Every numeric check runs on stacks: each sample is drawn from its own seed,
-then normalization, Haar rotations and purifications run once per stack, and
-each label is evaluated once per stack through the batched engines and
-closed forms.  The checks then walk (sample, label) in a fixed order, so the
-worst residual and its witness do not depend on the batching.
+Every numeric check runs on stacks.  It checks its dims against the
+dimension guard before it draws anything.  Each sample is drawn from its own
+seed; normalization, Haar rotations and purifications then run once per
+stack.  Each label is evaluated once per stack by the batched engines and
+closed forms, which take the drawn arrays as they are.  The checks then walk
+(sample, label) in a fixed order, so the worst residual and its witness do
+not depend on the batching.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .closedform import closed_form_batch
 from .contract import InvariantSpec, eval_mixed_batch, eval_pure_batch
 from .perms import enumerate_orbits, format_label, generator_labels, sim_decompose
 from .states import (
-    DensityMatrix,
-    PureState,
     _density_stack,
     _projector_stack,
     _pure_stack,
@@ -39,6 +39,7 @@ from .states import (
     _rotate_mixed_stack,
     _rotate_stack,
     _unitary_stacks,
+    check_dims,
 )
 
 #: The public names, which ``luinv`` also exports
@@ -84,17 +85,11 @@ def _unit_densities(dims: tuple[int, ...], seeds: Sequence[int], rank=None) -> n
     return rhos / np.abs(np.trace(rhos, axis1=1, axis2=2))[:, None, None]
 
 
-def _pure_states(dims: tuple[int, ...], amps: np.ndarray) -> list[PureState]:
-    return [PureState(dims, amp) for amp in amps]
-
-
-def _density_states(dims: tuple[int, ...], rhos: np.ndarray) -> list[DensityMatrix]:
-    return [DensityMatrix(dims, rho) for rho in rhos]
-
-
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[0], b[0], a[1], b[1], ... as one stack."""
-    return np.stack([a, b], axis=1).reshape((2 * len(a),) + a.shape[1:])
+    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
 
 
 def all_specs(dims: Sequence[int], grades: Iterable[int] = (1, 2, 3)) -> list[InvariantSpec]:
@@ -109,17 +104,16 @@ def all_specs(dims: Sequence[int], grades: Iterable[int] = (1, 2, 3)) -> list[In
     return specs
 
 
-def _contracted(label, kind: str, states: Sequence) -> np.ndarray:
-    batch = eval_pure_batch if kind == "pure" else eval_mixed_batch
-    return batch(label, states)
-
-
-def _values(label, kind: str, states: Sequence, batch=_contracted) -> list[complex]:
-    """The label's values on a stack of states of one kind (none for none),
-    by the contraction engines or by another batch(label, kind, states)."""
-    if not states:
+def _values(label, kind: str, dims: tuple[int, ...], stack: np.ndarray,
+            closed: bool = False) -> list[complex]:
+    """The label's values on a stack of states of one kind on dims (none for
+    none), by the contraction engines or by the closed forms."""
+    if not len(stack):
         return []
-    return batch(label, kind, states).tolist()
+    if closed:
+        return closed_form_batch(label, kind, dims, stack).tolist()
+    batch = eval_pure_batch if kind == "pure" else eval_mixed_batch
+    return batch(label, dims, stack).tolist()
 
 
 def check_lu_invariance(
@@ -130,18 +124,18 @@ def check_lu_invariance(
     tolerance: float = 1e-9,
 ) -> VerifyReport:
     """Relative drift of every invariant under Haar-random local rotations."""
-    dims = tuple(dims)
+    dims = check_dims(dims)
     if specs is None:
         specs = all_specs(dims)
     psis = _unit_pures(dims, [seed * 100_003 + 2 * i for i in range(samples)])
     rhos = _unit_densities(dims, [seed * 100_003 + 2 * i + 1 for i in range(samples)])
     us = _unitary_stacks(dims, [seed * 900_001 + i for i in range(samples)])
     stacks = {
-        "pure": _pure_states(dims, _interleave(psis, _rotate_stack(psis, us))),
-        "mixed": _density_states(dims, _interleave(rhos, _rotate_mixed_stack(rhos, dims, us))),
+        "pure": _interleave(psis, _rotate_stack(psis, us)),
+        "mixed": _interleave(rhos, _rotate_mixed_stack(rhos, dims, us)),
     }
     # values[spec][2 i] on sample i, values[spec][2 i + 1] on its rotation
-    values = [_values(spec.label, spec.kind, stacks[spec.kind]) for spec in specs]
+    values = [_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs]
     worst = 0.0
     witness = None
     for i in range(samples):
@@ -172,18 +166,15 @@ def check_linear_independence(
 ) -> VerifyReport:
     """Numerical rank of the label-by-state value matrix over 2D random
     states.  Full rank is expected (and asserted) when m <= min(n_j)."""
-    dims = tuple(dims)
+    dims = check_dims(dims)
     k = len(dims)
     r = k - 1 if kind == "pure" else k
     labels = enumerate_orbits(m, r)
     d = len(labels)
     n_states = 2 * d
     seeds = [seed * 77_041 + i for i in range(n_states)]
-    if kind == "pure":
-        states = _pure_states(dims, _unit_pures(dims, seeds))
-    else:
-        states = _density_states(dims, _unit_densities(dims, seeds))
-    matrix = np.array([_values(lab, kind, states) for lab in labels])
+    states = _unit_pures(dims, seeds) if kind == "pure" else _unit_densities(dims, seeds)
+    matrix = np.array([_values(lab, kind, dims, states) for lab in labels])
     sv = np.linalg.svd(matrix, compute_uv=False)
     rank = int((sv > sv_threshold * sv[0]).sum())
     expect_full = m <= min(dims)
@@ -217,19 +208,16 @@ def check_class_consistency(
     take different values for at least one sample; absence of a witness is
     recorded as inconclusive.
     """
-    if dims is None:
-        dims = (2,) * k
-    dims = tuple(dims)
+    dims = check_dims((2,) * k if dims is None else dims)
     worst = 0.0
     witness = None
     split_results = []
-    pis = _projector_stack(_unit_pures(dims, [seed * 61_543 + i for i in range(5)]))
-    projectors = _density_states(dims, pis)
-    rhos = _density_states(dims, _unit_densities(dims, [seed * 44_497 + i for i in range(20)]))
+    projectors = _projector_stack(_unit_pures(dims, [seed * 61_543 + i for i in range(5)]))
+    rhos = _unit_densities(dims, [seed * 44_497 + i for i in range(20)])
     for lab in enumerate_orbits(m, k - 1):
         split = sim_decompose(lab.rep)
         assert split.anchor.rep.perms[-1].is_identity()
-        member_vals = [_values(member, "mixed", projectors) for member in split.members]
+        member_vals = [_values(member, "mixed", dims, projectors) for member in split.members]
         for i in range(len(projectors)):
             vals = [row[i] for row in member_vals]
             ref = vals[0]
@@ -237,7 +225,7 @@ def check_class_consistency(
             if spread > worst:
                 worst = spread
                 witness = {"label": format_label(lab.rep), "sample": i, "spread": spread}
-        rho_vals = [_values(member, "mixed", rhos) for member in split.members]
+        rho_vals = [_values(member, "mixed", dims, rhos) for member in split.members]
         separated = 0
         pairs = 0
         for a in range(len(split.members)):
@@ -275,7 +263,7 @@ def check_purification(
 ) -> VerifyReport:
     """f(rho) equals the embedded pure invariant of a purification of rho,
     for every mixed label of grade m."""
-    dims = tuple(dims)
+    dims = check_dims(dims)
     labels = enumerate_orbits(m, len(dims))
     total_dim = math.prod(dims)
     ranks = [1 + (i % total_dim) for i in range(samples)]
@@ -283,17 +271,10 @@ def check_purification(
     for rank in sorted(set(ranks)):
         members = [i for i in range(samples) if ranks[i] == rank]
         stack[members] = _unit_densities(dims, [seed * 52_361 + i for i in members], rank)
-    rhos = _density_states(dims, stack)
-    # the purifications' ranks differ; zero columns up to the largest rank
-    # leave every invariant unchanged and give one pure stack
-    phis = _purify_stack(stack, dims)
-    top = max((phi.dims[-1] for phi in phis), default=1)
-    amps = np.zeros((samples,) + dims + (top,), dtype=complex)
-    for amp, phi in zip(amps, phis):
-        amp[..., : phi.dims[-1]] = phi.amplitudes
-    padded = _pure_states(dims + (top,), amps)
-    mixed_vals = [_values(lab, "mixed", rhos) for lab in labels]
-    pure_vals = [_values(lab, "pure", padded) for lab in labels]
+    # the purifications' ranks differ: one stack, zero-padded to the largest
+    amps = _purify_stack(stack, dims)
+    mixed_vals = [_values(lab, "mixed", dims, stack) for lab in labels]
+    pure_vals = [_values(lab, "pure", amps.shape[1:], amps) for lab in labels]
     worst = 0.0
     witness = None
     for i, rank in enumerate(ranks):
@@ -351,18 +332,16 @@ def check_closed_forms(
 ) -> VerifyReport:
     """Closed-form evaluators against the contraction evaluator on random
     states, every label of grades 1-3, both kinds."""
-    dims = tuple(dims)
+    dims = check_dims(dims)
     worst = 0.0
     witness = None
     specs = all_specs(dims)
     stacks = {
-        "pure": _pure_states(dims, _unit_pures(
-            dims, [seed * 39_989 + 2 * i for i in range(samples)])),
-        "mixed": _density_states(dims, _unit_densities(
-            dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)])),
+        "pure": _unit_pures(dims, [seed * 39_989 + 2 * i for i in range(samples)]),
+        "mixed": _unit_densities(dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)]),
     }
-    values = [_values(spec.label, spec.kind, stacks[spec.kind]) for spec in specs]
-    closed = [_values(spec.label, spec.kind, stacks[spec.kind], closed_form_batch)
+    values = [_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs]
+    closed = [_values(spec.label, spec.kind, dims, stacks[spec.kind], closed=True)
               for spec in specs]
     for i in range(samples):
         for spec, vals, closed_vals in zip(specs, values, closed):

@@ -56,13 +56,15 @@ def test_criterion_03_oracle_equivalence():
         k = len(dims)
         pures = [S.random_pure(dims, seed=1000 * k + i) for i in range(n_states)]
         mixeds = [S.random_density(dims, seed=2000 * k + i) for i in range(n_states)]
+        stacks = {"pure": np.stack([psi.amplitudes for psi in pures]),
+                  "mixed": np.stack([rho.entries for rho in mixeds])}
         for m in (1, 2, 3):
             for kind, arity, states, oracle in [("pure", k - 1, pures, C.eval_pure),
                                                 ("mixed", k, mixeds, C.eval_mixed)]:
                 for lab in P.enumerate_orbits(m, arity):
                     # one closed-form call per (label, kind, dims); the oracle
                     # contracts state by state
-                    closed = F.closed_form_batch(lab, kind, states)
+                    closed = F.closed_form_batch(lab, kind, dims, stacks[kind])
                     for state, value in zip(states, closed):
                         r = relerr(complex(value), oracle(lab, state))
                         if r > worst:

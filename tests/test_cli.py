@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import luinv
+from luinv import cli
 from luinv import states as S
 from luinv.cli import build_parser, main
 from luinv.perms import MAX_GRADE
@@ -115,6 +116,22 @@ class TestEval:
         assert abs(doc["value"][1]) < 1e-12
         assert doc["relative_difference"] < 1e-10
         assert doc["contract"] == doc["value"]
+
+    def test_text_rounds_to_12_digits_of_the_modulus(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        S.save_state(S.random_density((2, 2), seed=0), path)
+        code, out, _ = run(capsys, "eval", "--label", "t,s", "--kind", "mixed",
+                           "--state", str(path))
+        assert code == 0
+        # the parts are 2814.95817133374 and -7.6e-16: the noise rounds away
+        assert "contract     : 2814.95817133+0j\n" in out
+        assert "closed form  : 2814.95817133+0j\n" in out
+
+    def test_rounding_of_parts(self):
+        assert cli._rounded(2 + 9.73443547991337e-13j) == "2+0j"
+        assert cli._rounded(-1.5e-20 - 3.00000000000049e-8j) == "0-3e-08j"
+        assert cli._rounded(0.1234567890123456 + 1e3j) == "0.12345679+1000j"
+        assert cli._rounded(0j) == "0+0j"
 
     def test_norm_label(self, capsys, ghz_file):
         code, out, _ = run(capsys, "eval", "--label", "e,e", "--m", "1",

@@ -246,8 +246,13 @@ class TestDispatcher:
 
 
 def sample_stack(kind, dims, n, seed):
-    sample = unit_pure if kind == "pure" else unit_density
-    return [sample(dims, seed + i) for i in range(n)]
+    """n unit states and their data as one array: amplitudes (n, *dims) for
+    kind "pure", matrices (n, N, N) for "mixed"."""
+    if kind == "pure":
+        states = [unit_pure(dims, seed + i) for i in range(n)]
+        return states, np.stack([psi.amplitudes for psi in states])
+    states = [unit_density(dims, seed + i) for i in range(n)]
+    return states, np.stack([rho.entries for rho in states])
 
 
 class TestBatch:
@@ -255,14 +260,14 @@ class TestBatch:
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
     def test_matches_per_state(self, dims, kind, n):
-        states = sample_stack(kind, dims, n, seed=300)
+        states, stack = sample_stack(kind, dims, n, seed=300)
         r = len(dims) - 1 if kind == "pure" else len(dims)
         engine = C.eval_pure_batch if kind == "pure" else C.eval_mixed_batch
         for m in (1, 2, 3):
             for lab in P.enumerate_orbits(m, r):
-                got = F.closed_form_batch(lab, kind, states)
+                got = F.closed_form_batch(lab, kind, dims, stack)
                 assert got.shape == (n,)
-                contracted = engine(lab, states)
+                contracted = engine(lab, dims, stack)
                 for i, state in enumerate(states):
                     name = P.format_label(lab.rep)
                     assert relerr(got[i], F.closed_form(lab, kind, state)) < 1e-12, name
@@ -270,19 +275,36 @@ class TestBatch:
 
     def test_rejects_bad_stacks(self):
         lab = P.perm_tuple(3, "t", "s")
+        _, rhos = sample_stack("mixed", (2, 2), 2, seed=0)
+        _, psis = sample_stack("pure", (2, 2), 2, seed=2)
         with pytest.raises(ValueError, match="at least one state"):
-            F.closed_form_batch(lab, "mixed", [])
-        with pytest.raises(ValueError, match="share dims"):
-            F.closed_form_batch(lab, "mixed", [S.random_density((2, 2), seed=0),
-                                               S.random_density((2, 3), seed=1)])
+            F.closed_form_batch(lab, "mixed", (2, 2), rhos[:0])
+        with pytest.raises(ValueError, match="shape"):
+            F.closed_form_batch(lab, "mixed", (2, 3), rhos)
+        with pytest.raises(ValueError, match="shape"):
+            F.closed_form_batch(lab, "mixed", (2, 2), rhos[0])
+        with pytest.raises(ValueError, match="shape"):
+            F.closed_form_batch(lab, "mixed", (2, 2), psis)
+        with pytest.raises(ValueError, match="positive"):
+            F.closed_form_batch(lab, "mixed", (4, 0), rhos)
         with pytest.raises(ValueError, match="arity"):
-            F.closed_form_batch(lab, "mixed", [S.random_density((2, 2, 2), seed=2)])
+            F.closed_form_batch(lab, "mixed", (4,), rhos)
         with pytest.raises(ValueError, match="arity"):
-            F.closed_form_batch(lab, "pure", [S.random_pure((2, 2), seed=3)])
+            F.closed_form_batch(lab, "pure", (2, 2), psis)
         with pytest.raises(ValueError, match="kind"):
-            F.closed_form_batch(lab, "both", [S.random_density((2, 2), seed=4)])
-        with pytest.raises(TypeError):
-            F.closed_form_batch(lab, "mixed", [S.random_pure((2, 2), seed=5)])
+            F.closed_form_batch(lab, "both", (2, 2), rhos)
+        with pytest.raises(ValueError, match="no closed form"):
+            F.closed_form_batch(P.parse_label("[2,3,4,1],[1,2,3,4]", 4), "mixed", (2, 2), rhos)
+
+    def test_dims_over_the_guard_are_refused(self, monkeypatch):
+        lab = P.perm_tuple(3, "t", "s")
+        _, rhos = sample_stack("mixed", (2, 2), 2, seed=0)
+        _, psis = sample_stack("pure", (2, 2, 2), 2, seed=2)
+        monkeypatch.setattr(S, "_dim_limit", 3)
+        with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+            F.closed_form_batch(lab, "mixed", (2, 2), rhos)
+        with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+            F.closed_form_batch(lab, "pure", (2, 2, 2), psis)
 
     def test_one_program_per_label_kind_and_dims(self):
         rho = S.random_density((2, 3), seed=320)
@@ -322,12 +344,25 @@ class TestBatch:
         assert compile_plan.cache_info().misses > misses
         assert relerr(value, C.eval_mixed(lab, rho)) < 1e-10
 
+    def test_program_keeps_its_last_plan(self):
+        rho = S.random_density((2, 3), seed=350)
+        (program,) = F._programs(P.perm_tuple(3, "s", "t"), "mixed", (2, 3))
+        stack = np.stack([rho.entries] * 3)
+        first = program(stack)
+        lookups = compile_plan.cache_info()
+        assert np.array_equal(program(stack), first)
+        assert compile_plan.cache_info() == lookups  # no plan cache lookup
+        program(stack[:2])
+        after = compile_plan.cache_info()
+        assert after.hits + after.misses == lookups.hits + lookups.misses + 1
+        assert np.array_equal(program(stack), first)
+
     def test_pure_m2_writings_checked_on_a_stack(self):
-        states = sample_stack("pure", (2, 2, 2), 3, seed=310)
+        states, stack = sample_stack("pure", (2, 2, 2), 3, seed=310)
         lab = P.perm_tuple(2, "t", "e")
-        F.closed_form_batch(lab, "pure", states)
+        F.closed_form_batch(lab, "pure", (2, 2, 2), stack)
         with pytest.raises(VerificationError, match="writings disagree"):
-            F.closed_form_batch(lab, "pure", states, rtol=-1.0)
+            F.closed_form_batch(lab, "pure", (2, 2, 2), stack, rtol=-1.0)
         with pytest.raises(VerificationError, match="writings disagree"):
             F.pure_m2(lab, states[0], rtol=-1.0)
 

@@ -233,44 +233,51 @@ class TestPlan:
 
 
 
+def stacks(dims, n, seed):
+    """n random density matrices (n, N, N) and n random pure states
+    (n, *dims) as arrays, with the state objects they hold."""
+    rhos = [random_density(dims, seed=seed + i) for i in range(n)]
+    psis = [random_pure(dims, seed=seed + 20 + i) for i in range(n)]
+    return (np.stack([rho.entries for rho in rhos]), rhos,
+            np.stack([psi.amplitudes for psi in psis]), psis)
+
+
 class TestBatchedEngines:
     @pytest.mark.parametrize("dims,grades", [((2, 2), (1, 2, 3, 4)), ((3, 3), (1, 2, 3)),
                                              ((2, 2, 2), (1, 2, 3))])
     @pytest.mark.parametrize("n", [1, 7])
     def test_matches_per_state_engines(self, dims, grades, n):
         k = len(dims)
-        rhos = [random_density(dims, seed=20 + i) for i in range(n)]
-        psis = [random_pure(dims, seed=40 + i) for i in range(n)]
+        rho_stack, rhos, psi_stack, psis = stacks(dims, n, seed=20)
         for m in grades:
             for lab in enumerate_orbits(m, k):
-                got = contract.eval_mixed_batch(lab, rhos)
+                got = contract.eval_mixed_batch(lab, dims, rho_stack)
                 assert got.shape == (n,) and got.dtype == complex
                 for value, rho in zip(got, rhos):
                     assert relerr(value, contract.eval_mixed(lab, rho)) < 1e-12, lab
             for lab in enumerate_orbits(m, k - 1):
-                got = contract.eval_pure_batch(lab, psis)
+                got = contract.eval_pure_batch(lab, dims, psi_stack)
                 assert got.shape == (n,) and got.dtype == complex
                 for value, psi in zip(got, psis):
                     assert relerr(value, contract.eval_pure(lab, psi)) < 1e-12, lab
 
     def test_one_plan_per_label_dims_and_size(self):
         lab = enumerate_orbits(3, 2)[5].rep
-        rhos = [random_density((2, 2), seed=i) for i in range(3)]
-        contract.eval_mixed_batch(lab, rhos)
+        rhos, _, psis, _ = stacks((2, 2), 3, seed=0)
+        contract.eval_mixed_batch(lab, (2, 2), rhos)
         three = contract._mixed_plan(lab, (2, 2), 3)
         assert three.shapes == ((3, 2, 2, 2, 2),) * 3
         hits = contract._mixed_plan.cache_info().hits
-        contract.eval_mixed_batch(lab, [rhos[2], rhos[0], rhos[1]])
+        contract.eval_mixed_batch(lab, [2, 2], rhos[[2, 0, 1]])
         assert contract._mixed_plan.cache_info().hits == hits + 1
         assert contract._mixed_plan(lab, (2, 2), 3) is three
-        contract.eval_mixed_batch(lab, rhos[:2])
+        contract.eval_mixed_batch(lab, (2, 2), rhos[:2])
         two = contract._mixed_plan(lab, (2, 2), 2)
         assert two is not three and two.shapes == ((2, 2, 2, 2, 2),) * 3
         assert contract._mixed_plan(lab, (2, 2)) not in (two, three)
 
-        psis = [random_pure((2, 2), seed=i) for i in range(3)]
         pure = enumerate_orbits(3, 1)[1].rep
-        contract.eval_pure_batch(pure, psis)
+        contract.eval_pure_batch(pure, (2, 2), psis)
         assert contract._pure_plan(pure, (2, 2), 3).shapes == ((3, 2, 2),) * 6
         assert contract._pure_plan(pure, (2, 2), 3) is contract._pure_plan(pure, (2, 2), 3)
 
@@ -279,7 +286,7 @@ class TestBatchedEngines:
         rho = random_density((2, 2), seed=12)
         value = contract.eval_mixed(lab, rho)
         unbatched = contract._mixed_plan(lab.rep, (2, 2))
-        contract.eval_mixed_batch(lab, [rho] * 4)
+        contract.eval_mixed_batch(lab, rho.dims, np.stack([rho.entries] * 4))
         hits = contract._mixed_plan.cache_info().hits
         assert contract.eval_mixed(lab, rho) == value
         assert contract._mixed_plan.cache_info().hits == hits + 1
@@ -288,16 +295,31 @@ class TestBatchedEngines:
 
     def test_bad_stacks_are_rejected(self):
         mixed, pure = enumerate_orbits(2, 2)[1], enumerate_orbits(2, 1)[1]
-        rho, psi = random_density((2, 2), seed=0), random_pure((2, 2), seed=0)
-        for call, lab, state, other in (
-            (contract.eval_mixed_batch, mixed, rho, random_density((2, 3), seed=1)),
-            (contract.eval_pure_batch, pure, psi, random_pure((2, 3), seed=1)),
-        ):
+        rhos, _, psis, _ = stacks((2, 2), 2, seed=0)
+        for call, lab, stack in ((contract.eval_mixed_batch, mixed, rhos),
+                                 (contract.eval_pure_batch, pure, psis)):
             with pytest.raises(ValueError, match="at least one"):
-                call(lab, [])
-            with pytest.raises(ValueError, match="share dims"):
-                call(lab, [state, other])
+                call(lab, (2, 2), stack[:0])
+            with pytest.raises(ValueError, match="shape"):
+                call(lab, (2, 3), stack)
+            with pytest.raises(ValueError, match="shape"):
+                call(lab, (2, 2), stack[0])
+            with pytest.raises(ValueError, match="positive"):
+                call(lab, (2, 0), stack)
+        with pytest.raises(ValueError, match="shape"):
+            contract.eval_mixed_batch(mixed, (2, 2), psis)
+        with pytest.raises(ValueError, match="shape"):
+            contract.eval_pure_batch(pure, (2, 2), rhos)
         with pytest.raises(ValueError, match="arity"):
-            contract.eval_mixed_batch(pure, [rho])
+            contract.eval_mixed_batch(pure, (2, 2), rhos)
         with pytest.raises(ValueError, match="arity"):
-            contract.eval_pure_batch(mixed, [psi])
+            contract.eval_pure_batch(mixed, (2, 2), psis)
+
+    def test_dims_over_the_guard_are_refused(self, monkeypatch):
+        mixed, pure = enumerate_orbits(2, 2)[1], enumerate_orbits(2, 1)[1]
+        rhos, _, psis, _ = stacks((2, 2), 2, seed=0)
+        monkeypatch.setattr(states, "_dim_limit", 3)
+        with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+            contract.eval_mixed_batch(mixed, (2, 2), rhos)
+        with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+            contract.eval_pure_batch(pure, (2, 2), psis)

@@ -368,13 +368,16 @@ class TestStacks:
         # ranks 1..4 in one stack: the purifications' dims differ
         rhos = np.stack([S.random_density(dims, seed, rank=1 + i % 4).entries
                          for i, seed in enumerate(SEEDS)])
-        phis = S._purify_stack(rhos, dims)
-        for i, phi in enumerate(phis):
+        amps = S._purify_stack(rhos, dims)
+        assert amps.shape == (len(SEEDS),) + dims + (4,) and amps.flags.c_contiguous
+        for i, amp in enumerate(amps):
             want = ref_purify(rhos[i], dims)
-            assert phi.dims == want.shape
-            assert np.array_equal(phi.amplitudes, want)
+            rank = want.shape[-1]
+            assert np.array_equal(amp[..., :rank], want)
+            assert not amp[..., rank:].any()
+            phi = S.purify(S.DensityMatrix(dims, rhos[i]))
+            assert phi.dims == want.shape and np.array_equal(phi.amplitudes, want)
             assert phi.amplitudes.flags.c_contiguous
-            assert np.array_equal(S.purify(S.DensityMatrix(dims, rhos[i])).amplitudes, want)
 
     def test_empty_stacks(self):
         dims = (2, 3)
@@ -385,7 +388,7 @@ class TestStacks:
         assert [u.shape for u in stacks] == [(0, 2, 2), (0, 3, 3)]
         assert S._rotate_stack(S._pure_stack(dims, []), stacks).shape == (0, 2, 3)
         assert S._rotate_mixed_stack(S._density_stack(dims, []), dims, stacks).shape == (0, 6, 6)
-        assert S._purify_stack(S._density_stack(dims, []), dims) == []
+        assert S._purify_stack(S._density_stack(dims, []), dims).shape == (0, 2, 3, 1)
 
 
 class TestStateFiles:

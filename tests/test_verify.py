@@ -1,8 +1,16 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from luinv import states as S
 from luinv import verify as V
+from luinv.cli import main
+from luinv.errors import ResourceLimitError
+
+#: The suites that draw samples and evaluate labels on them.
+NUMERIC_SUITES = ("lu", "closed", "independence", "classes", "purification")
 
 
 class TestReports:
@@ -84,3 +92,59 @@ class TestSuites:
         assert {"counts", "lu_invariance", "closed_forms", "linear_independence",
                 "class_consistency", "purification"} <= names
         assert all(r.passed for r in reports)
+
+
+class TestStacks:
+    def test_suites_build_no_state_objects_and_stack_nothing(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        # the two routes to a state object, and np.stack
+        for cls in (S.PureState, S.DensityMatrix):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(S.DensityMatrix, "_derived",
+                            counted("DensityMatrix", S.DensityMatrix._derived))
+        monkeypatch.setattr(np, "stack", counted("np.stack", np.stack))
+        for suite in NUMERIC_SUITES:
+            assert all(rep.passed for rep in V.run_suite(suite, dims=(2, 2))), suite
+        assert calls == Counter()
+        # the counters see what they count
+        S.projector(S.random_pure((2,), seed=0))
+        np.stack([np.zeros(1)])
+        assert calls == Counter({"PureState": 1, "DensityMatrix": 1, "np.stack": 1})
+
+
+class TestDimGuard:
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        for sampler in ("_pure_stack", "_density_stack", "_unitary_stacks"):
+            monkeypatch.setattr(V, sampler, refuse)
+
+    @pytest.fixture
+    def limit_3(self):
+        previous = S.dim_limit()
+        S.set_dim_limit(3)
+        yield
+        S.set_dim_limit(previous)
+
+    @pytest.mark.parametrize("suite", NUMERIC_SUITES)
+    def test_checked_before_any_draw(self, suite, no_draws, limit_3):
+        with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+            V.run_suite(suite, dims=(2, 2))
+
+    @pytest.mark.parametrize("argv", [
+        ["--dim-limit", "3", "verify", "--suite", "lu", "--dims", "2,2"],
+        ["verify", "--suite", "lu", "--dims", "70,70"],
+        ["verify", "--suite", "all", "--dims", "70,70"],
+    ])
+    def test_cli_exits_3_without_drawing(self, argv, no_draws, capsys):
+        assert main(argv) == 3
+        assert "resource guard" in capsys.readouterr().err
