@@ -14,7 +14,6 @@ from importlib import import_module as _import_module
 
 from .errors import ResourceLimitError, VerificationError
 from .graphs import (
-    InvGraph,
     build_graph,
     canonical_graph,
     connected_components,

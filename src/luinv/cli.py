@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .errors import ResourceLimitError
-from .graphs import build_graph, dot_export, expressible_ordering, graph_to_json
+from .graphs import dot_export, expressible_ordering, graph_to_json
 from .perms import (
     MAX_GRADE,
     canonical_form,
@@ -172,7 +172,6 @@ def cmd_graph(args) -> int:
         if sigma.r != args.k:
             raise ValueError(f"mixed label needs k = {args.k} entries, got {sigma.r}")
         drawn = sigma
-    g = build_graph(drawn)
 
     # without a closed form (m > 3), "none" stands for the formula
     if args.decompose:
@@ -199,14 +198,14 @@ def cmd_graph(args) -> int:
             print(f"{format_label(lab.rep):<24} none")
         emitted = True
     if args.expressible:
-        order = expressible_ordering(g)
+        order = expressible_ordering(drawn)
         print("none" if order is None else ",".join(str(v) for v in order))
         emitted = True
     if args.json:
-        print(graph_to_json(g))
+        print(graph_to_json(drawn))
         emitted = True
     if not emitted:
-        sys.stdout.write(dot_export(g))
+        sys.stdout.write(dot_export(drawn))
     return EXIT_OK
 
 

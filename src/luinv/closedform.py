@@ -4,8 +4,7 @@ Every closed form is the formula text that ``formula_text`` renders,
 compiled once per (syntax tree, dims) into a ``Program``: one contraction
 network, run on a stack of operators by one ``_einsum`` plan call.
 ``closed_form_batch`` evaluates one label's formula once over a stack of n
-states on one dims, an array; ``closed_form`` and the per-grade entry points
-are its batch of one.
+states on one dims, an array; ``closed_form`` is its batch of one.
 
 Grade 1: the full trace.
 
@@ -58,10 +57,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
-from .contract import _check_arity, _checked_stack
+from .contract import _check_arity, _checked_stack, _state_data
 from .errors import ResourceLimitError, VerificationError
 from .perms import Label, OrbitLabel, Perm, PermTuple, as_tuple, canonical_form, identity, sim_decompose
-from .states import DensityMatrix, PureState, _check_subsystems, _projector_stack, projector
+from .states import DensityMatrix, _check_subsystems, _projector_stack, projector
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -70,13 +69,7 @@ __all__ = [
     "closed_form",
     "closed_form_batch",
     "formula_text",
-    "mixed_m1",
-    "mixed_m2",
-    "mixed_m3",
     "parse_formula",
-    "pure_m1",
-    "pure_m2",
-    "pure_m3",
 ]
 
 _TS_IMAGES = (1, 3, 2)   # swap fixing 1
@@ -95,52 +88,10 @@ def has_closed_form(m: int) -> bool:
     return 1 <= m <= MAX_CLOSED_FORM_GRADE
 
 
-def _of_grade(sigma: Label, m: int) -> Label:
-    if as_tuple(sigma).m != m:
-        raise ValueError(f"not an m={m} label")
-    return sigma
-
-
-def mixed_m1(rho: DensityMatrix) -> complex:
-    return closed_form(PermTuple(1, (identity(1),) * rho.k), "mixed", rho)
-
-
-def pure_m1(psi: PureState) -> complex:
-    return closed_form(PermTuple(1, (identity(1),) * (psi.k - 1)), "pure", psi)
-
-
-def mixed_m2(sigma: Label, rho: DensityMatrix) -> complex:
-    """Tr (Tr_{j | sigma_j = e} rho)^2."""
-    return closed_form(_of_grade(sigma, 2), "mixed", rho)
-
-
-def pure_m2(sigma: Label, psi: PureState, rtol: float = 1e-10) -> complex:
-    """Both writings, asserted equal: trace out the last subsystem together
-    with the e-slots, or trace out the t-slots."""
-    return complex(closed_form_batch(_of_grade(sigma, 2), "pure", psi.dims,
-                                     psi.amplitudes[None], rtol)[0])
-
-
-def mixed_m3(sigma: Label, rho: DensityMatrix) -> complex:
-    """Trace of the ordered three-factor product described in the module
-    docstring; entries may be any elements of S_3."""
-    return closed_form(_of_grade(sigma, 3), "mixed", rho)
-
-
-def pure_m3(sigma: Label, psi: PureState) -> complex:
-    """Grade-3 pure formula: the mixed formula applied to |psi><psi| with the
-    identity appended for the singled-out last subsystem (whose indices are
-    contracted inside each psi-conj(psi) pair)."""
-    return closed_form(_of_grade(sigma, 3), "pure", psi)
-
-
 def closed_form(sigma: Label, kind: str, state) -> complex:
     """The grade-1/2/3 closed form of one label on one state: the batch of
     one of closed_form_batch."""
-    cls = PureState if kind == "pure" else DensityMatrix
-    if not isinstance(state, cls):
-        raise TypeError(f"{kind} labels take a {cls.__name__}")
-    data = state.amplitudes if kind == "pure" else state.entries
+    data = _state_data(kind, state)
     return complex(closed_form_batch(sigma, kind, state.dims, data[None])[0])
 
 

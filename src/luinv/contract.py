@@ -73,13 +73,6 @@ class InvariantSpec:
         return self.r + 1 if self.kind == "pure" else self.r
 
 
-def _guard_eval(total_dim: int, m: int, method: str):
-    if method == "loop" and total_dim**m * m > _EVAL_TERM_LIMIT:
-        raise ResourceLimitError(
-            f"naive contraction over {total_dim}^{m} terms exceeds the guard"
-        )
-
-
 def _check_arity(r: int, k: int, kind: str) -> None:
     need = k - 1 if kind == "pure" else k
     if r != need:
@@ -87,28 +80,41 @@ def _check_arity(r: int, k: int, kind: str) -> None:
                          f"(need {'k-1' if kind == 'pure' else 'k'})")
 
 
+def _state_data(kind: str, state) -> np.ndarray:
+    """A state's array for labels of kind: the amplitude tensor of a
+    PureState for "pure", the matrix of a DensityMatrix for "mixed"."""
+    cls = PureState if kind == "pure" else DensityMatrix
+    if not isinstance(state, cls):
+        raise TypeError(f"{kind} labels take a {cls.__name__}")
+    return state.amplitudes if kind == "pure" else state.entries
+
+
 def eval_mixed(sigma: Label, rho: DensityMatrix, method: str = "einsum") -> complex:
     """Invariant value for a mixed-state label (r = k entries)."""
-    sigma = as_tuple(sigma)
-    _check_arity(sigma.r, rho.k, "mixed")
-    _guard_eval(math.prod(rho.dims), sigma.m, method)
-    if method == "einsum":
-        return complex(_mixed_plan(sigma, rho.dims)(*[rho.tensor()] * sigma.m))
-    if method == "loop":
-        return _mixed_loop(sigma, rho)
-    raise ValueError(f"unknown method {method!r}")
+    return _evaluate(sigma, "mixed", rho, method)
 
 
 def eval_pure(sigma: Label, psi: PureState, method: str = "einsum") -> complex:
     """Invariant value for a pure-state label (r = k-1 entries)."""
-    sigma = as_tuple(sigma)
-    _check_arity(sigma.r, psi.k, "pure")
-    _guard_eval(math.prod(psi.dims), sigma.m, method)
+    return _evaluate(sigma, "pure", psi, method)
+
+
+def _evaluate(sigma: Label, kind: str, state, method: str) -> complex:
+    """One label on one state through the unbatched network or the loop."""
+    data = _state_data(kind, state)
+    sigma, dims = as_tuple(sigma), state.dims
+    _check_arity(sigma.r, len(dims), kind)
+    m = sigma.m
     if method == "einsum":
-        amp, m = psi.amplitudes, sigma.m
-        return complex(_pure_plan(sigma, psi.dims)(*[amp] * m, *[amp.conj()] * m))
+        if kind == "pure":
+            return complex(_pure_plan(sigma, dims)(*[data] * m, *[data.conj()] * m))
+        return complex(_mixed_plan(sigma, dims)(*[data.reshape(dims + dims)] * m))
     if method == "loop":
-        return _pure_loop(sigma, psi)
+        total_dim = math.prod(dims)
+        if total_dim**m * m > _EVAL_TERM_LIMIT:
+            raise ResourceLimitError(
+                f"naive contraction over {total_dim}^{m} terms exceeds the guard")
+        return (_pure_loop if kind == "pure" else _mixed_loop)(sigma, dims, data)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -223,10 +229,9 @@ def _index_tables(dims: tuple[int, ...]):
     return n, unravel, strides
 
 
-def _mixed_loop(sigma: PermTuple, rho: DensityMatrix) -> complex:
+def _mixed_loop(sigma: PermTuple, dims: tuple[int, ...], entries: np.ndarray) -> complex:
     m, k = sigma.m, sigma.r
-    n, unravel, strides = _index_tables(rho.dims)
-    entries = rho.entries
+    n, unravel, strides = _index_tables(dims)
     perms = sigma.perms
     total = 0j
     for flat_rows in itertools.product(range(n), repeat=m):
@@ -241,10 +246,10 @@ def _mixed_loop(sigma: PermTuple, rho: DensityMatrix) -> complex:
     return total
 
 
-def _pure_loop(sigma: PermTuple, psi: PureState) -> complex:
-    m, k = sigma.m, psi.k
-    n, unravel, strides = _index_tables(psi.dims)
-    vec = psi.vector()
+def _pure_loop(sigma: PermTuple, dims: tuple[int, ...], amplitudes: np.ndarray) -> complex:
+    m, k = sigma.m, len(dims)
+    n, unravel, strides = _index_tables(dims)
+    vec = amplitudes.reshape(-1)
     cvec = vec.conj()
     perms = sigma.perms
     total = 0j

@@ -1,8 +1,9 @@
 """Invariants as colored directed multigraphs.
 
-A grade-m label with k entries becomes a graph on vertices 1..m with one
-edge per (color, vertex): color j draws an edge with head at l and tail at
-sigma_j(l).  Relabeling vertices is simultaneous conjugation, so unlabeled
+A grade-m label with k entries is a graph on vertices 1..m with one edge
+per (color, vertex): color j draws an edge with head at l and tail at
+sigma_j(l).  A graph is therefore its label's PermTuple, one color per
+entry.  Relabeling vertices is simultaneous conjugation, so unlabeled
 graphs are exactly the conjugation classes, and ``canonical_graph`` is the
 canonical label's key (``canonical_form``) as bytes.
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 from .perms import MAX_GRADE, Perm, PermTuple, canonical_form, orbit_partition
@@ -25,41 +25,23 @@ from .perms import MAX_GRADE, Perm, PermTuple, canonical_form, orbit_partition
 _PALETTE = ("black", "red", "blue", "green", "orange", "purple", "brown", "cyan")
 
 
-@dataclass(frozen=True)
-class InvGraph:
-    """m vertices; one permutation per edge color (in/out degree 1 each)."""
-
-    m: int
-    colors: tuple[Perm, ...]
-
-    def __post_init__(self):
-        for p in self.colors:
-            if p.m != self.m:
-                raise ValueError(f"color grade {p.m} does not match m={self.m}")
-
-    @property
-    def k(self) -> int:
-        return len(self.colors)
+def build_graph(sigma: PermTuple) -> PermTuple:
+    """A label is its graph: vertices 1..m, color j drawn by sigma_j (use
+    embed() first to draw a pure label with its loops of the last color)."""
+    return sigma
 
 
-def build_graph(sigma: PermTuple) -> InvGraph:
-    """Bijective encoding of a label as a graph (use embed() first to draw a
-    pure label with its loops of the last color)."""
-    return InvGraph(sigma.m, sigma.perms)
+graph_tuple = build_graph
 
 
-def graph_tuple(g: InvGraph) -> PermTuple:
-    return PermTuple(g.m, g.colors)
-
-
-def canonical_graph(g: InvGraph) -> bytes:
+def canonical_graph(g: PermTuple) -> bytes:
     """Canonical byte string under vertex relabeling, preserving colors and
     directions: the canonical key of the graph's label (canonical_form), one
     byte per image.  Equal strings iff the graphs are isomorphic."""
-    return bytes(canonical_form(graph_tuple(g)).rep.key())
+    return bytes(canonical_form(g).rep.key())
 
 
-def connected_components(g: InvGraph) -> list[tuple[InvGraph, tuple[int, ...]]]:
+def connected_components(g: PermTuple) -> list[tuple[PermTuple, tuple[int, ...]]]:
     """Components of the underlying undirected multigraph over all colors.
 
     Returns (subgraph, vertices) pairs; each subgraph has its vertices
@@ -68,44 +50,44 @@ def connected_components(g: InvGraph) -> list[tuple[InvGraph, tuple[int, ...]]]:
     colors, so the invariant factorizes over the components.
     """
     out = []
-    for comp in orbit_partition(graph_tuple(g)):
+    for comp in orbit_partition(g):
         index = {v: i + 1 for i, v in enumerate(comp)}
         colors = tuple(
-            Perm(tuple(index[p(v)] for v in comp)) for p in g.colors
+            Perm(tuple(index[p(v)] for v in comp)) for p in g.perms
         )
-        out.append((InvGraph(len(comp), colors), comp))
+        out.append((PermTuple(len(comp), colors), comp))
     return out
 
 
-def dot_export(g: InvGraph, color_names: tuple[str, ...] | None = None) -> str:
+def dot_export(g: PermTuple, color_names: tuple[str, ...] | None = None) -> str:
     """Deterministic DOT text: one node per vertex, one edge per (color,
     vertex) drawn tail -> head."""
     if color_names is None:
-        color_names = tuple(_PALETTE[j % len(_PALETTE)] for j in range(g.k))
-    if len(color_names) != g.k:
-        raise ValueError(f"need {g.k} color names, got {len(color_names)}")
+        color_names = tuple(_PALETTE[j % len(_PALETTE)] for j in range(g.r))
+    if len(color_names) != g.r:
+        raise ValueError(f"need {g.r} color names, got {len(color_names)}")
     lines = ["digraph invariant {"]
     for v in range(1, g.m + 1):
         lines.append(f'  v{v} [shape=circle label="{v}"];')
-    for j, p in enumerate(g.colors):
+    for j, p in enumerate(g.perms):
         for l in range(1, g.m + 1):
             lines.append(f"  v{p(l)} -> v{l} [color={color_names[j]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(g: InvGraph) -> str:
-    return json.dumps({"m": g.m, "colors": [list(p.images) for p in g.colors]})
+def graph_to_json(g: PermTuple) -> str:
+    return json.dumps({"m": g.m, "colors": [list(p.images) for p in g.perms]})
 
 
-def graph_from_json(text: str) -> InvGraph:
+def graph_from_json(text: str) -> PermTuple:
     doc = json.loads(text)
     try:
         m = int(doc["m"])
         colors = tuple(Perm(tuple(int(i) for i in imgs)) for imgs in doc["colors"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-    return InvGraph(m, colors)
+    return PermTuple(m, colors)
 
 
 def _cycle_fits(cycle: tuple[int, ...], position: dict[int, int], m: int) -> bool:
@@ -123,14 +105,14 @@ def _cycle_fits(cycle: tuple[int, ...], position: dict[int, int], m: int) -> boo
     return forward or backward
 
 
-def expressible_ordering(g: InvGraph) -> tuple[int, ...] | None:
+def expressible_ordering(g: PermTuple) -> tuple[int, ...] | None:
     """Search all cyclic vertex orders (vertex 1 pinned first, quotienting
     rotations; reflections stay in the search space) for one in which every
     color's cycles fit per _cycle_fits.  Returns the first such order, or
     None."""
     if g.m > MAX_GRADE:
         raise ResourceLimitError(f"ordering search limited to m <= {MAX_GRADE}")
-    cycles = [p.cycles() for p in g.colors]
+    cycles = [p.cycles() for p in g.perms]
     for rest in itertools.permutations(range(2, g.m + 1)):
         order = (1,) + rest
         position = {v: i for i, v in enumerate(order)}

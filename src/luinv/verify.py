@@ -267,6 +267,9 @@ def check_purification(
     labels = enumerate_orbits(m, len(dims))
     total_dim = math.prod(dims)
     ranks = [1 + (i % total_dim) for i in range(samples)]
+    # a purification's rank is at most its requested rank: refuse its dims
+    # before any draw
+    check_dims(dims + (max(ranks, default=1),))
     stack = np.empty((samples, total_dim, total_dim), dtype=complex)
     for rank in sorted(set(ranks)):
         members = [i for i in range(samples) if ranks[i] == rank]

@@ -26,29 +26,30 @@ def reduced(psi, keep):
 
 class TestGradeOne:
     def test_values(self):
-        assert F.pure_m1(S.PureState((2,), np.array([1, 0], dtype=complex))) == 1
+        a = S.PureState((2,), np.array([1, 0], dtype=complex))
+        assert F.closed_form(P.perm_tuple(1), "pure", a) == 1
         b = S.PureState((2, 2), np.array([[1, 0], [0, 1]], dtype=complex))
-        assert F.pure_m1(b) == 2
+        assert F.closed_form(P.perm_tuple(1, "e"), "pure", b) == 2
 
     def test_matches_contract(self):
         psi = S.random_pure((2, 3), seed=0)
         lab = P.perm_tuple(1, "e")
-        assert relerr(F.pure_m1(psi), C.eval_pure(lab, psi)) < 1e-12
+        assert relerr(F.closed_form(lab, "pure", psi), C.eval_pure(lab, psi)) < 1e-12
 
     def test_mixed(self):
         rho = S.random_density((2, 2), seed=1)
-        assert relerr(F.mixed_m1(rho), rho.trace()) < 1e-14
+        assert relerr(F.closed_form(P.perm_tuple(1, "e", "e"), "mixed", rho), rho.trace()) < 1e-14
 
 
 class TestGradeTwo:
     def test_all_identity_is_norm_fourth(self):
         psi = unit_pure((2, 2, 2), seed=2)
-        val = F.pure_m2(P.perm_tuple(2, "e", "e"), psi)
+        val = F.closed_form(P.perm_tuple(2, "e", "e"), "pure", psi)
         assert relerr(val, psi.norm() ** 4) < 1e-12
 
     def test_bell(self):
         b = S.PureState((2, 2), np.array([[1, 0], [0, 1]], dtype=complex))
-        assert relerr(F.pure_m2(P.perm_tuple(2, "t"), b), 2.0) < 1e-14
+        assert relerr(F.closed_form(P.perm_tuple(2, "t"), "pure", b), 2.0) < 1e-14
 
     def test_k3_table(self):
         # the four writings in terms of explicit reductions
@@ -59,36 +60,31 @@ class TestGradeTwo:
             ("t", "t"): reduced(psi, [1, 2]),
         }
         for names, red in table.items():
-            got = F.pure_m2(P.perm_tuple(2, *names), psi)
+            got = F.closed_form(P.perm_tuple(2, *names), "pure", psi)
             want = np.trace(red @ red)
             assert relerr(got, want) < 1e-12
 
     def test_matches_contract_all_labels(self):
         psi = S.random_pure((2, 2, 2), seed=4)
         for lab in P.enumerate_orbits(2, 2):
-            assert relerr(F.pure_m2(lab, psi), C.eval_pure(lab, psi)) < 1e-10
+            assert relerr(F.closed_form(lab, "pure", psi), C.eval_pure(lab, psi)) < 1e-10
 
     def test_mixed(self):
         rho = S.random_density((2, 2), seed=5)
-        got = F.mixed_m2(P.perm_tuple(2, "t", "t"), rho)
+        got = F.closed_form(P.perm_tuple(2, "t", "t"), "mixed", rho)
         assert relerr(got, np.trace(rho.entries @ rho.entries)) < 1e-12
-
-    def test_rejects_non_m2_entries(self):
-        psi = S.random_pure((2, 2), seed=6)
-        with pytest.raises(ValueError, match="m=2"):
-            F.pure_m2(P.perm_tuple(3, "s"), psi)
 
 
 class TestGradeThreePure:
     def test_k2_three_cycle_is_cube_of_reduction(self):
         psi = unit_pure((2, 3), seed=7)
-        got = F.pure_m3(P.perm_tuple(3, "s"), psi)
+        got = F.closed_form(P.perm_tuple(3, "s"), "pure", psi)
         r1 = reduced(psi, [1])
         assert relerr(got, np.trace(np.linalg.matrix_power(r1, 3))) < 1e-12
 
     def test_kempe_writings(self):
         psi = unit_pure((3, 3, 3), seed=8)
-        got = F.pure_m3(P.perm_tuple(3, "s", "s2"), psi)
+        got = F.closed_form(P.perm_tuple(3, "s", "s2"), "pure", psi)
         pi12 = S.partial_trace(S.projector(psi), {3})
         for side in ({1}, {2}):
             t = S.partial_transpose(pi12, side).entries
@@ -96,20 +92,20 @@ class TestGradeThreePure:
 
     def test_t_ts_is_product_of_reductions(self):
         psi = unit_pure((2, 2, 2), seed=9)
-        got = F.pure_m3(P.perm_tuple(3, "t", "ts"), psi)
+        got = F.closed_form(P.perm_tuple(3, "t", "ts"), "pure", psi)
         want = np.trace(kron(reduced(psi, [1]), reduced(psi, [2])) @ reduced(psi, [1, 2]))
         assert relerr(got, want) < 1e-12
 
     def test_k1_degenerate(self):
         psi = unit_pure((3,), seed=10)
-        got = F.pure_m3(P.PermTuple(3, ()), psi)
+        got = F.closed_form(P.PermTuple(3, ()), "pure", psi)
         assert relerr(got, psi.norm() ** 6) < 1e-12
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3, 3)])
     def test_matches_contract_all_labels(self, dims):
         psi = S.random_pure(dims, seed=len(dims) + 11)
         for lab in P.enumerate_orbits(3, len(dims) - 1):
-            a = F.pure_m3(lab, psi)
+            a = F.closed_form(lab, "pure", psi)
             b = C.eval_pure(lab, psi)
             assert relerr(a, b) < 1e-10, P.format_label(lab.rep)
 
@@ -117,21 +113,21 @@ class TestGradeThreePure:
 class TestGradeThreeMixed:
     def test_t_s_identity_padding(self):
         rho = S.random_density((2, 3), seed=12)
-        got = F.mixed_m3(P.perm_tuple(3, "t", "s"), rho)
+        got = F.closed_form(P.perm_tuple(3, "t", "s"), "mixed", rho)
         rho2 = S.partial_trace(rho, {1}).entries
         want = np.trace(kron(np.eye(2), rho2) @ rho.entries @ rho.entries)
         assert relerr(got, want) < 1e-12
 
     def test_k1_diagonal(self):
         rho = S.DensityMatrix((3,), np.diag([1.0, 2.0, 3.0]).astype(complex))
-        got = F.mixed_m3(P.perm_tuple(3, "s"), rho)
+        got = F.closed_form(P.perm_tuple(3, "s"), "mixed", rho)
         assert relerr(got, 36.0) < 1e-14  # 1 + 8 + 27
 
     @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3)])
     def test_matches_contract_all_labels(self, dims):
         rho = S.random_density(dims, seed=len(dims) + 13)
         for lab in P.enumerate_orbits(3, len(dims)):
-            a = F.mixed_m3(lab, rho)
+            a = F.closed_form(lab, "mixed", rho)
             b = C.eval_mixed(lab, rho)
             assert relerr(a, b) < 1e-10, P.format_label(lab.rep)
 
@@ -148,7 +144,7 @@ class TestFactorOrder:
         sig = P.perm_tuple(3, "t", "ts", "s")
         rho = S.random_density((2, 2, 2), seed=14)
         ref = reordered(sig, rho, (0, 1, 2))
-        assert relerr(ref, F.mixed_m3(sig, rho)) < 1e-13
+        assert relerr(ref, F.closed_form(sig, "mixed", rho)) < 1e-13
         assert relerr(reordered(sig, rho, (1, 2, 0)), ref) < 1e-13
         assert relerr(reordered(sig, rho, (2, 0, 1)), ref) < 1e-13
 
@@ -170,7 +166,7 @@ class TestFactorOrder:
                       ("s", "t", "ts"), ("s", "ts2", "t")]:
             sig = P.perm_tuple(3, *names)
             rho = unit_density((2, 2, 2), seed=20)
-            assert relerr(F.mixed_m3(sig, rho), C.eval_mixed(sig, rho)) < 1e-10, names
+            assert relerr(F.closed_form(sig, "mixed", rho), C.eval_mixed(sig, rho)) < 1e-10, names
 
 
 class TestQubitRelations:
@@ -210,16 +206,16 @@ class TestDeterminantIdentities:
     def test_qubit(self):
         for seed in range(20):
             rho = S.random_hermitian((2,), seed=seed)
-            fe = F.mixed_m2(P.perm_tuple(2, "e"), rho)
-            ft = F.mixed_m2(P.perm_tuple(2, "t"), rho)
+            fe = F.closed_form(P.perm_tuple(2, "e"), "mixed", rho)
+            ft = F.closed_form(P.perm_tuple(2, "t"), "mixed", rho)
             assert abs(2 * np.linalg.det(rho.entries) - (fe - ft)) < 1e-10
 
     def test_qutrit(self):
         for seed in range(20):
             rho = S.random_hermitian((3,), seed=seed)
-            fe = F.mixed_m3(P.perm_tuple(3, "e"), rho)
-            ft = F.mixed_m3(P.perm_tuple(3, "t"), rho)
-            fs = F.mixed_m3(P.perm_tuple(3, "s"), rho)
+            fe = F.closed_form(P.perm_tuple(3, "e"), "mixed", rho)
+            ft = F.closed_form(P.perm_tuple(3, "t"), "mixed", rho)
+            fs = F.closed_form(P.perm_tuple(3, "s"), "mixed", rho)
             assert abs(6 * np.linalg.det(rho.entries) - (fe - 3 * ft + 2 * fs)) < 1e-10
 
 
@@ -241,8 +237,10 @@ class TestDispatcher:
 
     def test_type_checks(self):
         psi = S.random_pure((2, 2), seed=93)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="mixed labels take a DensityMatrix"):
             F.closed_form(P.perm_tuple(2, "t", "t"), "mixed", psi)
+        with pytest.raises(TypeError, match="pure labels take a PureState"):
+            F.closed_form(P.perm_tuple(2, "t"), "pure", S.projector(psi))
 
 
 def sample_stack(kind, dims, n, seed):
@@ -358,13 +356,13 @@ class TestBatch:
         assert np.array_equal(program(stack), first)
 
     def test_pure_m2_writings_checked_on_a_stack(self):
-        states, stack = sample_stack("pure", (2, 2, 2), 3, seed=310)
+        _, stack = sample_stack("pure", (2, 2, 2), 3, seed=310)
         lab = P.perm_tuple(2, "t", "e")
         F.closed_form_batch(lab, "pure", (2, 2, 2), stack)
         with pytest.raises(VerificationError, match="writings disagree"):
             F.closed_form_batch(lab, "pure", (2, 2, 2), stack, rtol=-1.0)
         with pytest.raises(VerificationError, match="writings disagree"):
-            F.pure_m2(lab, states[0], rtol=-1.0)
+            F.closed_form_batch(lab, "pure", (2, 2, 2), stack[:1], rtol=-1.0)
 
 
 class TestAlternateWritings:

@@ -88,6 +88,20 @@ class TestStrategiesAgree:
         with pytest.raises(ResourceLimitError):
             C.eval_mixed(lab, rho, method="loop")
 
+    @pytest.mark.parametrize("method", ["einsum", "loop"])
+    def test_wrong_state_class_is_a_type_error(self, method):
+        psi, rho = S.random_pure((2, 2), seed=0), S.random_density((2, 2), seed=1)
+        with pytest.raises(TypeError, match="mixed labels take a DensityMatrix"):
+            C.eval_mixed(P.perm_tuple(2, "t", "t"), psi, method=method)
+        with pytest.raises(TypeError, match="pure labels take a PureState"):
+            C.eval_pure(P.perm_tuple(2, "t"), rho, method=method)
+
+    def test_per_state_network_may_use_all_52_axis_ids(self):
+        # 4 copies on 13 subsystems: 52 ids, none left for a batch axis
+        lab = P.PermTuple(4, (P.identity(4),) * 13)
+        rho = S.DensityMatrix((1,) * 13, [[2]])
+        assert C.eval_mixed(lab, rho) == 16
+
 
 class TestWellDefinedness:
     @settings(max_examples=30, deadline=None)
@@ -138,7 +152,7 @@ class TestFactorization:
         assert len(comps) == 2
         prod = 1.0 + 0j
         for sub, _ in comps:
-            sub_label = P.PermTuple(sub.m, sub.colors[:-1])
+            sub_label = P.PermTuple(sub.m, sub.perms[:-1])
             prod *= C.eval_pure(sub_label, psi)
         assert relerr(full, prod) < 1e-12
 

@@ -20,12 +20,12 @@ def tuples_over(m, r):
 class TestBuildGraph:
     def test_single_vertex_two_loops(self):
         g = G.build_graph(P.PermTuple(1, (P.identity(1), P.identity(1))))
-        assert g.m == 1 and g.k == 2
+        assert g.m == 1 and g.r == 2
 
     def test_embedded_pure_label_has_last_color_loops(self):
         sig = P.perm_tuple(2, "t").embed()
         g = G.build_graph(sig)
-        assert g.colors[-1].is_identity()
+        assert g.perms[-1].is_identity()
 
     def test_round_trip(self):
         sig = P.perm_tuple(3, "s", "t", "ts2")
@@ -33,7 +33,7 @@ class TestBuildGraph:
 
     def test_color_grade_must_match(self):
         with pytest.raises(ValueError, match="grade"):
-            G.InvGraph(3, (P.identity(2),))
+            G.graph_from_json('{"m": 3, "colors": [[1, 2]]}')
 
 
 class TestCanonicalGraph:
@@ -65,7 +65,7 @@ class TestCanonicalGraph:
 
     def test_grade_guard(self):
         with pytest.raises(ResourceLimitError):
-            G.canonical_graph(G.InvGraph(9, (P.identity(9),)))
+            G.canonical_graph(G.build_graph(P.PermTuple(9, (P.identity(9),))))
 
 
 class TestComponents:
@@ -90,7 +90,7 @@ class TestComponents:
         assert len(comps) == 2
         prod = 1 + 0j
         for sub, _ in comps:
-            prod *= C.eval_pure(P.PermTuple(sub.m, sub.colors[:-1]), psi)
+            prod *= C.eval_pure(P.PermTuple(sub.m, sub.perms[:-1]), psi)
         assert relerr(prod, C.eval_pure(sig, psi)) < 1e-12
 
 
@@ -118,7 +118,7 @@ class TestDotExport:
         dot1 = G.dot_export(g)
         dot2 = G.dot_export(g)
         assert dot1 == dot2
-        assert dot1.count("->") == g.m * g.k
+        assert dot1.count("->") == g.m * g.r
         for v in (1, 2, 3):
             assert f'v{v} [shape=circle label="{v}"];' in dot1
 
@@ -162,7 +162,7 @@ class TestGraphJson:
 
 def ordering_satisfies(g, order):
     position = {v: i for i, v in enumerate(order)}
-    for p in g.colors:
+    for p in g.perms:
         for cyc in p.cycles():
             if not G._cycle_fits(cyc, position, g.m):
                 return False

@@ -127,6 +127,7 @@ class TestDimGuard:
 
         for sampler in ("_pure_stack", "_density_stack", "_unitary_stacks"):
             monkeypatch.setattr(V, sampler, refuse)
+        return refuse
 
     @pytest.fixture
     def limit_3(self):
@@ -139,6 +140,21 @@ class TestDimGuard:
     def test_checked_before_any_draw(self, suite, no_draws, limit_3):
         with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
             V.run_suite(suite, dims=(2, 2))
+
+    def test_purified_dims_checked_before_any_draw(self, no_draws, monkeypatch, capsys):
+        # (2, 2) passes a limit of 4, but its rank-4 purifications on
+        # (2, 2, 4) do not
+        monkeypatch.setattr(V, "_purify_stack", no_draws)
+        previous = S.dim_limit()
+        S.set_dim_limit(4)
+        try:
+            with pytest.raises(ResourceLimitError, match="total dimension 16 exceeds limit 4"):
+                V.check_purification(2, (2, 2))
+        finally:
+            S.set_dim_limit(previous)
+        argv = ["--dim-limit", "4", "verify", "--suite", "purification", "--dims", "2,2"]
+        assert main(argv) == 3
+        assert "resource guard" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["--dim-limit", "3", "verify", "--suite", "lu", "--dims", "2,2"],
