@@ -231,21 +231,27 @@ def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
 
     For a pure label (r = k-1) this is one descriptor per conjugation class
     of its two-sided class; every one evaluates to the same number on any
-    pure state.  For a mixed label there is a single descriptor.
+    pure state.  For a mixed label there is a single descriptor.  The
+    writings are built once per (label tuple, kind); each call returns a new
+    list of them.
     """
     sigma = as_tuple(sigma)
     if not has_closed_form(sigma.m):
         raise ValueError(f"no closed form for grade {sigma.m}")
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    return list(_writings(sigma, kind))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _writings(sigma: PermTuple, kind: str) -> tuple[FormulaDescriptor, ...]:
     if kind == "mixed":
         lab = canonical_form(sigma)
-        return [FormulaDescriptor(lab, "mixed", formula_text(lab.rep, "mixed"))]
-    if kind != "pure":
-        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-    split = sim_decompose(sigma)
-    return [
+        return (FormulaDescriptor(lab, "mixed", formula_text(lab.rep, "mixed")),)
+    return tuple(
         FormulaDescriptor(member, "pure", formula_text(member.rep, "pure"))
-        for member in split.members
-    ]
+        for member in sim_decompose(sigma).members
+    )
 
 
 # -- formula compiler ----------------------------------------------------------

@@ -87,6 +87,8 @@ def graph_from_json(text: str) -> PermTuple:
         colors = tuple(Perm(tuple(int(i) for i in imgs)) for imgs in doc["colors"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
+    if m < 1:
+        raise ValueError(f"malformed graph JSON: grade {m} is not positive")
     return PermTuple(m, colors)
 
 

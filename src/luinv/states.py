@@ -339,17 +339,31 @@ def purify(rho: DensityMatrix, tol: float = 1e-12) -> PureState:
 # -- stacks of samples ---------------------------------------------------------
 #
 # The verification checks draw many samples, then rotate or purify them.  Each
-# sample keeps its own seed and exactly the rng calls of the single-state
-# sampler; everything after the draw runs once over the stack.  The
-# single-state functions above are the stacks of one.
+# sample keeps its own seed and the rng stream of the single-state sampler,
+# taken by one standard_normal call into a float buffer (a sampler's two
+# calls, real parts then imaginary parts, read the same stream); the complex
+# assembly and everything after it run once over the stack.  The single-state
+# functions above are the stacks of one.
+
+
+def _normals(seeds: Sequence[int], size: int) -> np.ndarray:
+    """The first size standard normals of each seed's stream: (n, size)."""
+    buf = np.empty((len(seeds), size))
+    for row, seed in zip(buf, seeds):
+        np.random.default_rng(seed).standard_normal(size, out=row)
+    return buf
+
+
+def _complex_stack(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """_gaussian's entries from rows of real parts then imaginary parts:
+    (n, 2 prod(shape)) floats to (n, *shape) complex."""
+    half = buf.reshape((len(buf), 2) + shape)
+    return half[:, 0] + 1j * half[:, 1]
 
 
 def _pure_stack(dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
     """random_pure's amplitudes for each seed, shape (n, *dims)."""
-    out = np.empty((len(seeds),) + dims, dtype=complex)
-    for i, seed in enumerate(seeds):
-        out[i] = _gaussian(np.random.default_rng(seed), dims)
-    return out
+    return _complex_stack(_normals(seeds, 2 * math.prod(dims)), dims)
 
 
 def _density_stack(dims: tuple[int, ...], seeds: Sequence[int],
@@ -361,9 +375,7 @@ def _density_stack(dims: tuple[int, ...], seeds: Sequence[int],
         rank = n
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    a = np.empty((len(seeds), n, rank), dtype=complex)
-    for i, seed in enumerate(seeds):
-        a[i] = _gaussian(np.random.default_rng(seed), (n, rank))
+    a = _complex_stack(_normals(seeds, 2 * n * rank), (n, rank))
     return a @ a.conj().swapaxes(1, 2)
 
 
@@ -371,12 +383,14 @@ def _unitary_stacks(dims: tuple[int, ...], seeds: Sequence[int]) -> list[np.ndar
     """random_local_unitaries for each seed, as one (n, n_j, n_j) stack per
     subsystem: each seed's draws in random_local_unitaries' order, then one
     batched QR per subsystem."""
-    z = [np.empty((len(seeds), n, n), dtype=complex) for n in dims]
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for stack, n in zip(z, dims):
-            stack[i] = _ginibre(rng, n)
-    return [_haar_stack(stack) for stack in z]
+    buf = _normals(seeds, sum(2 * n * n for n in dims))
+    stacks = []
+    start = 0
+    for n in dims:
+        z = _complex_stack(buf[:, start:start + 2 * n * n], (n, n)) / np.sqrt(2)
+        stacks.append(_haar_stack(z))
+        start += 2 * n * n
+    return stacks
 
 
 def _rotate_stack(amps: np.ndarray, us: Sequence[np.ndarray]) -> np.ndarray:

@@ -10,17 +10,20 @@ a statement about the limit of growing local dimensions and is not
 numerically testable, so it is out of scope here (the reports say so).
 
 Every numeric check runs on stacks.  It checks its dims against the
-dimension guard before it draws anything.  Each sample is drawn from its own
-seed; normalization, Haar rotations and purifications then run once per
-stack.  Each label is evaluated once per stack by the batched engines and
-closed forms, which take the drawn arrays as they are.  The checks then walk
-(sample, label) in a fixed order, so the worst residual and its witness do
-not depend on the batching.
+dimension guard before it draws anything.  Its samples come from a sample
+table, which run_suite shares between the checks of one run: the table
+draws, normalizes and purifies each (kind, dims, seed, rank) sample once,
+each missing sample from its own seed and the missing ones of a request as
+one stack, and hands every request a fresh C-order stack assembled from its
+rows.  A check called without a table gets a new one, so it reports the same
+as inside a run.  Haar rotations run once per stack.  Each label is
+evaluated once per stack by the batched engines and closed forms, which take
+the stacks as they are.  The checks then walk (sample, label) in a fixed
+order, so the worst residual and its witness do not depend on the batching.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,9 +68,9 @@ class VerifyReport:
     witness: dict | None = None
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["schema_version"] = SCHEMA_VERSION
-        return doc
+        """The report's fields and schema version; the nested params,
+        details and witness are the report's own, not copies."""
+        return dict(vars(self), schema_version=SCHEMA_VERSION)
 
 
 def _unit_pures(dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
@@ -83,6 +86,77 @@ def _unit_densities(dims: tuple[int, ...], seeds: Sequence[int], rank=None) -> n
     """random_density for each seed, each scaled to unit trace: (n, N, N)."""
     rhos = _density_stack(dims, seeds, rank)
     return rhos / np.abs(np.trace(rhos, axis1=1, axis2=2))[:, None, None]
+
+
+class _SampleTable:
+    """The samples of one verify run, each drawn, normalized and purified
+    once.
+
+    A sample is keyed by (kind, dims, seed, rank): kind "pure" (unit norm),
+    "mixed" (unit trace, rank N for full rank) or "unitary" (one Haar
+    unitary per subsystem, rank None).  Its row is kept as drawn; each
+    request gets a fresh C-order stack of its rows, because the batched
+    engines' rounding depends on layout.
+    """
+
+    def __init__(self):
+        self._rows: dict[tuple, object] = {}
+        self._purified: dict[tuple, np.ndarray] = {}
+
+    def _fetch(self, kind: str, dims: tuple[int, ...], seeds: Sequence[int],
+               ranks: Sequence) -> list:
+        """The rows of the samples, drawing the missing ones as one stack
+        per rank."""
+        keys = [(kind, dims, seed, rank) for seed, rank in zip(seeds, ranks)]
+        missing: dict = {}
+        for key in dict.fromkeys(keys):
+            if key not in self._rows:
+                missing.setdefault(key[3], []).append(key)
+        for rank, group in missing.items():
+            seeds = [key[2] for key in group]
+            if kind == "pure":
+                rows = _unit_pures(dims, seeds)
+            elif kind == "mixed":
+                rows = _unit_densities(dims, seeds, rank)
+            else:
+                rows = zip(*_unitary_stacks(dims, seeds))
+            self._rows.update(zip(group, rows))
+        return [self._rows[key] for key in keys]
+
+    def pures(self, dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
+        """Unit-norm random_pure amplitudes per seed: (n, *dims)."""
+        return _assembled(self._fetch("pure", dims, seeds, [None] * len(seeds)), dims)
+
+    def densities(self, dims: tuple[int, ...], seeds: Sequence[int],
+                  ranks: Sequence[int] | None = None) -> np.ndarray:
+        """Unit-trace random_density matrices per seed, of full rank or of
+        the matching rank in ranks: (n, N, N)."""
+        n = math.prod(dims)
+        ranks = [n] * len(seeds) if ranks is None else ranks
+        return _assembled(self._fetch("mixed", dims, seeds, ranks), (n, n))
+
+    def unitaries(self, dims: tuple[int, ...], seeds: Sequence[int]) -> list[np.ndarray]:
+        """random_local_unitaries per seed, one (n, n_j, n_j) stack per
+        subsystem."""
+        rows = self._fetch("unitary", dims, seeds, [None] * len(seeds))
+        return [_assembled([row[j] for row in rows], (nj, nj)) for j, nj in enumerate(dims)]
+
+    def purified(self, dims: tuple[int, ...], seeds: Sequence[int],
+                 ranks: Sequence[int]) -> np.ndarray:
+        """The purifications of densities(dims, seeds, ranks), one batched
+        eigh per distinct request: (n, *dims, top) as _purify_stack."""
+        key = (dims, tuple(seeds), tuple(ranks))
+        if key not in self._purified:
+            self._purified[key] = _purify_stack(self.densities(dims, seeds, ranks), dims)
+        return self._purified[key].copy()
+
+
+def _assembled(rows: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The rows as one fresh C-order stack (n, *shape)."""
+    out = np.empty((len(rows),) + shape, dtype=complex)
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,14 +196,16 @@ def check_lu_invariance(
     samples: int = 50,
     seed: int = 0,
     tolerance: float = 1e-9,
+    table: _SampleTable | None = None,
 ) -> VerifyReport:
     """Relative drift of every invariant under Haar-random local rotations."""
     dims = check_dims(dims)
+    table = _SampleTable() if table is None else table
     if specs is None:
         specs = all_specs(dims)
-    psis = _unit_pures(dims, [seed * 100_003 + 2 * i for i in range(samples)])
-    rhos = _unit_densities(dims, [seed * 100_003 + 2 * i + 1 for i in range(samples)])
-    us = _unitary_stacks(dims, [seed * 900_001 + i for i in range(samples)])
+    psis = table.pures(dims, [seed * 100_003 + 2 * i for i in range(samples)])
+    rhos = table.densities(dims, [seed * 100_003 + 2 * i + 1 for i in range(samples)])
+    us = table.unitaries(dims, [seed * 900_001 + i for i in range(samples)])
     stacks = {
         "pure": _interleave(psis, _rotate_stack(psis, us)),
         "mixed": _interleave(rhos, _rotate_mixed_stack(rhos, dims, us)),
@@ -163,17 +239,19 @@ def check_linear_independence(
     dims: Sequence[int],
     seed: int = 0,
     sv_threshold: float = 1e-8,
+    table: _SampleTable | None = None,
 ) -> VerifyReport:
     """Numerical rank of the label-by-state value matrix over 2D random
     states.  Full rank is expected (and asserted) when m <= min(n_j)."""
     dims = check_dims(dims)
+    table = _SampleTable() if table is None else table
     k = len(dims)
     r = k - 1 if kind == "pure" else k
     labels = enumerate_orbits(m, r)
     d = len(labels)
     n_states = 2 * d
     seeds = [seed * 77_041 + i for i in range(n_states)]
-    states = _unit_pures(dims, seeds) if kind == "pure" else _unit_densities(dims, seeds)
+    states = table.pures(dims, seeds) if kind == "pure" else table.densities(dims, seeds)
     matrix = np.array([_values(lab, kind, dims, states) for lab in labels])
     sv = np.linalg.svd(matrix, compute_uv=False)
     rank = int((sv > sv_threshold * sv[0]).sum())
@@ -199,6 +277,7 @@ def check_class_consistency(
     seed: int = 0,
     dims: Sequence[int] | None = None,
     tolerance: float = 1e-10,
+    table: _SampleTable | None = None,
 ) -> VerifyReport:
     """Two-sided class coherence.
 
@@ -209,11 +288,12 @@ def check_class_consistency(
     recorded as inconclusive.
     """
     dims = check_dims((2,) * k if dims is None else dims)
+    table = _SampleTable() if table is None else table
     worst = 0.0
     witness = None
     split_results = []
-    projectors = _projector_stack(_unit_pures(dims, [seed * 61_543 + i for i in range(5)]))
-    rhos = _unit_densities(dims, [seed * 44_497 + i for i in range(20)])
+    projectors = _projector_stack(table.pures(dims, [seed * 61_543 + i for i in range(5)]))
+    rhos = table.densities(dims, [seed * 44_497 + i for i in range(20)])
     for lab in enumerate_orbits(m, k - 1):
         split = sim_decompose(lab.rep)
         assert split.anchor.rep.perms[-1].is_identity()
@@ -260,22 +340,22 @@ def check_purification(
     seed: int = 0,
     samples: int = 10,
     tolerance: float = 1e-9,
+    table: _SampleTable | None = None,
 ) -> VerifyReport:
     """f(rho) equals the embedded pure invariant of a purification of rho,
     for every mixed label of grade m."""
     dims = check_dims(dims)
+    table = _SampleTable() if table is None else table
     labels = enumerate_orbits(m, len(dims))
     total_dim = math.prod(dims)
     ranks = [1 + (i % total_dim) for i in range(samples)]
     # a purification's rank is at most its requested rank: refuse its dims
     # before any draw
     check_dims(dims + (max(ranks, default=1),))
-    stack = np.empty((samples, total_dim, total_dim), dtype=complex)
-    for rank in sorted(set(ranks)):
-        members = [i for i in range(samples) if ranks[i] == rank]
-        stack[members] = _unit_densities(dims, [seed * 52_361 + i for i in members], rank)
+    seeds = [seed * 52_361 + i for i in range(samples)]
+    stack = table.densities(dims, seeds, ranks)
     # the purifications' ranks differ: one stack, zero-padded to the largest
-    amps = _purify_stack(stack, dims)
+    amps = table.purified(dims, seeds, ranks)
     mixed_vals = [_values(lab, "mixed", dims, stack) for lab in labels]
     pure_vals = [_values(lab, "pure", amps.shape[1:], amps) for lab in labels]
     worst = 0.0
@@ -332,16 +412,18 @@ def check_closed_forms(
     samples: int = 10,
     seed: int = 0,
     tolerance: float = 1e-10,
+    table: _SampleTable | None = None,
 ) -> VerifyReport:
     """Closed-form evaluators against the contraction evaluator on random
     states, every label of grades 1-3, both kinds."""
     dims = check_dims(dims)
+    table = _SampleTable() if table is None else table
     worst = 0.0
     witness = None
     specs = all_specs(dims)
     stacks = {
-        "pure": _unit_pures(dims, [seed * 39_989 + 2 * i for i in range(samples)]),
-        "mixed": _unit_densities(dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)]),
+        "pure": table.pures(dims, [seed * 39_989 + 2 * i for i in range(samples)]),
+        "mixed": table.densities(dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)]),
     }
     values = [_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs]
     closed = [_values(spec.label, spec.kind, dims, stacks[spec.kind], closed=True)
@@ -365,35 +447,41 @@ def check_closed_forms(
     )
 
 
+#: Each suite's checks, called as (seed, dims, table).
 SUITES = {
-    "counts": lambda seed, dims: [check_counts()],
-    "lu": lambda seed, dims: [check_lu_invariance(None, dims, samples=20, seed=seed)],
-    "closed": lambda seed, dims: [check_closed_forms(dims, samples=10, seed=seed)],
-    "independence": lambda seed, dims: [
-        check_linear_independence(m, kind, dims, seed=seed)
+    "counts": lambda seed, dims, table: [check_counts()],
+    "lu": lambda seed, dims, table: [
+        check_lu_invariance(None, dims, samples=20, seed=seed, table=table)
+    ],
+    "closed": lambda seed, dims, table: [
+        check_closed_forms(dims, samples=10, seed=seed, table=table)
+    ],
+    "independence": lambda seed, dims, table: [
+        check_linear_independence(m, kind, dims, seed=seed, table=table)
         for m in (2, 3)
         for kind in ("pure", "mixed")
     ],
-    "classes": lambda seed, dims: [
-        check_class_consistency(m, len(dims), seed=seed, dims=dims) for m in (2, 3)
+    "classes": lambda seed, dims, table: [
+        check_class_consistency(m, len(dims), seed=seed, dims=dims, table=table)
+        for m in (2, 3)
     ],
-    "purification": lambda seed, dims: [
-        check_purification(m, dims, seed=seed) for m in (1, 2, 3)
+    "purification": lambda seed, dims, table: [
+        check_purification(m, dims, seed=seed, table=table) for m in (1, 2, 3)
     ],
 }
 
 
 def run_suite(name: str, seed: int = 0, dims: Sequence[int] = (2, 2)) -> list[VerifyReport]:
-    """Run one named suite, or all of them with name="all"."""
+    """Run one named suite, or all of them with name="all", on one sample
+    table."""
     dims = tuple(dims)
-    if name == "all":
-        reports = []
-        for key in SUITES:
-            reports.extend(SUITES[key](seed, dims))
-        return reports
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](seed, dims)
+    table = _SampleTable()
+    reports = []
+    for key in SUITES if name == "all" else [name]:
+        reports.extend(SUITES[key](seed, dims, table))
+    return reports
 
 
 def render_table(reports: Sequence[VerifyReport]) -> str:

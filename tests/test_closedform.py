@@ -433,6 +433,31 @@ class TestAlternateWritings:
                             assert relerr(w.evaluate_text(state), want) < 1e-12, w.text
 
 
+    def test_returned_lists_are_fresh(self):
+        sig = P.perm_tuple(3, "s", "t")
+        first = F.alternate_writings(sig, "pure")
+        want = list(first)
+        first.clear()
+        first.append(None)
+        assert F.alternate_writings(sig, "pure") == want
+
+    def test_memo_equals_a_fresh_build(self):
+        built = F._writings.__wrapped__
+        for m in (1, 2, 3):
+            for kind, top in (("pure", 2), ("mixed", 3)):
+                for r in range(1, top + 1):
+                    for lab in P.enumerate_orbits(m, r):
+                        want = list(built(lab.rep, kind))
+                        assert want and F.alternate_writings(lab, kind) == want
+                        assert F.alternate_writings(lab.rep, kind) == want
+
+    def test_bad_kind_is_refused_before_the_memo(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            F.alternate_writings(P.perm_tuple(2, "t"), "both")
+        with pytest.raises(ValueError, match="kind must be"):
+            F.alternate_writings(P.perm_tuple(2, "t"), ["pure"])
+
+
 class TestFormulaText:
     def test_grammar_example(self):
         # canonical label of the one-swap-one-cycle class

@@ -159,6 +159,11 @@ class TestGraphJson:
         with pytest.raises(ValueError, match="malformed"):
             G.graph_from_json('{"m": 2}')
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_grade_below_one_is_malformed(self, m):
+        with pytest.raises(ValueError, match="malformed graph JSON"):
+            G.graph_from_json(f'{{"m": {m}, "colors": []}}')
+
 
 def ordering_satisfies(g, order):
     position = {v: i for i, v in enumerate(order)}

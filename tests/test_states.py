@@ -379,6 +379,36 @@ class TestStacks:
             assert phi.dims == want.shape and np.array_equal(phi.amplitudes, want)
             assert phi.amplitudes.flags.c_contiguous
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2)])
+    def test_one_call_draws_are_the_two_call_draws_bitwise(self, dims):
+        # the parent formulas: per seed, _gaussian's or _ginibre's two calls
+        # into a preallocated stack, then the same stacked products
+        n = math.prod(dims)
+        amps = np.empty((len(SEEDS),) + dims, dtype=complex)
+        a = {rank: np.empty((len(SEEDS), n, rank), dtype=complex) for rank in (n, 2)}
+        z = [np.empty((len(SEEDS), nj, nj), dtype=complex) for nj in dims]
+        for i, seed in enumerate(SEEDS):
+            amps[i] = S._gaussian(np.random.default_rng(seed), dims)
+            for rank, stack in a.items():
+                stack[i] = S._gaussian(np.random.default_rng(seed), (n, rank))
+            rng = np.random.default_rng(seed)
+            for stack, nj in zip(z, dims):
+                stack[i] = S._ginibre(rng, nj)
+
+        def same_bits(got, want):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                                  np.ascontiguousarray(want).view(np.uint8))
+
+        same_bits(S._pure_stack(dims, SEEDS), amps)
+        for rank, stack in a.items():
+            want = stack @ stack.conj().swapaxes(1, 2)
+            same_bits(S._density_stack(dims, SEEDS, rank), want)
+            if rank == n:
+                same_bits(S._density_stack(dims, SEEDS), want)
+        for got, stack in zip(S._unitary_stacks(dims, SEEDS), z, strict=True):
+            same_bits(got, S._haar_stack(stack))
+
     def test_empty_stacks(self):
         dims = (2, 3)
         assert S._pure_stack(dims, []).shape == (0, 2, 3)

@@ -119,6 +119,65 @@ class TestStacks:
         assert calls == Counter({"PureState": 1, "DensityMatrix": 1, "np.stack": 1})
 
 
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name; returns the counter's dict."""
+    calls = {"n": 0}
+    original = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, call)
+    return calls
+
+
+def counts_stub(seed, dims, table):
+    # stands in for the counts suite, which draws nothing and takes seconds
+    return [V.VerifyReport("counts", {}, 0.0, 0.0, True)]
+
+
+class TestSampleTable:
+    @pytest.mark.parametrize("suite,constructions", [
+        ("lu", 60), ("closed", 20), ("independence", 28), ("classes", 25),
+        ("purification", 10),
+    ])
+    def test_each_sample_is_drawn_once(self, suite, constructions, monkeypatch):
+        rngs = counting(monkeypatch, np.random, "default_rng")
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        V.run_suite(suite, seed=0, dims=(2, 2))
+        assert rngs["n"] == constructions
+        assert eighs["n"] == (1 if suite == "purification" else 0)
+
+    @pytest.mark.parametrize("suite", NUMERIC_SUITES)
+    def test_checks_alone_report_as_in_the_run(self, suite):
+        alone = V.SUITES[suite](0, (2, 2), None)
+        assert V.reports_to_json(alone) == V.reports_to_json(V.run_suite(suite, dims=(2, 2)))
+
+    @pytest.mark.parametrize("seed,constructions", [(0, 82), (1, 143)])
+    def test_all_equals_the_suites_one_by_one(self, seed, constructions, monkeypatch):
+        # at seed 0 the suites' seed ranges overlap: closed and classes draw
+        # only samples that earlier suites drew, so the run makes 82 of the
+        # 143 constructions of the suites run one by one
+        monkeypatch.setitem(V.SUITES, "counts", counts_stub)
+        one_by_one = [rep for suite in V.SUITES for rep in V.run_suite(suite, seed=seed)]
+        rngs = counting(monkeypatch, np.random, "default_rng")
+        together = V.run_suite("all", seed=seed)
+        assert rngs["n"] == constructions
+        assert V.reports_to_json(together) == V.reports_to_json(one_by_one)
+
+    def test_stacks_are_fresh(self):
+        table = V._SampleTable()
+        first = table.pures((2, 2), [0, 1])
+        first[:] = 0
+        again = table.pures((2, 2), [1, 0, 1])
+        assert again.flags.c_contiguous and again.any()
+        assert np.array_equal(again[0], again[2])
+        amps = table.purified((2, 2), [0, 1], [1, 4])
+        amps[:] = 0
+        assert table.purified((2, 2), [0, 1], [1, 4]).any()
+
+
 class TestDimGuard:
     @pytest.fixture
     def no_draws(self, monkeypatch):
