@@ -21,7 +21,6 @@ from .graphs import (
     expressible_ordering,
     graph_from_json,
     graph_to_json,
-    graph_tuple,
 )
 from .perms import (
     MAX_GRADE,

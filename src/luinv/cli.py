@@ -87,24 +87,23 @@ def cmd_enumerate(args) -> int:
         count = generator_count if args.generators_only else orbit_count
         print(count(args.m, r))
         return EXIT_OK
-    labels = enumerate_orbits(args.m, r)
+    flagged = [(lab, is_transitive(lab.rep)) for lab in enumerate_orbits(args.m, r)]
     if args.generators_only:
-        labels = [lab for lab in labels if is_transitive(lab.rep)]
+        flagged = [(lab, transitive) for lab, transitive in flagged if transitive]
     if args.json:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "m": args.m,
             "r": r,
             "labels": [
-                {"label": format_label(lab.rep), "transitive": is_transitive(lab.rep)}
-                for lab in labels
+                {"label": format_label(lab.rep), "transitive": transitive}
+                for lab, transitive in flagged
             ],
         }
         print(json.dumps(doc, indent=2))
         return EXIT_OK
-    for lab in labels:
-        flag = "transitive" if is_transitive(lab.rep) else "-"
-        print(f"{format_label(lab.rep):<24} {flag}")
+    for lab, transitive in flagged:
+        print(f"{format_label(lab.rep):<24} {'transitive' if transitive else '-'}")
     return EXIT_OK
 
 

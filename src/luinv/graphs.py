@@ -31,9 +31,6 @@ def build_graph(sigma: PermTuple) -> PermTuple:
     return sigma
 
 
-graph_tuple = build_graph
-
-
 def canonical_graph(g: PermTuple) -> bytes:
     """Canonical byte string under vertex relabeling, preserving colors and
     directions: the canonical key of the graph's label (canonical_form), one

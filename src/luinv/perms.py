@@ -41,10 +41,9 @@ and recurses with that candidate's stabilizer, meets every label once, in
 sorted order; once the stabilizer is trivial the remaining entries are free.
 Where the stabilizer is all of S_m (the root, or after identity entries) the
 children are the class representatives, each with its centralizer.
-Its output, which ``orbit_count`` gives in advance by Burnside's lemma, and a
-bound on its search are checked before any work; ``generator_count`` counts
-the transitive labels.  Every
-label the package builds shares the interned ``Perm`` objects of
+Its output, which ``orbit_count`` gives in advance by Burnside's lemma, is
+checked before any work; ``generator_count`` counts the transitive labels.
+Every label the package builds shares the interned ``Perm`` objects of
 ``symmetric_group(m)``.
 """
 
@@ -62,8 +61,8 @@ from .errors import ResourceLimitError
 #: orbit, sim_decompose, the enumeration walk) and the class table.
 MAX_GRADE = 8
 
-#: Cost cap (conjugation-tuple operations) for the double-coset split and
-#: for the search of enumerate_orbits.
+#: Cost cap (conjugation-tuple operations) for the double-coset split of
+#: sim_decompose.
 _ENUM_OP_LIMIT = 100_000_000
 
 #: Most label entries (labels times max(r, 1)) enumerate_orbits returns.  A
@@ -194,6 +193,16 @@ def _cycle_types(n: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
     for part in range(smallest, n + 1):
         for rest in _cycle_types(n - part, part):
             yield (part,) + rest
+
+
+def _centralizer_order(lengths: tuple[int, ...]) -> int:
+    """z_lambda = prod_i i^(a_i) a_i!, the order of the centralizer of a
+    permutation with these ascending cycle lengths (a_i cycles of length i)."""
+    order = 1
+    for n, group in itertools.groupby(lengths):
+        a = len(list(group))
+        order *= n ** a * factorial(a)
+    return order
 
 
 def _centralizer(lengths: tuple[int, ...], m: int) -> tuple[_Conjugator, ...]:
@@ -517,24 +526,6 @@ def orbit(sigma: PermTuple) -> set[PermTuple]:
     return {_from_images(x, m) for x in set(_relabelings(images, m))}
 
 
-def _centralizer_orders(m: int) -> Iterator[int]:
-    """z_lambda = prod_i i^(a_i) a_i!, the order of the centralizer of a
-    permutation of cycle type lambda (a_i cycles of length i), for every
-    partition lambda of m."""
-
-    def orders(n: int, part: int) -> Iterator[int]:
-        # partitions of n into parts <= part, choosing a_part first
-        if part == 1:
-            yield factorial(n)
-            return
-        for a in range(n // part, -1, -1):
-            here = part ** a * factorial(a)
-            for rest in orders(n - a * part, part - 1):
-                yield here * rest
-
-    yield from orders(m, max(m, 1))
-
-
 def _check_sizes(m: int, r: int):
     if m < 0 or r < 0:
         raise ValueError(f"grade and arity must be >= 0, got m={m}, r={r}")
@@ -548,7 +539,8 @@ def orbit_count(m: int, r: int) -> int:
     fixes z_lambda^r tuples."""
     _check_sizes(m, r)
     group_order = factorial(m)
-    return sum(z ** r * (group_order // z) for z in _centralizer_orders(m)) // group_order
+    orders = map(_centralizer_order, _cycle_types(m))
+    return sum(z ** r * (group_order // z) for z in orders) // group_order
 
 
 def generator_count(m: int, r: int) -> int:
@@ -586,30 +578,14 @@ def _check_enum_cost(m: int, r: int):
             f"orbit enumeration for m={m}, r={r} would return {labels} labels "
             f"of {r} entries (limit {ENUM_ENTRY_LIMIT} entries)"
         )
-    # The walk's inner nodes are canonical prefixes shorter than r.  Each
-    # scans S_m and conjugates its H-orbit representatives by H, which is
-    # sum_{h in H} |C(h)| <= sum_{h in S_m} |C(h)| = m! p(m) tuples of m
-    # entries (an upper bound: the root and the identity prefixes take the
-    # class table instead).  For m <= 1 the root's one child, the identity,
-    # has the trivial stabilizer, and the rest of the label is one product.
-    if m > 1:
-        orders = list(_centralizer_orders(m))
-        # sum_{d<r} orbit_count(m, d), as orbit_count(m, d) = sum_lambda
-        # z_lambda^(d-1) for d >= 1
-        nodes = 1 + sum(z ** d for z in orders for d in range(r - 1))
-        cost = nodes * factorial(m) * len(orders) * m
-        if cost > _ENUM_OP_LIMIT:
-            raise ResourceLimitError(
-                f"orbit enumeration for m={m}, r={r} needs ~{cost:.2e} operations"
-            )
 
 
 def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
     """All distinct conjugation-orbit labels of r-tuples over S_m, sorted
     lexicographically by concatenated image lists, by orderly generation
     (see the module docstring).  Refused with ResourceLimitError, before
-    any work, when the labels would hold more than ENUM_ENTRY_LIMIT entries
-    or the search would exceed its operation bound (see _check_enum_cost)."""
+    any work, above MAX_GRADE or when the labels would hold more than
+    ENUM_ENTRY_LIMIT entries (see _check_enum_cost)."""
     _check_enum_cost(m, r)
     trusted = OrbitLabel._trusted
     if r == 0:

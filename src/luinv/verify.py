@@ -33,7 +33,14 @@ import numpy as np
 
 from .closedform import closed_form_batch
 from .contract import InvariantSpec, eval_mixed_batch, eval_pure_batch
-from .perms import enumerate_orbits, format_label, generator_labels, sim_decompose
+from .perms import (
+    enumerate_orbits,
+    format_label,
+    generator_count,
+    generator_labels,
+    orbit_count,
+    sim_decompose,
+)
 from .states import (
     _density_stack,
     _projector_stack,
@@ -377,29 +384,26 @@ def check_purification(
     )
 
 
+#: The largest arity check_counts enumerates at each grade: it runs every
+#: (m, r) in 1..5 x 1..5 with at most 2 000 labels.
+_COUNT_ARITIES = {1: 5, 2: 5, 3: 5, 4: 3, 5: 2}
+
+
 def check_counts() -> VerifyReport:
-    """Cardinalities of label sets and generator sets against the closed
-    formulas (exact)."""
+    """Cardinalities of label sets and generator sets against their
+    Burnside counts, orbit_count and generator_count (exact)."""
     failures = []
-    for r in range(1, 6):
-        got = len(enumerate_orbits(3, r))
-        want = 6 ** (r - 1) + 3 ** (r - 1) + 2 ** (r - 1)
+    grid = [(m, r) for m, top in _COUNT_ARITIES.items() for r in range(1, top + 1)]
+    for m, r in grid:
+        got, want = len(enumerate_orbits(m, r)), orbit_count(m, r)
         if got != want:
-            failures.append({"m": 3, "r": r, "got": got, "want": want})
-        got_gen = len(generator_labels(3, r))
-        # non-transitive classes have all entries in {e, t}: one per position
-        # subset, 2^r of them
-        want_gen = 6 ** (r - 1) + 3 ** (r - 1) - 2 ** (r - 1)
-        if got_gen != want_gen:
-            failures.append({"m": 3, "r": r, "generators": got_gen, "want": want_gen})
-    for r in range(1, 6):
-        if len(enumerate_orbits(2, r)) != 2 ** r:
-            failures.append({"m": 2, "r": r, "got": len(enumerate_orbits(2, r))})
-        if len(generator_labels(2, r)) != 2 ** r - 1:
-            failures.append({"m": 2, "r": r, "generators": len(generator_labels(2, r))})
+            failures.append({"m": m, "r": r, "got": got, "want": want})
+        got, want = len(generator_labels(m, r)), generator_count(m, r)
+        if got != want:
+            failures.append({"m": m, "r": r, "generators": got, "want": want})
     return VerifyReport(
         check="counts",
-        params={"m": [2, 3], "r": "1..5"},
+        params={"m": list(_COUNT_ARITIES), "r_max": list(_COUNT_ARITIES.values())},
         tolerance=0.0,
         max_residual=float(len(failures)),
         passed=not failures,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -99,6 +100,31 @@ class TestEnumerate:
         _, listed, _ = run(capsys, *argv, "--generators-only")
         _, count, _ = run(capsys, *argv, "--generators-only", "--count")
         assert count == f"{len(listed.splitlines())}\n"
+
+    @pytest.mark.parametrize("m,r,flags,size,digest", [
+        (3, 3, (), 1692, "803c3e0b32eac6748cd8d8a6d54ea5b7093cd4d311154d6ab97d13e04147589e"),
+        (3, 3, ("--generators-only",), 1476,
+         "60e75686e30ddd60957ff4d46d3a57fe81dfb91744dd0ca0db68e84b824c186c"),
+        (3, 3, ("--json",), 3172,
+         "1f5ed1bf47e06ca9bd9f35ea315b456cb87b01d13f5ce1be117cdacd4b4d2919"),
+        (3, 3, ("--json", "--generators-only"), 2656,
+         "093bca1d1d7559fe8b5d96cc79b58cb836a627820e80acb48fd9dee790716902"),
+        (4, 2, (), 1395, "fa00b4aafcd75488af5220d8e0e5f6a9f0e6fbcd8222da0c4e681172d178a91f"),
+        (4, 2, ("--generators-only",), 936,
+         "548f99d6f0760c39c64e542a913c92591cfccdec81c96871d3c1c90ba943d5ff"),
+        (4, 2, ("--json",), 3349,
+         "32e1361b9b46cb163736a0ea7603d8d097ac8653b84d12fa09ab65ffb1a8cac4"),
+        (4, 2, ("--json", "--generators-only"), 2040,
+         "18a44f1e161324dee77d2de6c6c84b468e5c3c6d7088673774ae7a41fd41e527"),
+    ], ids=[f"{case}-{form}" for case in ("3-3", "4-2")
+            for form in ("text", "text-generators", "json", "json-generators")])
+    def test_listing_bytes_are_pinned(self, capsys, m, r, flags, size, digest):
+        """The text and JSON listings, with and without --generators-only,
+        byte for byte: their size and sha256."""
+        code, out, _ = run(capsys, "enumerate", "--m", str(m), "--r", str(r), *flags)
+        data = out.encode()
+        assert code == 0 and len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_negative_arity_is_usage_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "--m", "3", "--k", "0", "--kind", "pure",

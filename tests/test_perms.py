@@ -294,7 +294,7 @@ class TestClassTable:
         want = oracle_classes(m)
         assert list(table) == sorted(rep for rep, _ in want.values())
         assert sorted(len(c or P._conjugators(m)) for c in table.values()) == sorted(
-            P._centralizer_orders(m))
+            map(P._centralizer_order, P._cycle_types(m)))
         for lam, (rep, fixing) in want.items():
             centralizer = table[rep]
             if centralizer is None:  # the identity's: the whole group
@@ -396,7 +396,7 @@ class TestEnumerateOrbits:
         (1, 10 ** 8, "over 2000000 label entries"),  # one label, but 1e8 entries
         (2, 17, "131072 labels of 17 entries"),
         (2, 10 ** 6, "over 2000000 label entries"),
-        (8, 2, "operations"),  # 43 206 labels, but a wide search
+        (8, 3, "labels of 3 entries"),
     ])
     def test_resource_guard_bounds_entries_and_search(self, monkeypatch, m, r, why):
         def no_work(m):
@@ -406,6 +406,28 @@ class TestEnumerateOrbits:
         monkeypatch.setattr(P, "_conjugators", no_work)
         with pytest.raises(ResourceLimitError, match=why):
             P.enumerate_orbits(m, r)
+
+    def test_guard_is_the_entry_limit(self, monkeypatch):
+        """Up to MAX_GRADE, an enumeration is refused exactly when the long-r
+        pre-check or its Burnside count times r exceeds the entry limit;
+        nothing is enumerated."""
+        def no_work(m):
+            raise AssertionError("the guard let the enumeration start")
+
+        monkeypatch.setattr(P, "symmetric_group", no_work)
+        monkeypatch.setattr(P, "_conjugators", no_work)
+        limit = P.ENUM_ENTRY_LIMIT
+        refused = set()
+        for m in range(0, 9):
+            for r in range(0, 25):
+                want = ((m > 1 and r > limit.bit_length())
+                        or P.orbit_count(m, r) * max(r, 1) > limit)
+                try:
+                    P._check_enum_cost(m, r)
+                except ResourceLimitError:
+                    refused.add((m, r))
+                assert ((m, r) in refused) == want, (m, r)
+        assert (8, 2) not in refused and (8, 3) in refused
 
     @pytest.mark.parametrize("m,r,count", [(4, 3, 681), (5, 2, 161), (3, 5, 1393), (2, 6, 64)])
     def test_burnside_counts(self, m, r, count):
@@ -437,7 +459,7 @@ class TestEnumerateOrbits:
                 "[2,1,4,3],[3,4,1,2]", 4))]:
             assert {id(p) for p in lab.rep.perms} <= group
 
-    @pytest.mark.parametrize("m,r", [(4, 5), (6, 3)])
+    @pytest.mark.parametrize("m,r", [(4, 5), (6, 3), (8, 2)])
     def test_guard_admits_cases_brute_force_refused(self, m, r):
         assert P.orbit_count(m, r) * r <= P.ENUM_ENTRY_LIMIT
         P._check_enum_cost(m, r)

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from luinv import perms as P
 from luinv import states as S
 from luinv import verify as V
 from luinv.cli import main
@@ -18,6 +19,26 @@ class TestReports:
         rep = V.check_counts()
         assert rep.passed
         assert rep.details["failures"] == []
+
+    def test_counts_grid(self):
+        """Every grade and arity in 1..5 with at most 2 000 labels."""
+        rep = V.check_counts()
+        assert rep.params == {"m": [1, 2, 3, 4, 5], "r_max": [5, 5, 5, 3, 2]}
+        grid = [(m, r) for m, top in zip(rep.params["m"], rep.params["r_max"])
+                for r in range(1, top + 1)]
+        assert grid == [(m, r) for m in range(1, 6) for r in range(1, 6)
+                        if P.orbit_count(m, r) <= 2_000]
+        assert len(grid) == 20
+
+    def test_counts_can_fail(self, monkeypatch):
+        """A Burnside count off by one at (4, 2) fails the check there."""
+        def off_by_one(m, r):
+            return P.orbit_count(m, r) + ((m, r) == (4, 2))
+
+        monkeypatch.setattr(V, "orbit_count", off_by_one)
+        rep = V.check_counts()
+        assert not rep.passed and rep.max_residual == 1.0
+        assert rep.details["failures"] == [{"m": 4, "r": 2, "got": 43, "want": 44}]
 
     def test_deterministic(self):
         a = V.check_lu_invariance(None, (2, 2), samples=5, seed=3)
