@@ -61,6 +61,16 @@ def grade(text: str) -> int:
     return m
 
 
+def _dims(text: str) -> tuple[int, ...]:
+    """argparse type of verify --dims: comma-separated integers.  An empty
+    value is a usage error, not the default."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"dims {text!r} are not comma-separated integers") from None
+
+
 def _label_grade(label: str) -> int:
     """The grade an image-list label spells out: the length of its first
     image list, checked as --m is.  Named labels such as "s,t" give 3."""
@@ -211,8 +221,7 @@ def cmd_graph(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import render_table, reports_to_json, run_suite
 
-    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else (2, 2)
-    reports = run_suite(args.suite, seed=args.seed, dims=dims)
+    reports = run_suite(args.suite, seed=args.seed, dims=args.dims)
     print(render_table(reports))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fp:
@@ -279,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="counts, lu, closed, independence, classes, purification, or all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", default=None, help='subsystem dims, e.g. "2,2"')
+    p.add_argument("--dims", type=_dims, default=(2, 2),
+                   help='subsystem dims, e.g. "2,2" (default)')
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -19,16 +19,15 @@ Two equivalences on r-tuples of permutations are used throughout:
   whose classes label pure-state invariants.  A two-sided class splits into
   finitely many conjugation classes; ``sim_decompose`` computes the split.
 
-Canonical forms (``canonical_form``, the ``OrbitLabel`` check, the
-``sim_decompose`` split and so ``graphs.canonical_graph``) scan no S_m.
+Canonical forms (``canonical_form``, the ``OrbitLabel`` check and so
+``graphs.canonical_graph``) scan no S_m.
 ``_classes`` holds, once per grade, each cycle type's class
 representative (its class minimum) and the centralizer of that
 representative, of order z_lambda.  A tuple's first non-identity entry goes
 to its representative; the conjugators that do so are one coset of the
 centralizer, and each later entry keeps only the part of that coset that
 gives it its least image.  The kernel ``_relabelings`` lists the m!
-conjugates of a tuple (for ``orbit``) or its m! left translates (for
-``sim_decompose``).
+conjugates of a tuple, for ``orbit``.
 ``orbit_partition`` is the one orbit routine on points, shared by
 ``is_transitive`` and ``graphs.connected_components``.
 
@@ -41,6 +40,8 @@ and recurses with that candidate's stabilizer, meets every label once, in
 sorted order; once the stabilizer is trivial the remaining entries are free.
 Where the stabilizer is all of S_m (the root, or after identity entries) the
 children are the class representatives, each with its centralizer.
+``_orbit_heads`` expands one node; ``sim_decompose`` splits a two-sided
+class along the children of its pure label's node.
 Its output, which ``orbit_count`` gives in advance by Burnside's lemma, is
 checked before any work; ``generator_count`` counts the transitive labels.
 Every label the package builds shares the interned ``Perm`` objects of
@@ -53,7 +54,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Union
+from typing import Any, Iterator, Sequence, Union
 
 from .errors import ResourceLimitError
 
@@ -61,12 +62,9 @@ from .errors import ResourceLimitError
 #: orbit, sim_decompose, the enumeration walk) and the class table.
 MAX_GRADE = 8
 
-#: Cost cap (conjugation-tuple operations) for the double-coset split of
-#: sim_decompose.
-_ENUM_OP_LIMIT = 100_000_000
-
-#: Most label entries (labels times max(r, 1)) enumerate_orbits returns.  A
-#: label of interned perms takes about 0.22 KB plus 8 bytes per entry, under
+#: Most label entries (labels times max(r, 1)) enumerate_orbits returns, and
+#: most translate entries (m! times k) a sim_decompose split may canonicalize.
+#: A label of interned perms takes about 0.22 KB plus 8 bytes per entry, under
 #: 0.4 KB at every admitted r >= 1 with m >= 2, so this bounds an enumeration
 #: at about 0.45 GB; the largest admitted, (6,3) and (4,5), hold 126 MB and
 #: 87 MB by tracemalloc.
@@ -372,20 +370,10 @@ def parse_label(text: str, m: int) -> PermTuple:
     return PermTuple(m, tuple(perm_from_name(p, m) for p in parts))
 
 
-def _relabelings(
-    images: tuple[tuple[int, ...], ...], m: int, translate: bool = False
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Relabelings of one tuple of image lists over S_m, one per b in S_m in
-    symmetric_group order (so the identity's comes first).
-
-    By default these are the conjugates b·sigma_j·b^-1; with translate, the
-    left translates b·sigma_j.  Every two-sided relabeling a·sigma_j·b^-1
-    equals b·((b^-1 a)·sigma_j)·b^-1, a conjugate of a left translate.  orbit
-    needs every conjugate and sim_decompose every translate; canonical forms
-    come from _canonical_images, which scans no S_m."""
-    if translate:
-        return [tuple([tuple([vmap[x] for x in s]) for s in images])
-                for vmap, _ in _conjugators(m)]
+def _relabelings(images: tuple[tuple[int, ...], ...], m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The conjugates b·sigma_j·b^-1 of one tuple of image lists, one per b in
+    S_m in symmetric_group order (so the identity's comes first), for orbit;
+    canonical forms come from _canonical_images, which scans no S_m."""
     return [tuple([tuple([vmap[s[i]] for i in order]) for s in images])
             for vmap, order in _conjugators(m)]
 
@@ -580,6 +568,30 @@ def _check_enum_cost(m: int, r: int):
         )
 
 
+def _orbit_heads(stabilizer: Sequence[_Conjugator] | None, m: int) -> list[tuple[Perm, Any]]:
+    """The first element, in symmetric_group order, of each orbit of a group of
+    conjugators on S_m, with its stabilizer in that group.  None stands for all
+    of S_m, whose orbits are the classes: read from the class table."""
+    if stabilizer is None:
+        return [(_interned(m)[rep], centralizer) for rep, centralizer in _classes(m).items()]
+    heads = []
+    seen: set[tuple[int, ...]] = set()
+    for p in symmetric_group(m):
+        x = p.images
+        if x in seen:
+            continue
+        fixing = []
+        for h in stabilizer:
+            vmap, order = h
+            conj = tuple([vmap[x[i]] for i in order])
+            if conj == x:
+                fixing.append(h)
+            else:
+                seen.add(conj)
+        heads.append((p, fixing))
+    return heads
+
+
 def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
     """All distinct conjugation-orbit labels of r-tuples over S_m, sorted
     lexicographically by concatenated image lists, by orderly generation
@@ -591,8 +603,6 @@ def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
     if r == 0:
         return [trusted(_from_perms((), m))]
     group = symmetric_group(m)
-    interned = _interned(m)
-    classes = _classes(m)
     out: list[OrbitLabel] = []
     # depth first: a node is a canonical prefix and its stabilizer (None for
     # all of S_m), and its children go on the stack in reverse so that they
@@ -603,29 +613,11 @@ def enumerate_orbits(m: int, r: int) -> list[OrbitLabel]:
         depth = len(prefix)
         if depth == r:
             out.append(trusted(_from_perms(prefix, m)))
-        elif stabilizer is None:  # the orbits of S_m are its classes
-            stack.extend(reversed([(prefix + (interned[rep],), centralizer)
-                                   for rep, centralizer in classes.items()]))
-        elif len(stabilizer) == 1:  # only the identity: every tail is canonical
+        elif stabilizer is not None and len(stabilizer) == 1:  # every tail is canonical
             out.extend(trusted(_from_perms(prefix + tail, m))
                        for tail in itertools.product(group, repeat=r - depth))
         else:
-            children = []
-            seen: set[tuple[int, ...]] = set()
-            for p in group:
-                x = p.images
-                if x in seen:
-                    continue
-                fixing = []
-                for h in stabilizer:
-                    vmap, order = h
-                    conj = tuple([vmap[x[i]] for i in order])
-                    if conj == x:
-                        fixing.append(h)
-                    else:
-                        seen.add(conj)
-                children.append((prefix + (p,), fixing))
-            stack.extend(reversed(children))
+            stack.extend(reversed([(prefix + (p,), h) for p, h in _orbit_heads(stabilizer, m)]))
     return out
 
 
@@ -744,23 +736,30 @@ def sim_decompose(sigma: PermTuple) -> SimClass:
     conjugation classes.
 
     sigma is a pure label with r = k-1 entries; the returned labels live in
-    S_m^k.  Every member a·sigma_j·b^-1 of the double coset is conjugate to
-    the left translate (b^-1 a)·sigma_j, so the classes are the canonical
-    forms of the m! left translates.
-    """
+    S_m^k.  Every member a·sigma_j·b^-1 of the double coset is conjugate to a
+    translate (b·sigma_j, b); two are conjugate exactly when their b are, under
+    the common centralizer of the sigma_j.  So one translate per orbit head of
+    that centralizer on S_m is canonicalized: at most m! tuples of k entries,
+    refused above ENUM_ENTRY_LIMIT entries."""
     m = sigma.m
     k = sigma.r + 1
-    # m! translates, each bounded by a scan of m! conjugators of k entries of
-    # m (canonicalization does far less: the bound is conservative)
-    cost = factorial(m) ** 2 * k * m
-    if cost > _ENUM_OP_LIMIT:
+    _check_grade(m)
+    if factorial(m) * k > ENUM_ENTRY_LIMIT:
         raise ResourceLimitError(
-            f"double-coset split for m={m}, r={sigma.r} needs ~{cost:.2e} operations"
+            f"double-coset split for m={m}, r={sigma.r} may canonicalize {factorial(m)} "
+            f"translates of {k} entries (limit {ENUM_ENTRY_LIMIT} entries)"
         )
-    embedded = tuple([p.images for p in sigma.perms]) + (tuple(range(1, m + 1)),)
-    translates = _relabelings(embedded, m, translate=True)
-    classes = [_canonical_images(x, m) for x in translates]
-    keys = sorted(set(classes))
+    images = _canonical_images(tuple([p.images for p in sigma.perms]), m)
+    # refined as the walk does: all of S_m (None) up to the first non-identity
+    # entry, a class representative, then the part of its centralizer fixing each entry
+    stabilizer = None
+    for x in images:
+        stabilizer = _classes(m)[x] if stabilizer is None else [
+            h for h in stabilizer if tuple([h[0][x[i]] for i in h[1]]) == x]
+    keys = [_canonical_images(tuple([tuple([b[x - 1] for x in s]) for s in images]) + (b,), m)
+            for b in [p.images for p, _ in _orbit_heads(stabilizer, m)]]
+    # the first head is the identity, fixed by conjugation: the anchor (sigma, e)
+    anchor = keys[0]
+    keys.sort()
     members = tuple(OrbitLabel._trusted(_from_images(x, m)) for x in keys)
-    # the first translate is by the identity: the embedded tuple itself
-    return SimClass(anchor=members[keys.index(classes[0])], members=members)
+    return SimClass(anchor=members[keys.index(anchor)], members=members)

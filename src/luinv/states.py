@@ -485,15 +485,19 @@ def save_state(state: State, path) -> None:
 
 
 def load_state(path) -> State:
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
+    """Read a state file.  Malformed content (bad JSON, nesting too deep for
+    the parser, dims that are not JSON integers, a wrong shape) raises
+    ValueError."""
     try:
-        dims = tuple(int(n) for n in doc["dims"])
-        kind = doc["kind"]
-        data = doc["data"]
-    except (KeyError, TypeError) as exc:
+        with open(path, "r", encoding="utf-8") as fp:
+            doc = json.load(fp)
+        dims, kind = doc["dims"], doc["kind"]
+        if not all(type(n) is int for n in dims):  # no floats, no booleans
+            raise TypeError(f"dims {dims!r} are not all integers")
+        dims = tuple(dims)
+        arr = _pairs_to_complex(doc["data"])
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    arr = _pairs_to_complex(data)
     if kind == "pure":
         if arr.shape != dims:
             raise ValueError(f"pure data shape {arr.shape} does not match dims {dims}")

@@ -227,6 +227,20 @@ class TestEval:
                              "--state", str(path))
         assert code == 2 and "non-finite" in err and out == ""
 
+    @pytest.mark.parametrize("doc", [
+        '{"dims": [2], "kind": "pure", "data": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"dims": [2.7], "kind": "pure", "data": [[1, 0], [0, 0]]}',
+        '{"dims": [true, 2], "kind": "pure", "data": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        '{"dims": ["2"], "kind": "pure", "data": [[1, 0], [0, 0]]}',
+        '{"dims": [2], "kind": "pure", "data": {"re": 1}}',
+    ], ids=["nested", "float-dims", "bool-dims", "string-dims", "object-data"])
+    def test_malformed_state_is_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "eval", "--label", "", "--m", "1", "--kind", "pure",
+                             "--state", str(path))
+        assert code == 2 and "malformed state file" in err and out == ""
+
     def test_axis_id_limit_is_resource_guard(self, capsys, tmp_path):
         """A pure grade-8 label on 7 qubits needs 56 einsum axis ids."""
         path = tmp_path / "seven.json"
@@ -285,6 +299,16 @@ class TestGraph:
         assert rows == [[luinv.format_label(lab.rep), "none"] for lab in members]
         assert "[2,3,4,1],[1,2,3,4]" in [row[0] for row in rows]
 
+    def test_decompose_at_grade_seven(self, capsys):
+        """The split of a 7-cycle runs: one line per member, its own 7-cycle
+        embedded among them."""
+        code, out, _ = run(capsys, "graph", "--m", "7", "--k", "2", "--label",
+                           "[2,3,4,5,6,7,1]", "--decompose")
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 726
+        assert "[2,3,4,5,6,7,1],[1,2,3,4,5,6,7] none" in [" ".join(row.split()) for row in rows]
+
     def test_formula_above_grade_three(self, capsys):
         code, out, _ = run(capsys, "graph", "--m", "4", "--k", "2", "--kind", "mixed",
                            "--label", "[2,3,4,1],[3,4,1,2]", "--formula")
@@ -316,6 +340,11 @@ class TestVerify:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc[0]["check"] == "counts" and doc[0]["passed"]
+
+    def test_empty_dims_is_usage_error(self, capsys):
+        """An explicit empty --dims is refused, not read as the default."""
+        code, out, err = run(capsys, "verify", "--suite", "lu", "--dims", "")
+        assert code == 2 and out == "" and "--dims" in err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")

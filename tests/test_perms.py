@@ -606,7 +606,8 @@ class TestSimDecompose:
         assert len(seen) == 49
 
     def test_m6_split_runs(self):
-        """The guard counts m!^2 (r+1) m kernel steps, so m = 6 is allowed."""
+        """A 6-cycle splits into several distinct canonical members, among
+        them the anchor."""
         sigma = P.PermTuple(6, (P.Perm((2, 3, 4, 5, 6, 1)),))
         sc = P.sim_decompose(sigma)
         assert len(set(sc.members)) == len(sc.members) > 1
@@ -615,9 +616,50 @@ class TestSimDecompose:
             assert P.canonical_form(member.rep) == member
         assert sc.anchor in sc.members
 
-    def test_m7_split_is_refused(self):
-        with pytest.raises(ResourceLimitError, match="m=7"):
-            P.sim_decompose(P.PermTuple(7, (P.identity(7),)))
+    @pytest.mark.parametrize("m,r", [(7, 1), (6, 1), (5, 2)])
+    def test_members_sum_to_the_orbit_count(self, m, r):
+        """Each conjugation class of S_m^(r+1) lies in exactly one two-sided
+        class, so the splits of all pure labels of (m, r) list every label
+        of (m, r+1) once."""
+        members = [member for lab in P.enumerate_orbits(m, r)
+                   for member in P.sim_decompose(lab.rep).members]
+        assert len(members) == len(set(members)) == P.orbit_count(m, r + 1)
+
+    def test_guard_counts_translate_entries(self, monkeypatch):
+        """m! k translate entries: (8, r = 49) holds 40320 * 50 > 2e6 and is
+        refused before any canonicalization; (8, r = 48) runs, and its
+        identities split into the 22 classes of S_8."""
+        def no_work(*args):
+            raise AssertionError("canonicalized before the guard")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(P, "_canonical_images", no_work)
+            with pytest.raises(ResourceLimitError, match="entries"):
+                P.sim_decompose(P.PermTuple(8, (P.identity(8),) * 49))
+        split = P.sim_decompose(P.PermTuple(8, (P.identity(8),) * 48))
+        assert len(split.members) == 22
+        assert split.anchor.rep == P.PermTuple(8, (P.identity(8),) * 49)
+
+    def test_grade_guard_comes_first(self):
+        with pytest.raises(ResourceLimitError, match="MAX_GRADE"):
+            P.sim_decompose(P.PermTuple(9, (P.identity(9),)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_the_translate_scan(self, data):
+        """The classes are the canonical forms of all m! left translates
+        (b sigma_j, b) of the embedded tuple, the anchor that of b = e."""
+        m = data.draw(st.integers(1, 5))
+        group = P.symmetric_group(m)
+        sigma = P.PermTuple(m, tuple(data.draw(st.sampled_from(group))
+                                     for _ in range(data.draw(st.integers(0, 3)))))
+        sigma = sigma.conjugated(data.draw(st.sampled_from(group)))
+        embedded = sigma.embed()
+        classes = [P.canonical_form(P.PermTuple(m, tuple(P.compose(b, p) for p in embedded.perms)))
+                   for b in group]
+        split = P.sim_decompose(sigma)
+        assert split.members == tuple(sorted(set(classes)))
+        assert split.anchor == classes[0] == P.canonical_form(embedded)
 
 
 class TestLabelText:

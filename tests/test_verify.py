@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -29,6 +30,28 @@ class TestReports:
         assert grid == [(m, r) for m in range(1, 6) for r in range(1, 6)
                         if P.orbit_count(m, r) <= 2_000]
         assert len(grid) == 20
+
+    def test_counts_report_is_unchanged(self):
+        """sha256 of the report's JSON, pinned before the generator counts
+        were taken from the one enumeration per (m, r)."""
+        text = V.reports_to_json([V.check_counts()])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1a27a1a89d830fff10a71841bc6b11b550d907770863d7e3222f4e6e43f275f0")
+
+    def test_counts_enumerate_once_per_grid_point(self, monkeypatch):
+        """The generator count filters the one enumeration: no second walk,
+        in verify or inside perms (generator_labels)."""
+        calls = Counter()
+        enumerate_orbits = P.enumerate_orbits
+
+        def counted(m, r):
+            calls[m, r] += 1
+            return enumerate_orbits(m, r)
+
+        monkeypatch.setattr(V, "enumerate_orbits", counted)
+        monkeypatch.setattr(P, "enumerate_orbits", counted)
+        assert V.check_counts().passed
+        assert len(calls) == 20 and set(calls.values()) == {1}
 
     def test_counts_can_fail(self, monkeypatch):
         """A Burnside count off by one at (4, 2) fails the check there."""
