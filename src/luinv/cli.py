@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("pure", "mixed"), default="mixed",
                    help="with --k: pure labels have r=k-1, mixed r=k")
     p.add_argument("--generators-only", action="store_true",
-                   help="only transitive labels (algebraically independent generators)")
+                   help="only transitive labels (the algebraically independent "
+                        "generators when every local dimension is at least m)")
     p.add_argument("--count", action="store_true",
                    help="print the cardinality only, counted without enumerating")
     p.add_argument("--json", action="store_true")

@@ -215,15 +215,13 @@ class FormulaDescriptor:
     kind: str
     text: str
 
-    def evaluate(self, state) -> complex:
+    def evaluate_text(self, state) -> complex:
         """self.text run through parse_formula, on |psi><psi| for a pure
         writing: the program its label's closed form runs.  A state on other
         than the label's r subsystems raises ValueError."""
         rho = projector(state) if self.kind == "pure" else state
         _check_arity(self.label.r, rho.k, "mixed")
         return parse_formula(self.text)(rho)
-
-    evaluate_text = evaluate
 
 
 def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:

@@ -31,9 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
-from .errors import ResourceLimitError, VerificationError
+from .errors import ResourceLimitError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple
-from .states import DensityMatrix, PureState, check_dims, partial_trace, projector
+from .states import DensityMatrix, PureState, check_dims
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "eval_mixed_batch",
     "eval_pure",
     "eval_pure_batch",
-    "eval_pure_via_mixed",
 ]
 
 #: Cap on (prod n)^m * m for a single naive-loop evaluation.
@@ -156,27 +155,6 @@ def eval_pure_batch(sigma: Label, dims: Sequence[int], psis: np.ndarray) -> np.n
     dims, psis = _checked_stack(sigma, "pure", dims, psis)
     m = sigma.m
     return _pure_plan(sigma, dims, len(psis))(*[psis] * m, *[psis.conj()] * m)
-
-
-def eval_pure_via_mixed(sigma: Label, psi: PureState, rtol: float = 1e-10) -> complex:
-    """Evaluate a pure label three ways and cross-check:
-
-    directly, as the embedded label (sigma, e) on |psi><psi|, and as sigma on
-    the reduction of |psi><psi| over the last subsystem.  Raises
-    VerificationError if the routes disagree beyond rtol.
-    """
-    sigma = as_tuple(sigma)
-    direct = eval_pure(sigma, psi)
-    pi = projector(psi)
-    embedded = eval_mixed(sigma.embed(), pi)
-    reduced = eval_mixed(sigma, partial_trace(pi, {psi.k}))
-    scale = max(abs(direct), abs(embedded), abs(reduced), 1e-300)
-    worst = max(abs(direct - embedded), abs(direct - reduced)) / scale
-    if worst > rtol:
-        raise VerificationError(
-            f"pure/mixed evaluation routes disagree by {worst:.3e} (rtol {rtol})"
-        )
-    return direct
 
 
 # -- einsum strategy ----------------------------------------------------------

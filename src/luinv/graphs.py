@@ -78,15 +78,21 @@ def graph_to_json(g: PermTuple) -> str:
 
 
 def graph_from_json(text: str) -> PermTuple:
-    doc = json.loads(text)
     try:
-        m = int(doc["m"])
-        colors = tuple(Perm(tuple(int(i) for i in imgs)) for imgs in doc["colors"])
-    except (KeyError, TypeError) as exc:
+        doc = json.loads(text)
+        m = _json_int(doc["m"])
+        colors = tuple(Perm(tuple(_json_int(i) for i in imgs)) for imgs in doc["colors"])
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     if m < 1:
         raise ValueError(f"malformed graph JSON: grade {m} is not positive")
     return PermTuple(m, colors)
+
+
+def _json_int(x) -> int:
+    if type(x) is not int:  # no floats, no booleans
+        raise TypeError(f"{x!r} is not an integer")
+    return x
 
 
 def _cycle_fits(cycle: tuple[int, ...], position: dict[int, int], m: int) -> bool:

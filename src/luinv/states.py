@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -35,7 +36,6 @@ __all__ = [
     "is_hermitian",
     "load_state",
     "partial_trace",
-    "partial_transpose",
     "projector",
     "purify",
     "random_density",
@@ -44,7 +44,6 @@ __all__ = [
     "random_pure",
     "save_state",
     "set_dim_limit",
-    "tensor_with_identity",
 ]
 
 #: Default cap on the total Hilbert-space dimension prod(n_j).
@@ -66,9 +65,13 @@ def set_dim_limit(limit: int) -> None:
 
 
 def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(n) for n in dims)
-    if not dims or any(n < 1 for n in dims):
-        raise ValueError(f"subsystem dimensions must be positive integers: {dims}")
+    given = tuple(dims)
+    try:  # integers, numpy's included, but no float, str or bool
+        dims = tuple(operator.index(n) for n in given if type(n) is not bool)
+    except TypeError:
+        dims = ()
+    if not dims or len(dims) != len(given) or min(dims) < 1:
+        raise ValueError(f"subsystem dimensions must be positive integers: {given}")
     total = math.prod(dims)
     if total > _dim_limit:
         raise ResourceLimitError(
@@ -191,68 +194,6 @@ def _partial_trace_plan(dims: tuple[int, ...], traced: frozenset):
     out = [("r", j) for j in keep] + [("c", j) for j in keep]
     new_dims = tuple(dims[j - 1] for j in keep) or (1,)
     return plan([subs], out, [dims + dims]), new_dims
-
-
-def partial_transpose(rho: DensityMatrix, subsystems: Iterable[int]) -> DensityMatrix:
-    """Swap row and column indices on the listed subsystems (involutive)."""
-    subs = _check_subsystems(subsystems, rho.k)
-    if not subs:
-        return rho
-    axes = list(range(2 * rho.k))
-    for j in subs:
-        axes[j - 1], axes[rho.k + j - 1] = axes[rho.k + j - 1], axes[j - 1]
-    entries = rho.tensor().transpose(axes).reshape(rho.entries.shape)
-    return DensityMatrix._derived(rho.dims, entries)
-
-
-def tensor_with_identity(
-    rho: DensityMatrix, id_set: Iterable[int], full_dims: Sequence[int]
-) -> DensityMatrix:
-    """Insert identity factors at the id_set positions of full_dims, placing
-    rho's subsystems (in order) on the remaining positions.
-
-    A fully traced rho (1x1 matrix) against id_set = all positions becomes a
-    scalar multiple of the identity.
-    """
-    full_dims = check_dims(full_dims)
-    rest, pad, eyes = _padding(frozenset(id_set), full_dims)
-    expected = tuple(full_dims[j - 1] for j in rest) or (1,)
-    if rho.dims != expected:
-        raise ValueError(
-            f"operator dims {rho.dims} do not match non-identity slots {expected}"
-        )
-    size = math.prod(full_dims)
-    if len(rest) == len(full_dims):  # no identity slots
-        return rho
-    if not rest:  # rho is a 1x1 scalar
-        return DensityMatrix(full_dims, rho.entries * _eye(size))
-    return DensityMatrix(full_dims, pad(rho.tensor(), *eyes).reshape(size, size))
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _padding(id_set: frozenset, full_dims: tuple[int, ...]):
-    """The slots outside id_set and, when both they and id_set are non-empty,
-    the plan placing an operator on them next to identities on id_set, with
-    those identities."""
-    id_set = _check_subsystems(id_set, len(full_dims))
-    slots = range(1, len(full_dims) + 1)
-    rest = tuple(j for j in slots if j not in id_set)
-    if not (id_set and rest):
-        return rest, None, ()
-    subscripts = [[("r", j) for j in rest] + [("c", j) for j in rest]]
-    subscripts += [[("r", j), ("c", j)] for j in id_set]
-    shapes = [tuple(full_dims[j - 1] for j in rest) * 2]
-    shapes += [(full_dims[j - 1],) * 2 for j in id_set]
-    out = [("r", j) for j in slots] + [("c", j) for j in slots]
-    eyes = tuple(_eye(full_dims[j - 1]) for j in id_set)
-    return rest, plan(subscripts, out, shapes), eyes
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _eye(n: int) -> np.ndarray:
-    eye = np.eye(n, dtype=complex)
-    eye.flags.writeable = False
-    return eye
 
 
 def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:

@@ -462,3 +462,37 @@ def test_numerical_modules_resolve_after_a_bare_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+#: Every public name of a bare ``import luinv``: a removal or an addition
+#: edits this list on purpose.
+PUBLIC_API = [
+    "DEFAULT_DIM_LIMIT", "DensityMatrix", "FormulaDescriptor", "InvariantSpec",
+    "MAX_GRADE", "OrbitLabel", "Perm", "PermTuple", "PureState",
+    "ResourceLimitError", "SimClass", "VerificationError", "VerifyReport",
+    "all_specs", "alternate_writings", "apply_local_unitaries",
+    "apply_local_unitaries_mixed", "build_graph", "canonical_form",
+    "canonical_graph", "closed_form", "closed_form_batch", "closedform",
+    "compose", "conjugate", "connected_components", "contract", "dim_limit",
+    "dot_export", "enumerate_orbits", "errors", "eval_mixed",
+    "eval_mixed_batch", "eval_pure", "eval_pure_batch", "expressible_ordering",
+    "format_label", "formula_text", "generator_count", "generator_labels",
+    "graph_from_json", "graph_to_json", "graphs", "haar_unitary", "identity",
+    "is_hermitian", "is_transitive", "load_state", "orbit_count",
+    "parse_formula", "parse_label", "partial_trace", "perm_from_name",
+    "perm_name", "perm_tuple", "perms", "projector", "purify",
+    "random_density", "random_hermitian", "random_local_unitaries",
+    "random_pure", "render_table", "reports_to_json", "run_suite",
+    "s3_orbit_representatives", "save_state", "set_dim_limit", "sim_decompose",
+    "states", "verify",
+]
+
+
+def test_public_api_is_pinned():
+    code = "import json, luinv\nprint(json.dumps(sorted(luinv.__all__)))\n"
+    src = str(Path(luinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == PUBLIC_API

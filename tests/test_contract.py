@@ -6,7 +6,7 @@ from conftest import relerr, unit_density, unit_pure
 from luinv import contract as C
 from luinv import perms as P
 from luinv import states as S
-from luinv.errors import ResourceLimitError, VerificationError
+from luinv.errors import ResourceLimitError
 from luinv.graphs import build_graph, connected_components
 
 
@@ -199,24 +199,29 @@ class TestReality:
                 assert v.real > -1e-10
 
 
+def assert_three_ways_agree(sigma, psi):
+    """A pure label on psi directly, as the embedded label on |psi><psi|,
+    and on the reduction of |psi><psi| over the last subsystem, agree to
+    1e-10 relative; returns the direct value."""
+    pi = S.projector(psi)
+    direct = C.eval_pure(sigma, psi)
+    for other in (C.eval_mixed(sigma.embed(), pi),
+                  C.eval_mixed(sigma, S.partial_trace(pi, {psi.k}))):
+        assert relerr(direct, other) < 1e-10, P.format_label(sigma)
+    return direct
+
+
 class TestPureViaMixed:
     def test_grade_one(self):
         psi = S.random_pure((2, 2), seed=15)
         lab = P.perm_tuple(1, "e")
-        assert relerr(C.eval_pure_via_mixed(lab, psi), psi.norm() ** 2) < 1e-12
+        assert relerr(assert_three_ways_agree(lab, psi), psi.norm() ** 2) < 1e-12
 
     def test_three_way_agreement_all_labels(self):
         psi = unit_pure((2, 2, 2), seed=16)
         for m in (1, 2, 3):
             for lab in P.enumerate_orbits(m, 2):
-                direct = C.eval_pure(lab, psi)
-                threeway = C.eval_pure_via_mixed(lab, psi)
-                assert relerr(direct, threeway) < 1e-12
-
-    def test_detects_disagreement(self):
-        psi = unit_pure((2, 2), seed=17)
-        with pytest.raises(VerificationError):
-            C.eval_pure_via_mixed(P.perm_tuple(2, "t"), psi, rtol=1e-18)
+                assert_three_ways_agree(lab.rep, psi)
 
 
 class TestInvariantSpec:

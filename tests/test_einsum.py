@@ -111,33 +111,6 @@ class TestBuildingBlocks:
             n = got.shape[0]
             assert np.allclose(got, ref.reshape(n, n), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("full_dims", [(2, 3), (2, 2, 2), (3, 2, 2)])
-    def test_tensor_with_identity(self, full_dims):
-        k = len(full_dims)
-        for mask in range(1, 2**k):
-            id_set = [j for j in range(1, k + 1) if mask >> (j - 1) & 1]
-            rest = [j for j in range(1, k + 1) if j not in id_set]
-            sub_dims = tuple(full_dims[j - 1] for j in rest) or (1,)
-            rho = random_hermitian(sub_dims, seed=mask)
-            ops, subs = [], []
-            if rest:
-                ops.append(rho.tensor())
-                subs.append([("r", j) for j in rest] + [("c", j) for j in rest])
-            for j in id_set:
-                ops.append(np.eye(full_dims[j - 1]))
-                subs.append([("r", j), ("c", j)])
-            out = [("r", j) for j in range(1, k + 1)] + [("c", j) for j in range(1, k + 1)]
-            ref = reference(ops, subs, out)
-            if not rest:
-                ref = ref * rho.entries[0, 0]
-            got = states.tensor_with_identity(rho, id_set, full_dims).entries
-            n = got.shape[0]
-            assert np.allclose(got, ref.reshape(n, n), rtol=1e-12, atol=1e-12)
-
-    def test_identity_factors_are_shared_and_read_only(self):
-        assert states._eye(3) is states._eye(3)
-        assert not states._eye(3).flags.writeable
-
 
 class TestPlan:
     def test_path_is_numpys_greedy_path(self):
@@ -217,7 +190,7 @@ class TestPlan:
                         assert obj.cache_info().maxsize == PLAN_CACHE_SIZE, key
         assert set(exempt) <= found
         assert {"luinv._einsum.compile_plan", "luinv.contract._mixed_plan",
-                "luinv.states._eye", "luinv.closedform._programs"} <= found
+                "luinv.states._partial_trace_plan", "luinv.closedform._programs"} <= found
 
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,15 @@ class TestGraphJson:
         with pytest.raises(ValueError, match="malformed graph JSON"):
             G.graph_from_json(f'{{"m": {m}, "colors": []}}')
 
+    @pytest.mark.parametrize("text", [
+        '{"m": 2.7, "colors": [[2.9, 1]]}',
+        '{"m": true, "colors": [[true]]}',
+        '{"m": 2, "colors": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["floats", "booleans", "deep-nesting"])
+    def test_non_integers_and_deep_nesting_are_malformed(self, text):
+        with pytest.raises(ValueError, match="malformed graph JSON"):
+            G.graph_from_json(text)
+
 
 def ordering_satisfies(g, order):
     position = {v: i for i, v in enumerate(order)}
