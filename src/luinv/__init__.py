@@ -12,7 +12,7 @@ numerical modules and their names load on first use.
 
 from importlib import import_module as _import_module
 
-from .errors import ResourceLimitError, VerificationError
+from .errors import ResourceLimitError
 from .graphs import (
     build_graph,
     canonical_graph,
@@ -57,11 +57,7 @@ def _numerical_modules():
 
 
 def _public_names() -> list[str]:
-    names = {name for name in globals() if not name.startswith("_")}
-    names.update(_NUMERICAL)
-    for module in _numerical_modules():
-        names.update(module.__all__)
-    return sorted(names)
+    return sorted(_OWN_NAMES.union(*(module.__all__ for module in _numerical_modules())))
 
 
 def __getattr__(name):
@@ -83,3 +79,7 @@ def __dir__():
 
 
 __version__ = "0.1.0"
+
+#: The package's own public names, read once here: a submodule imported
+#: later binds its name in globals() but does not join __all__.
+_OWN_NAMES = frozenset(name for name in globals() if not name.startswith("_")) | set(_NUMERICAL)

@@ -8,10 +8,7 @@ states on one dims, an array; ``closed_form`` is its batch of one.
 
 Grade 1: the full trace.
 
-Grade 2 (entries in {e, t}): Tr (Tr_{E} rho)^2 where E = {j | sigma_j = e};
-for pure states E additionally contains the singled-out last subsystem, and
-the complementary writing Tr (Tr_{j | sigma_j = t} pi)^2 is computed as well
-and asserted equal.
+Grade 2 (entries in {e, t}): Tr (Tr_{E} rho)^2 where E = {j | sigma_j = e}.
 
 Grade 3 (entries in S_3): the trace of an ordered product of three factors,
 
@@ -40,6 +37,10 @@ Operands carry their subsystem lists, so "(x)" assembles disjoint operands
 onto their slots regardless of textual order; pt[] is the full trace, a
 scalar.  Exponents are at least 1.
 
+A pure label's closed form is the formula of its embedded label (sigma, e),
+whose slot k holds the identity: every factor traces subsystem k and no text
+names it, so the formula runs on Tr_k |psi><psi| compiled for dims[:-1].
+
 ``parse_formula`` is the compiler's front end; ``Program`` turns a syntax
 tree into the formula's contraction network, the paper's graph of it
 (README, "Evaluation engines").
@@ -58,9 +59,9 @@ import numpy as np
 
 from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
 from .contract import _check_arity, _checked_stack, _state_data
-from .errors import ResourceLimitError, VerificationError
-from .perms import Label, OrbitLabel, Perm, PermTuple, as_tuple, canonical_form, identity, sim_decompose
-from .states import DensityMatrix, _check_subsystems, _projector_stack, projector
+from .errors import ResourceLimitError
+from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
+from .states import DensityMatrix, _check_subsystems, projector
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -77,7 +78,6 @@ _TS2_IMAGES = (3, 2, 1)  # swap fixing 2
 _T_IMAGES = (2, 1, 3)    # swap fixing 3
 _S2_IMAGES = (3, 1, 2)
 _FACTOR_ORDER = (_TS_IMAGES, _TS2_IMAGES, _T_IMAGES)
-_T2 = Perm((2, 1))
 
 #: Highest grade with a closed form: the formulas stop at degree six.
 MAX_CLOSED_FORM_GRADE = 3
@@ -95,13 +95,13 @@ def closed_form(sigma: Label, kind: str, state) -> complex:
     return complex(closed_form_batch(sigma, kind, state.dims, data[None])[0])
 
 
-def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int], stack: np.ndarray,
-                      rtol: float = 1e-10) -> np.ndarray:
+def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int],
+                      stack: np.ndarray) -> np.ndarray:
     """The closed form of one label on each of a non-empty stack of states
     on dims, as a complex array of shape (n,): the label's compiled formula
     runs once over the stack.  The stack holds amplitude tensors (n, *dims)
-    for kind "pure", matrices (n, N, N) for "mixed".  For pure grade-2
-    labels the two writings are asserted equal to rtol on every state.
+    for kind "pure", matrices (n, N, N) for "mixed"; a pure formula runs on
+    the reductions Tr_k |psi><psi|.
 
     An empty stack, a wrong shape or a wrong label arity raise ValueError,
     as in contract.eval_mixed_batch / eval_pure_batch.
@@ -110,39 +110,20 @@ def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int], stack: np.nd
     dims, stack = _checked_stack(sigma, kind, dims, stack)
     if not has_closed_form(sigma.m):
         raise ValueError(f"no closed form for grade {sigma.m} (only m <= 3)")
-    programs = _programs(sigma, kind, dims)
-    if kind == "mixed":
-        return programs[0](stack)
-    va, *others = (program.on_pure(stack) for program in programs)
-    for vb in others:
-        scale = np.maximum(np.maximum(np.abs(va), np.abs(vb)), 1e-300)
-        bad = np.flatnonzero(np.abs(va - vb) > rtol * scale)
-        if bad.size:
-            i = bad[0]
-            raise VerificationError(
-                f"the two grade-2 writings disagree: {complex(va[i])} vs {complex(vb[i])}")
-    return va
+    if kind == "pure":  # the reductions Tr_k |psi><psi|
+        a = stack.reshape(len(stack), -1, dims[-1])
+        stack = a @ a.conj().swapaxes(1, 2)
+    return _program(sigma, kind, dims)(stack)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _programs(sigma: PermTuple, kind: str, dims: tuple[int, ...]) -> tuple["Program", ...]:
-    """The compiled writings of a label's closed form on dims, built from
-    formula_text: one, or two for a pure grade-2 label (the embedded label
-    and its e/t complement).  A pure writing whose product leaves out the
-    last subsystem is compiled for the other subsystems."""
+def _program(sigma: PermTuple, kind: str, dims: tuple[int, ...]) -> "Program":
+    """The compiled closed form of a label on dims, built from formula_text:
+    a mixed label's formula on dims, or a pure label's embedded formula on
+    dims[:-1], the subsystems left by Tr_k."""
     if kind == "mixed":
-        return (_compiled(_parse(formula_text(sigma, "mixed")), dims),)
-    writings = [sigma.embed()]
-    if sigma.m == 2:  # the complement: t times every entry
-        writings.append(PermTuple(2, tuple(_T2 * p for p in writings[0].perms)))
-    programs = []
-    for label in writings:
-        tree = _parse(formula_text(label, "pure"))
-        program = _compiled(tree, dims)
-        if len(dims) > 1 and len(dims) not in program.support:
-            program = _compiled(tree, dims[:-1])
-        programs.append(program)
-    return tuple(programs)
+        return _compiled(_parse(formula_text(sigma, "mixed")), dims)
+    return _compiled(_parse(formula_text(sigma.embed(), "pure")), dims[:-1])
 
 
 # -- formula descriptors -------------------------------------------------------
@@ -364,7 +345,7 @@ class Program:
             raise ResourceLimitError(f"a formula with {n_copies} copies of its argument needs "
                                      f"more than einsum's {MAX_AXIS_IDS} axis ids")
         self.dims = dims
-        self.support = None
+        common = None  # the support every factor must share
         copies = []   # the roles of each copy's axes, in product order
         for parts, power in tree:
             ids, operands = [], []
@@ -377,14 +358,14 @@ class Program:
             if len(set(covered)) != len(covered):
                 raise ValueError(f"overlapping subsystems in tensor group: {sorted(covered)}")
             support = tuple(sorted(covered))
-            if self.support is not None and support != self.support:
-                raise ValueError(f"factors on different supports: {self.support} vs {support}")
-            self.support = support
+            if common is not None and support != common:
+                raise ValueError(f"factors on different supports: {common} vs {support}")
+            common = support
             if operands:  # a factor of identities alone passes every index on
                 copies += [roles for roles, _ in operands] * power
 
         ring = {j: [c for c, roles in enumerate(copies) if ("row", j) in roles]
-                for j in self.support}
+                for j in common}
 
         def axis(c, role):
             what, j = role
@@ -407,15 +388,6 @@ class Program:
             last = self._last = (n, compile_plan(self.terms, self.out, (shape,) * len(self.terms)))
         values = last[1](*[stack.reshape(shape)] * len(self.terms))
         return values if self.scale == 1 else self.scale * values
-
-    def on_pure(self, amps: np.ndarray) -> np.ndarray:
-        """The program on the projectors of a stack of amplitude tensors
-        (n, *dims'), or on their reductions over the last subsystem when the
-        program was compiled for dims' without it."""
-        if amps.ndim - 1 == len(self.dims):
-            return self(_projector_stack(amps))
-        a = amps.reshape(len(amps), -1, amps.shape[-1])
-        return self(a @ a.conj().swapaxes(1, 2))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)

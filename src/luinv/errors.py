@@ -6,7 +6,3 @@ class ResourceLimitError(RuntimeError):
     configured resource guard.  Raised instead of hanging or swapping;
     the CLI maps it to exit code 3."""
 
-
-class VerificationError(RuntimeError):
-    """An internal cross-check between two independent evaluation routes
-    disagreed beyond tolerance."""

@@ -196,12 +196,6 @@ def _partial_trace_plan(dims: tuple[int, ...], traced: frozenset):
     return plan([subs], out, [dims + dims]), new_dims
 
 
-def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """I.i.d. standard complex Gaussian entries: the real parts, then the
-    imaginary parts, from rng."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def random_pure(dims: Sequence[int], seed: int) -> PureState:
     """I.i.d. standard complex Gaussian amplitudes (PCG64 stream from seed)."""
     dims = check_dims(dims)
@@ -218,18 +212,15 @@ def random_hermitian(dims: Sequence[int], seed: int) -> DensityMatrix:
     """Hermitian (not necessarily PSD) matrix (B + B^dagger)/2, entries O(1)."""
     dims = check_dims(dims)
     n = math.prod(dims)
-    b = _gaussian(np.random.default_rng(seed), (n, n))
+    b = _complex_stack(_normals([seed], 2 * n * n), (n, n))[0]
     return DensityMatrix(dims, (b + b.conj().T) / 2)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary: QR of a Ginibre matrix with the R
     diagonal phase divided out (Mezzadri construction)."""
-    return _haar_stack(_ginibre(rng, n))
-
-
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _gaussian(rng, (n, n)) / np.sqrt(2)
+    z = _complex_stack(rng.standard_normal((1, 2 * n * n)), (n, n)) / np.sqrt(2)
+    return _haar_stack(z)[0]
 
 
 def _haar_stack(z: np.ndarray) -> np.ndarray:
@@ -241,8 +232,7 @@ def _haar_stack(z: np.ndarray) -> np.ndarray:
 
 def random_local_unitaries(dims: Sequence[int], seed: int) -> list[np.ndarray]:
     dims = check_dims(dims)
-    rng = np.random.default_rng(seed)
-    return [haar_unitary(n, rng) for n in dims]
+    return [u[0] for u in _unitary_stacks(dims, [seed])]
 
 
 def _check_unitary_shapes(dims: tuple[int, ...], us: Sequence[np.ndarray]):
@@ -280,10 +270,9 @@ def purify(rho: DensityMatrix, tol: float = 1e-12) -> PureState:
 # -- stacks of samples ---------------------------------------------------------
 #
 # The verification checks draw many samples, then rotate or purify them.  Each
-# sample keeps its own seed and the rng stream of the single-state sampler,
-# taken by one standard_normal call into a float buffer (a sampler's two
-# calls, real parts then imaginary parts, read the same stream); the complex
-# assembly and everything after it run once over the stack.  The single-state
+# sample keeps its own seed and rng stream, taken by one standard_normal call
+# into a float buffer, real parts then imaginary parts; the complex assembly
+# and everything after it run once over the stack.  The single-state
 # functions above are the stacks of one.
 
 
@@ -296,8 +285,8 @@ def _normals(seeds: Sequence[int], size: int) -> np.ndarray:
 
 
 def _complex_stack(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """_gaussian's entries from rows of real parts then imaginary parts:
-    (n, 2 prod(shape)) floats to (n, *shape) complex."""
+    """I.i.d. standard complex Gaussian entries from rows of real parts then
+    imaginary parts: (n, 2 prod(shape)) floats to (n, *shape) complex."""
     half = buf.reshape((len(buf), 2) + shape)
     return half[:, 0] + 1j * half[:, 1]
 

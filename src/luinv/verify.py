@@ -479,10 +479,10 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0, dims: Sequence[int] = (2, 2)) -> list[VerifyReport]:
     """Run one named suite, or all of them with name="all", on one sample
-    table."""
-    dims = tuple(dims)
+    table.  dims are checked once, whether or not the suite reads them."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    dims = check_dims(dims)
     table = _SampleTable()
     reports = []
     for key in SUITES if name == "all" else [name]:

@@ -350,6 +350,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("suite", ["counts", "all"])
+    def test_malformed_dims_are_usage_error_for_every_suite(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--dims", "0")
+        assert code == 2 and out == "" and "positive integers" in err
+
+    @pytest.mark.parametrize("suite", ["counts", "all"])
+    def test_dims_over_the_limit_trip_the_guard_for_every_suite(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--dims", "99999")
+        assert code == 3 and out == "" and "exceeds limit" in err
+
 
 class TestGlobalFlags:
     def test_version(self, capsys):
@@ -469,7 +479,7 @@ def test_numerical_modules_resolve_after_a_bare_import():
 PUBLIC_API = [
     "DEFAULT_DIM_LIMIT", "DensityMatrix", "FormulaDescriptor", "InvariantSpec",
     "MAX_GRADE", "OrbitLabel", "Perm", "PermTuple", "PureState",
-    "ResourceLimitError", "SimClass", "VerificationError", "VerifyReport",
+    "ResourceLimitError", "SimClass", "VerifyReport",
     "all_specs", "alternate_writings", "apply_local_unitaries",
     "apply_local_unitaries_mixed", "build_graph", "canonical_form",
     "canonical_graph", "closed_form", "closed_form_batch", "closedform",
@@ -486,6 +496,18 @@ PUBLIC_API = [
     "s3_orbit_representatives", "save_state", "set_dim_limit", "sim_decompose",
     "states", "verify",
 ]
+
+
+def test_public_api_does_not_depend_on_import_order():
+    """Importing a submodule binds its name in the package but not in
+    __all__."""
+    code = "import json, luinv, luinv.cli\nprint(json.dumps(sorted(luinv.__all__)))\n"
+    src = str(Path(luinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == PUBLIC_API
 
 
 def test_public_api_is_pinned():

@@ -9,7 +9,7 @@ from luinv import contract as C
 from luinv import perms as P
 from luinv import states as S
 from luinv._einsum import compile_plan
-from luinv.errors import ResourceLimitError, VerificationError
+from luinv.errors import ResourceLimitError
 
 
 def kron(*mats):
@@ -308,26 +308,29 @@ class TestBatch:
         rho = S.random_density((2, 3), seed=320)
         lab = P.enumerate_orbits(3, 2)[7]
         F.closed_form(lab, "mixed", rho)
-        (program,) = F._programs(lab.rep, "mixed", rho.dims)
+        program = F._program(lab.rep, "mixed", rho.dims)
         assert program is F._compiled(F._parse(F.formula_text(lab.rep, "mixed")), rho.dims)
-        before, compiled = F._programs.cache_info(), F._compiled.cache_info()
+        before, compiled = F._program.cache_info(), F._compiled.cache_info()
         F.closed_form(lab, "mixed", rho)
-        after = F._programs.cache_info()
+        after = F._program.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert F._compiled.cache_info() == compiled
         # the formula text shares the program
         (w,) = F.alternate_writings(lab, "mixed")
         w.evaluate_text(rho)
         assert F._compiled.cache_info().misses == compiled.misses
-        # a pure grade-2 label has two writings, asserted equal
-        assert len(F._programs(P.perm_tuple(2, "t"), "pure", (2, 3))) == 2
+        # a pure label runs its embedded label's formula, compiled without slot k
+        t = P.perm_tuple(2, "t")
+        program = F._program(t, "pure", (2, 3))
+        assert program.dims == (2,)
+        assert program is F._compiled(F._parse(F.formula_text(t.embed(), "pure")), (2,))
 
     def test_writings_of_both_kinds_share_programs(self):
         # the "rho" and "pi" texts of a writing parse to one tree: one program
         psi = unit_pure((2, 2, 2), seed=330)
         writings = F.alternate_writings(P.perm_tuple(3, "s", "t"), "pure")
         assert len(writings) == 6
-        F._programs.cache_clear()
+        F._program.cache_clear()
         F._compiled.cache_clear()
         for w in writings:
             w.evaluate_text(psi)
@@ -344,7 +347,7 @@ class TestBatch:
 
     def test_program_keeps_its_last_plan(self):
         rho = S.random_density((2, 3), seed=350)
-        (program,) = F._programs(P.perm_tuple(3, "s", "t"), "mixed", (2, 3))
+        program = F._program(P.perm_tuple(3, "s", "t"), "mixed", (2, 3))
         stack = np.stack([rho.entries] * 3)
         first = program(stack)
         lookups = compile_plan.cache_info()
@@ -355,14 +358,26 @@ class TestBatch:
         assert after.hits + after.misses == lookups.hits + lookups.misses + 1
         assert np.array_equal(program(stack), first)
 
-    def test_pure_m2_writings_checked_on_a_stack(self):
-        _, stack = sample_stack("pure", (2, 2, 2), 3, seed=310)
-        lab = P.perm_tuple(2, "t", "e")
-        F.closed_form_batch(lab, "pure", (2, 2, 2), stack)
-        with pytest.raises(VerificationError, match="writings disagree"):
-            F.closed_form_batch(lab, "pure", (2, 2, 2), stack, rtol=-1.0)
-        with pytest.raises(VerificationError, match="writings disagree"):
-            F.closed_form_batch(lab, "pure", (2, 2, 2), stack[:1], rtol=-1.0)
+    @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 3), (3, 1), (2, 2), (2, 1, 2)])
+    def test_pure_programs_run_on_the_reduction(self, dims):
+        # k = 1 compiles for dims (), and unit dims trace nothing away
+        states, psis = sample_stack("pure", dims, 3, seed=360)
+        for m in (1, 2, 3):
+            for lab in P.enumerate_orbits(m, len(dims) - 1):
+                assert F._program(lab.rep, "pure", dims).dims == dims[:-1]
+                got = F.closed_form_batch(lab, "pure", dims, psis)
+                want = np.array([C.eval_pure(lab, psi) for psi in states])
+                assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_an_ordering_is_only_sufficient_for_a_matrix_form():
+    # README, "Scope notes": no cyclic ordering, yet a matrix form
+    lab = P.parse_label("[3,2,1,4],[2,3,4,1]", 4)
+    text = "Tr( rho * (I[1] (x) pt[2](rho)) * rho * (I[1] (x) pt[2](rho)) )"
+    for dims in [(2, 3), (3, 2)]:
+        for seed in (370, 371):
+            rho = S.random_hermitian(dims, seed)
+            assert relerr(F.parse_formula(text)(rho), C.eval_mixed(lab, rho)) < 1e-12
 
 
 class TestAlternateWritings:

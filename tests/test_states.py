@@ -321,19 +321,26 @@ class TestStacks:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2)])
     def test_one_call_draws_are_the_two_call_draws_bitwise(self, dims):
-        # the parent formulas: per seed, _gaussian's or _ginibre's two calls
-        # into a preallocated stack, then the same stacked products
+        # the reference formulas: per seed, two standard_normal calls (real
+        # parts, then imaginary parts) into a preallocated stack, then the
+        # same stacked products
+        def gaussian(rng, shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def haar(rng, nj):
+            return S._haar_stack(gaussian(rng, (nj, nj)) / np.sqrt(2))
+
         n = math.prod(dims)
         amps = np.empty((len(SEEDS),) + dims, dtype=complex)
         a = {rank: np.empty((len(SEEDS), n, rank), dtype=complex) for rank in (n, 2)}
         z = [np.empty((len(SEEDS), nj, nj), dtype=complex) for nj in dims]
         for i, seed in enumerate(SEEDS):
-            amps[i] = S._gaussian(np.random.default_rng(seed), dims)
+            amps[i] = gaussian(np.random.default_rng(seed), dims)
             for rank, stack in a.items():
-                stack[i] = S._gaussian(np.random.default_rng(seed), (n, rank))
+                stack[i] = gaussian(np.random.default_rng(seed), (n, rank))
             rng = np.random.default_rng(seed)
             for stack, nj in zip(z, dims):
-                stack[i] = S._ginibre(rng, nj)
+                stack[i] = gaussian(rng, (nj, nj)) / np.sqrt(2)
 
         def same_bits(got, want):
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -348,6 +355,16 @@ class TestStacks:
                 same_bits(S._density_stack(dims, SEEDS), want)
         for got, stack in zip(S._unitary_stacks(dims, SEEDS), z, strict=True):
             same_bits(got, S._haar_stack(stack))
+        # the single-state samplers draw from the same stream
+        for seed in SEEDS:
+            b = gaussian(np.random.default_rng(seed), (n, n))
+            same_bits(S.random_hermitian(dims, seed).entries, (b + b.conj().T) / 2)
+            rng = np.random.default_rng(seed)
+            for u, nj in zip(S.random_local_unitaries(dims, seed), dims, strict=True):
+                same_bits(u, haar(rng, nj))
+            rng, parent = np.random.default_rng(seed), np.random.default_rng(seed)
+            for nj in dims:
+                same_bits(S.haar_unitary(nj, rng), haar(parent, nj))
 
     def test_empty_stacks(self):
         dims = (2, 3)
