@@ -6,8 +6,11 @@ for any number of subsystems of any finite dimensions, evaluates them by
 direct index contraction and by index-free matrix formulas, and verifies the
 algebraic structure numerically.
 
-The label algebra (``perms``, ``graphs``) imports without numpy; the
-numerical modules and their names load on first use.
+The label algebra (``perms``, ``graphs``) imports without numpy or
+``dataclasses``.  The numerical modules load on first use of one of their
+names, and a name loads only its own module and the ones it imports:
+``luinv.random_pure`` loads ``states`` but not ``contract``, ``closedform``
+or ``verify``.
 """
 
 from importlib import import_module as _import_module
@@ -46,18 +49,15 @@ from .perms import (
     sim_decompose,
 )
 
-#: The numerical modules, which load numpy: each is imported on first use of
-#: its name or of a name in its ``__all__``, so the label algebra above runs
-#: without numpy.
-_NUMERICAL = ("closedform", "contract", "states", "verify")
-
-
-def _numerical_modules():
-    return [_import_module(f".{module}", __name__) for module in _NUMERICAL]
+#: The numerical modules, which load numpy, in import order (each imports
+#: only those before it): each is imported on first use of its name or of a
+#: name in its ``__all__``, so the label algebra above runs without numpy.
+_NUMERICAL = ("states", "contract", "closedform", "verify")
 
 
 def _public_names() -> list[str]:
-    return sorted(_OWN_NAMES.union(*(module.__all__ for module in _numerical_modules())))
+    modules = [_import_module(f".{module}", __name__) for module in _NUMERICAL]
+    return sorted(_OWN_NAMES.union(*(module.__all__ for module in modules)))
 
 
 def __getattr__(name):
@@ -66,7 +66,9 @@ def __getattr__(name):
     if name in _NUMERICAL:
         return _import_module(f".{name}", __name__)
     if not name.startswith("_"):
-        for module in _numerical_modules():
+        # stop at the defining module: the later ones import it, not it them
+        for module_name in _NUMERICAL:
+            module = _import_module(f".{module_name}", __name__)
             if name in module.__all__:
                 value = getattr(module, name)
                 globals()[name] = value

@@ -52,12 +52,12 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
+from ._record import Value, set_hash
 from .contract import _check_arity, _checked_stack, _state_data
 from .errors import ResourceLimitError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
@@ -186,15 +186,18 @@ def formula_text(sigma: Label, kind: str) -> str:
     return f"Tr( {_merge_powers(_m3_factor_texts(sigma, arg))} )"
 
 
-@dataclass(frozen=True)
-class FormulaDescriptor:
+class FormulaDescriptor(Value):
     """One closed-form writing of an invariant: a mixed-type label together
     with its rendered formula.  For kind="pure" the label is a member of the
     two-sided class of an embedded pure label and evaluates on |psi><psi|."""
 
-    label: OrbitLabel
-    kind: str
-    text: str
+    __slots__ = ("label", "kind", "text")
+
+    def __init__(self, label: OrbitLabel, kind: str, text: str):
+        set_hash(self, None)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
 
     def evaluate_text(self, state) -> complex:
         """self.text run through parse_formula, on |psi><psi| for a pure

@@ -25,12 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
+from ._record import Value, set_hash
 from .errors import ResourceLimitError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple
 from .states import DensityMatrix, PureState, check_dims
@@ -48,12 +48,17 @@ __all__ = [
 _EVAL_TERM_LIMIT = 20_000_000
 
 
-@dataclass(frozen=True)
-class InvariantSpec:
-    """A label bundled with its interpretation."""
+class InvariantSpec(Value):
+    """A label bundled with its interpretation, kind "pure" (r = k-1) or
+    "mixed" (r = k)."""
 
-    label: OrbitLabel
-    kind: str  # "pure" (r = k-1) or "mixed" (r = k)
+    __slots__ = ("label", "kind")
+
+    def __init__(self, label: OrbitLabel, kind: str):
+        set_hash(self, None)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "kind", kind)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("pure", "mixed"):

@@ -51,11 +51,12 @@ Every label the package builds shares the interned ``Perm`` objects of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 from math import factorial
 from typing import Any, Iterator, Sequence, Union
 
+from ._record import Ordered, Value, set_hash
 from .errors import ResourceLimitError
 
 #: Upper bound on the grade: the routines that list S_m (symmetric_group,
@@ -64,22 +65,32 @@ MAX_GRADE = 8
 
 #: Most label entries (labels times max(r, 1)) enumerate_orbits returns, and
 #: most translate entries (m! times k) a sim_decompose split may canonicalize.
-#: A label of interned perms takes about 0.22 KB plus 8 bytes per entry, under
-#: 0.4 KB at every admitted r >= 1 with m >= 2, so this bounds an enumeration
-#: at about 0.45 GB; the largest admitted, (6,3) and (4,5), hold 126 MB and
-#: 87 MB by tracemalloc.
+#: A label of interned perms takes about 0.15 KB plus 8 bytes per entry, under
+#: 0.33 KB at every admitted r >= 1 with m >= 2, so this bounds an enumeration
+#: at about 0.32 GB; the largest admitted, (6,3) and (4,5), hold 93 MB and
+#: 65 MB by tracemalloc.
 ENUM_ENTRY_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True, order=True)
-class Perm:
+class Perm(Ordered):
     """A permutation of {1..m} as a tuple of 1-based images."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        set_hash(self, None)
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+        images = self.images
+        try:  # integers, numpy's included, but no float, str or bool
+            checked = tuple([operator.index(i) for i in images if type(i) is not bool])
+        except TypeError:
+            checked = ()
+        if len(checked) != len(images) or sorted(checked) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        object.__setattr__(self, "images", checked)
 
     @property
     def m(self) -> int:
@@ -173,7 +184,7 @@ def _conjugators(m: int) -> tuple[_Conjugator, ...]:
 def symmetric_group(m: int) -> tuple[Perm, ...]:
     """All m! permutations of {1..m}, in lexicographic image order."""
     _check_grade(m)
-    return tuple(Perm(p) for p in itertools.permutations(range(1, m + 1)))
+    return tuple(map(_trusted_perm, itertools.permutations(range(1, m + 1))))
 
 
 @lru_cache(maxsize=None)
@@ -305,18 +316,30 @@ def perm_from_name(text: str, m: int) -> Perm:
     raise ValueError(f"unknown permutation name {text!r}")
 
 
-@dataclass(frozen=True, order=True)
-class PermTuple:
+class PermTuple(Ordered):
     """An r-tuple of permutations of common grade m (r = 0 is allowed, so the
     grade is carried explicitly)."""
 
-    m: int
-    perms: tuple[Perm, ...]
+    __slots__ = ("m", "perms")
+
+    def __init__(self, m: int, perms: tuple[Perm, ...]):
+        set_hash(self, None)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "perms", perms)
+        self.__post_init__()
 
     def __post_init__(self):
+        m = self.m
+        try:  # an integer, numpy's included, but no float, str or bool
+            grade = -1 if type(m) is bool else operator.index(m)
+        except TypeError:
+            grade = -1
+        if grade < 0:
+            raise ValueError(f"grade must be a non-negative integer: {m!r}")
+        object.__setattr__(self, "m", grade)
         for p in self.perms:
-            if p.m != self.m:
-                raise ValueError(f"grade mismatch inside tuple: {p.m} != {self.m}")
+            if p.m != grade:
+                raise ValueError(f"grade mismatch inside tuple: {p.m} != {grade}")
 
     @property
     def r(self) -> int:
@@ -438,11 +461,28 @@ def _canonical_images(
     return tuple(out)
 
 
+#: The builders of trusted perms and labels skip the checks: they make an
+#: object and store its slots directly, the fastest way to build the group
+#: and the enumeration's output.
+_new = object.__new__
+_set_images = Perm.images.__set__
+_set_m, _set_perms = PermTuple.m.__set__, PermTuple.perms.__set__
+
+
+def _trusted_perm(images: tuple[int, ...]) -> Perm:
+    """The Perm of an image tuple known to be a permutation."""
+    p = _new(Perm)
+    set_hash(p, None)
+    _set_images(p, images)
+    return p
+
+
 def _from_perms(perms: tuple[Perm, ...], m: int) -> PermTuple:
     """The tuple of perms of grade m, built without the grade check."""
-    rep = object.__new__(PermTuple)
-    object.__setattr__(rep, "m", m)
-    object.__setattr__(rep, "perms", perms)
+    rep = _new(PermTuple)
+    set_hash(rep, None)
+    _set_m(rep, m)
+    _set_perms(rep, perms)
     return rep
 
 
@@ -453,13 +493,17 @@ def _from_images(images: tuple[tuple[int, ...], ...], m: int) -> PermTuple:
     return _from_perms(tuple([interned[x] for x in images]), m)
 
 
-@dataclass(frozen=True, order=True)
-class OrbitLabel:
+class OrbitLabel(Ordered):
     """Canonical representative of a simultaneous-conjugation class; the
     public identity of one invariant polynomial.  rep is always in canonical
     (lexicographically minimal) form."""
 
-    rep: PermTuple
+    __slots__ = ("rep",)
+
+    def __init__(self, rep: PermTuple):
+        set_hash(self, None)
+        object.__setattr__(self, "rep", rep)
+        self.__post_init__()
 
     def __post_init__(self):
         images = tuple([p.images for p in self.rep.perms])
@@ -470,8 +514,9 @@ class OrbitLabel:
     def _trusted(cls, rep: PermTuple) -> "OrbitLabel":
         """The label of a tuple this module has just made or found canonical:
         skips the canonicity check."""
-        label = object.__new__(cls)
-        object.__setattr__(label, "rep", rep)
+        label = _new(cls)
+        set_hash(label, None)
+        _set_rep(label, rep)
         return label
 
     @property
@@ -485,6 +530,8 @@ class OrbitLabel:
     def __repr__(self):
         return f"OrbitLabel(m={self.m}, [{format_label(self.rep)}])"
 
+
+_set_rep = OrbitLabel.rep.__set__
 
 Label = Union[PermTuple, OrbitLabel]
 
@@ -714,8 +761,7 @@ def generator_labels(m: int, r: int) -> list[OrbitLabel]:
     return [lab for lab in enumerate_orbits(m, r) if is_transitive(lab.rep)]
 
 
-@dataclass(frozen=True)
-class SimClass:
+class SimClass(Value):
     """One two-sided relabeling class, split into its conjugation classes.
 
     anchor is the member whose representatives carry the identity in the last
@@ -723,8 +769,13 @@ class SimClass:
     anchor included, sorted.
     """
 
-    anchor: OrbitLabel
-    members: tuple[OrbitLabel, ...]
+    __slots__ = ("anchor", "members")
+
+    def __init__(self, anchor: OrbitLabel, members: tuple[OrbitLabel, ...]):
+        set_hash(self, None)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.anchor not in self.members:
@@ -756,10 +807,14 @@ def sim_decompose(sigma: PermTuple) -> SimClass:
     for x in images:
         stabilizer = _classes(m)[x] if stabilizer is None else [
             h for h in stabilizer if tuple([h[0][x[i]] for i in h[1]]) == x]
-    keys = [_canonical_images(tuple([tuple([b[x - 1] for x in s]) for s in images]) + (b,), m)
-            for b in [p.images for p, _ in _orbit_heads(stabilizer, m)]]
+    # each translate's canonical images become interned perms as soon as they
+    # are found, so the split never holds more than one translate's fresh lists
+    members = [
+        OrbitLabel._trusted(_from_images(
+            _canonical_images(tuple([tuple([b[x - 1] for x in s]) for s in images]) + (b,), m), m))
+        for b in [p.images for p, _ in _orbit_heads(stabilizer, m)]
+    ]
     # the first head is the identity, fixed by conjugation: the anchor (sigma, e)
-    anchor = keys[0]
-    keys.sort()
-    members = tuple(OrbitLabel._trusted(_from_images(x, m)) for x in keys)
-    return SimClass(anchor=members[keys.index(anchor)], members=members)
+    anchor = members[0]
+    members.sort(key=lambda label: [p.images for p in label.rep.perms])
+    return SimClass(anchor=anchor, members=tuple(members))

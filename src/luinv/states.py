@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from ._einsum import PLAN_CACHE_SIZE, plan
+from ._record import Record
 from .errors import ResourceLimitError
 
 #: The public names, which ``luinv`` also exports
@@ -81,12 +81,15 @@ def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(Record):
     """State vector stored as a tensor of shape dims."""
 
-    dims: tuple[int, ...]
-    amplitudes: np.ndarray
+    __slots__ = ("dims", "amplitudes")
+
+    def __init__(self, dims: tuple[int, ...], amplitudes: np.ndarray):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        self.__post_init__()
 
     def __post_init__(self):
         dims = check_dims(self.dims)
@@ -107,14 +110,17 @@ class PureState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Operator on the product space, stored as a prod(dims) square matrix.
     Hermiticity is not enforced at construction (linear-algebra identities
     are tested on general matrices); samplers and the file reader do check."""
 
-    dims: tuple[int, ...]
-    entries: np.ndarray
+    __slots__ = ("dims", "entries")
+
+    def __init__(self, dims: tuple[int, ...], entries: np.ndarray):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         dims = check_dims(self.dims)

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._record import Value
 from .closedform import closed_form_batch
 from .contract import InvariantSpec, eval_mixed_batch, eval_pure_batch
 from .perms import (
@@ -64,20 +64,30 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class VerifyReport:
-    check: str
-    params: dict
-    tolerance: float
-    max_residual: float
-    passed: bool
-    details: dict = field(default_factory=dict)
-    witness: dict | None = None
+class VerifyReport(Value):
+    """One check's outcome; details defaults to a new empty dict.  Unlike
+    the other records it may be changed after it is made, so it is
+    unhashable."""
+
+    __slots__ = ("check", "params", "tolerance", "max_residual", "passed", "details", "witness")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, check: str, params: dict, tolerance: float, max_residual: float,
+                 passed: bool, details: dict | None = None, witness: dict | None = None):
+        self.check = check
+        self.params = params
+        self.tolerance = tolerance
+        self.max_residual = max_residual
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.witness = witness
 
     def to_dict(self) -> dict:
         """The report's fields and schema version; the nested params,
         details and witness are the report's own, not copies."""
-        return dict(vars(self), schema_version=SCHEMA_VERSION)
+        return dict(zip(self.__match_args__, self.__getstate__()), schema_version=SCHEMA_VERSION)
 
 
 def _unit_pures(dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -456,6 +457,34 @@ def test_label_algebra_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_start_up_loads_no_more_than_it_uses():
+    """The label algebra and the CLI's numpy-free commands load neither
+    numpy nor dataclasses, and a numerical name loads only its own module
+    and those it imports."""
+    code = (
+        "import sys, luinv, luinv.cli\n"
+        "labels = luinv.enumerate_orbits(3, 3)\n"
+        "luinv.canonical_graph(luinv.build_graph(labels[7].rep))\n"
+        "assert luinv.cli.main(['enumerate', '--m', '3', '--r', '2']) == 0\n"
+        "unwanted = {'numpy', 'dataclasses'} & set(sys.modules)\n"
+        "assert not unwanted, unwanted\n"
+        "luinv.random_pure\n"
+        "loaded = {name for name in sys.modules if name.startswith('luinv.')}\n"
+        "assert 'luinv.states' in loaded, loaded\n"
+        "assert not {'luinv.contract', 'luinv.closedform', 'luinv.verify'} & loaded, loaded\n"
+    )
+    src = Path(luinv.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for path in sorted((src / "luinv").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno} imports dataclasses"
 
 
 def test_numerical_modules_resolve_after_a_bare_import():

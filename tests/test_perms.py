@@ -704,6 +704,31 @@ class TestPermBasics:
         with pytest.raises(ValueError, match="not a permutation"):
             P.Perm((1, 1, 3))
 
+    @pytest.mark.parametrize("images", [
+        (2.0, 1.0, 3.0, 4.0), (2, True), (True,), (1, 2.5), ("2", "1"), (1, None)])
+    def test_images_must_be_integers(self, images):
+        # equal in value to a permutation, but not integers: refused like one
+        # that is no permutation, not accepted to fail later in canonical_form
+        with pytest.raises(ValueError, match="not a permutation"):
+            P.Perm(images)
+
+    def test_images_are_stored_as_an_int_tuple(self):
+        class Index:  # an integer type other than int, as numpy's are
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        p = P.Perm([Index(2), Index(1), 3])
+        assert p.images == (2, 1, 3) and all(type(i) is int for i in p.images)
+        assert p == T and hash(p) == hash(T)
+
+    @pytest.mark.parametrize("m", [3.0, True, "3", None, -1])
+    def test_grade_must_be_a_non_negative_integer(self, m):
+        with pytest.raises(ValueError, match="grade must be a non-negative integer"):
+            P.PermTuple(m, ())
+
     def test_inverse(self):
         assert S.inverse() == S2
         assert TS.inverse() == TS
