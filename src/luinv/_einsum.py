@@ -6,17 +6,22 @@ shapes) and kept in a bounded cache.  It holds:
 - the integer subscripts, with axis ids renumbered in order of first use;
 - numpy's greedy path from ``np.einsum_path(..., optimize="greedy")``, the
   path ``np.einsum(..., optimize=True)`` picks;
-- the path's FLOP count and largest intermediate (numpy's cost model);
-- one prepared step per path entry.
+- the path's FLOP count and largest intermediate (numpy's cost model),
+  which the cost guard (``MAX_PLAN_FLOPS``, ``MAX_PLAN_INTERMEDIATE``)
+  checks before any array work;
+- the path lowered to one flat step program, replayed by one loop.
 
-A pairwise step first sums out, with a single-operand einsum, every index
-that is repeated inside one operand or is needed neither by the other
-operand nor later; it then contracts the pair as one matrix product through
-BLAS and keeps the result in (batch, left, right) axis order, so only the
-output needs a final transpose.  Any other step (a single operand, or three
-and more operands when the greedy path falls back past its memory limit)
-is one ``np.einsum`` call.  Plans hold index bookkeeping only, never arrays
-of operand size.
+The program's registers hold the operands, then each step's result; every
+register is read by exactly one step.  A pairwise step brings each side to
+the matmul's (batch, left, shared) or (batch, shared, right) axis order,
+either with one single-operand einsum that also sums out every index
+repeated in it or needed neither by the other side nor later, or else with
+a transpose; it then contracts the pair as one matrix product through BLAS
+and keeps the result in (batch, left, right) axis order, so only the output
+needs a final transpose.  Any other step (a single operand, or three and
+more operands when the greedy path falls back past its memory limit) is one
+``np.einsum`` call.  Plans hold index bookkeeping only, never arrays of
+operand size.
 
 Callers with their own cheap keys (a label and dims, a subsystem list) wrap
 ``plan`` in a cache of their own, so that a hit does no per-axis work.  The
@@ -34,6 +39,11 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+try:  # what np.einsum calls when it is given no path, without its argument handling
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
+
 from .errors import ResourceLimitError
 
 #: Entries of every plan cache in the package (one constant bound).
@@ -42,6 +52,13 @@ PLAN_CACHE_SIZE = 2048
 #: einsum names axes with single letters, so a contraction has at most 52.
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_AXIS_IDS = len(_LETTERS)
+
+#: The cost guard: a plan whose path needs more FLOPs (numpy's count), or
+#: whose largest intermediate has more entries, is refused when it is built.
+#: The networks of the tests and benchmarks reach 1.3e8 FLOPs and 72 900
+#: entries.
+MAX_PLAN_FLOPS = 10**10
+MAX_PLAN_INTERMEDIATE = 2**24
 
 _ZERO = np.zeros((), dtype=complex)
 
@@ -59,53 +76,25 @@ def _unique(term: Sequence[int], needed) -> tuple[int, ...]:
     return tuple(i for i in dict.fromkeys(term) if i in needed)
 
 
-class _EinsumStep:
-    """One np.einsum call over the step's operands."""
-
-    __slots__ = ("subscripts",)
-
-    def __init__(self, terms, result):
-        self.subscripts = _einsum_string(terms, result)
-
-    def __call__(self, *ops):
-        return np.einsum(self.subscripts, *ops)
-
-
-class _PairStep:
-    """Pre-sum each operand, then one (batched) matrix product."""
-
-    __slots__ = ("presum_a", "presum_b", "axes_a", "axes_b", "shape_a", "shape_b", "shape_out",
-                 "result")
-
-    def __init__(self, a, b, later, size):
-        a1 = _unique(a, set(b) | later)
-        b1 = _unique(b, set(a) | later)
-        batch = [i for i in a1 if i in b1 and i in later]
-        shared = [i for i in a1 if i in b1 and i not in later]
-        left = [i for i in a1 if i not in b1]
-        right = [i for i in b1 if i not in a1]
-        self.presum_a = _einsum_string([a], a1) if a1 != tuple(a) else None
-        self.presum_b = _einsum_string([b], b1) if b1 != tuple(b) else None
-        self.axes_a = _axes(a1, batch + left + shared)
-        self.axes_b = _axes(b1, batch + shared + right)
-        nb, nl, ns, nr = (math.prod(size[i] for i in g) for g in (batch, left, shared, right))
-        lead = (nb,) if batch else ()
-        self.shape_a = lead + (nl, ns)
-        self.shape_b = lead + (ns, nr)
-        self.result = tuple(batch + left + right)
-        self.shape_out = tuple(size[i] for i in self.result)
-
-    def __call__(self, x, y):
-        if self.presum_a is not None:
-            x = np.einsum(self.presum_a, x)
-        if self.presum_b is not None:
-            y = np.einsum(self.presum_b, y)
-        if self.axes_a is not None:
-            x = x.transpose(self.axes_a)
-        if self.axes_b is not None:
-            y = y.transpose(self.axes_b)
-        z = np.matmul(x.reshape(self.shape_a), y.reshape(self.shape_b))
-        return z.reshape(self.shape_out)
+def _pair(x: Sequence[int], y: Sequence[int], later, size) -> tuple[tuple, tuple[int, ...]]:
+    """A pairwise program entry after its two registers, and the ids of its
+    result in (batch, left, right) order."""
+    x1 = _unique(x, set(y) | later)
+    y1 = _unique(y, set(x) | later)
+    batch = [i for i in x1 if i in y1 and i in later]
+    shared = [i for i in x1 if i in y1 and i not in later]
+    left = [i for i in x1 if i not in y1]
+    right = [i for i in y1 if i not in x1]
+    args = []
+    for term, kept, order in ((x, x1, batch + left + shared), (y, y1, batch + shared + right)):
+        if kept != tuple(term):
+            args += [_einsum_string([term], order), None]
+        else:
+            args += [None, _axes(term, order)]
+    nb, nl, ns, nr = (math.prod(size[i] for i in g) for g in (batch, left, shared, right))
+    lead = (nb,) if batch else ()
+    result = tuple(batch + left + right)
+    return (*args, lead + (nl, ns), lead + (ns, nr), tuple(size[i] for i in result)), result
 
 
 def _axes(term: Sequence[int], order: Sequence[int]) -> tuple[int, ...] | None:
@@ -115,10 +104,18 @@ def _axes(term: Sequence[int], order: Sequence[int]) -> tuple[int, ...] | None:
 
 
 class Plan:
-    """A compiled contraction; call it with operands of the planned shapes."""
+    """A compiled contraction; call it with operands of the planned shapes.
+
+    Its steps are one flat program.  Registers hold the operands, then each
+    step's result in turn; every register is read by exactly one step.  A
+    pairwise entry is ``(x, y, sum_x, axes_x, sum_y, axes_y, shape_x,
+    shape_y, shape_out)``: registers x and y, each summed by the einsum
+    subscripts ``sum_*`` or transposed by ``axes_*`` (or neither), reshaped
+    and multiplied.  Any other entry is ``(registers, None, subscripts)``
+    padded with None: one einsum over them."""
 
     __slots__ = ("terms", "out", "shapes", "path", "flops", "largest_intermediate",
-                 "_steps", "_final_axes")
+                 "program", "_final_axes")
 
     def __init__(self, terms, out, shapes):
         size: dict[int, int] = {}
@@ -141,37 +138,59 @@ class Plan:
             args += [np.broadcast_to(_ZERO, shape), list(term)]
         self.path = tuple(np.einsum_path(*args, list(out), optimize="greedy")[0][1:])
 
-        current = list(terms)
-        steps = []
+        current = list(enumerate(terms))  # (register, ids) of each live tensor
+        program = []
         self.flops = 0
         self.largest_intermediate = 0
         for n_step, entry in enumerate(self.path):
-            positions = tuple(sorted(entry, reverse=True))
-            popped = [current.pop(i) for i in positions]
-            later = set(out).union(*current)
-            involved = set().union(*popped)
-            if len(popped) == 2:
-                step = _PairStep(popped[0], popped[1], later, size)
-                result = step.result
+            popped = [current.pop(i) for i in sorted(entry, reverse=True)]
+            registers = tuple(r for r, _ in popped)
+            inputs = [t for _, t in popped]
+            later = set(out).union(*(t for _, t in current))
+            involved = set().union(*inputs)
+            if len(inputs) == 2:
+                step, result = _pair(inputs[0], inputs[1], later, size)
+                program.append(registers + step)
             else:
                 last = n_step == len(self.path) - 1
                 result = tuple(out) if last else _unique(
-                    [i for t in popped for i in t], later)
-                step = _EinsumStep(popped, result)
+                    [i for t in inputs for i in t], later)
+                program.append((registers, None, _einsum_string(inputs, result)) + (None,) * 6)
             inner = not involved <= set(result)
-            self.flops += math.prod(size[i] for i in involved) * (max(1, len(popped) - 1) + inner)
+            self.flops += math.prod(size[i] for i in involved) * (max(1, len(inputs) - 1) + inner)
             self.largest_intermediate = max(
                 self.largest_intermediate, math.prod(size[i] for i in result))
-            steps.append((positions, step))
-            current.append(result)
-        self._steps = tuple(steps)
-        self._final_axes = _axes(current[0], out)
+            current.append((len(terms) + n_step, result))
+        if self.flops > MAX_PLAN_FLOPS or self.largest_intermediate > MAX_PLAN_INTERMEDIATE:
+            raise ResourceLimitError(
+                f"contraction costs {self.flops:.3g} FLOPs with a largest intermediate of "
+                f"{self.largest_intermediate} entries; the guard allows {MAX_PLAN_FLOPS:.0e} "
+                f"FLOPs and {MAX_PLAN_INTERMEDIATE} entries"
+            )
+        self.program = tuple(program)
+        self._final_axes = _axes(current[0][1], out)
 
     def __call__(self, *operands: np.ndarray) -> np.ndarray:
-        ops = list(operands)
-        for positions, step in self._steps:
-            ops.append(step(*[ops.pop(i) for i in positions]))
-        result = ops[0]
+        regs = list(operands)
+        for x, y, sum_x, axes_x, sum_y, axes_y, shape_x, shape_y, shape_out in self.program:
+            if y is None:  # one einsum over the registers in x
+                ops = [regs[i] for i in x]
+                for i in x:
+                    regs[i] = None
+                regs.append(c_einsum(sum_x, *ops))
+                continue
+            a, b = regs[x], regs[y]
+            regs[x] = regs[y] = None  # each register is read once: free it
+            if sum_x is not None:
+                a = c_einsum(sum_x, a)
+            elif axes_x is not None:
+                a = a.transpose(axes_x)
+            if sum_y is not None:
+                b = c_einsum(sum_y, b)
+            elif axes_y is not None:
+                b = b.transpose(axes_y)
+            regs.append(np.matmul(a.reshape(shape_x), b.reshape(shape_y)).reshape(shape_out))
+        result = regs[-1]
         return result if self._final_axes is None else result.transpose(self._final_axes)
 
 

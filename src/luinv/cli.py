@@ -128,8 +128,8 @@ def _rounded(z: complex) -> str:
 
 def cmd_eval(args) -> int:
     # the numerical modules load numpy: imported where a command needs them
-    from .closedform import closed_form
-    from .contract import eval_mixed, eval_pure
+    from .closedform import _check_grade, closed_form
+    from .contract import _mixed_plan, _pure_plan, eval_mixed, eval_pure
     from .states import DensityMatrix, PureState, load_state
 
     state = load_state(args.state)
@@ -144,6 +144,10 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"label has {sigma.r} entries but the {args.kind} state needs {expected_r}"
         )
+    # refuse before contracting: a plan over the cost guard, then a grade
+    # without a closed form to compare with
+    (_pure_plan if args.kind == "pure" else _mixed_plan)(sigma, state.dims)
+    _check_grade(sigma.m)
     if args.kind == "pure":
         via_contract = eval_pure(sigma, state)
     else:

@@ -58,10 +58,10 @@ import numpy as np
 
 from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
 from ._record import Value, set_hash
-from .contract import _check_arity, _checked_stack, _state_data
+from .contract import _check_arity, _check_kind, _checked_stack, _state_data
 from .errors import ResourceLimitError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
-from .states import DensityMatrix, _check_subsystems, projector
+from .states import DensityMatrix, _check_subsystems, check_dims, projector
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -89,10 +89,17 @@ def has_closed_form(m: int) -> bool:
 
 
 def closed_form(sigma: Label, kind: str, state) -> complex:
-    """The grade-1/2/3 closed form of one label on one state: the batch of
-    one of closed_form_batch."""
+    """The grade-1/2/3 closed form of one label on one state: the value of
+    closed_form_batch on the stack of one.  The state's array was checked
+    when the state was built; its dims are checked against the current
+    guard."""
     data = _state_data(kind, state)
-    return complex(closed_form_batch(sigma, kind, state.dims, data[None])[0])
+    sigma = as_tuple(sigma)
+    _check_kind(kind)
+    dims = check_dims(state.dims)
+    _check_arity(sigma.r, len(dims), kind)
+    _check_grade(sigma.m)
+    return _run(sigma, kind, dims, data[None]).item()
 
 
 def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int],
@@ -108,9 +115,19 @@ def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int],
     """
     sigma = as_tuple(sigma)
     dims, stack = _checked_stack(sigma, kind, dims, stack)
-    if not has_closed_form(sigma.m):
-        raise ValueError(f"no closed form for grade {sigma.m} (only m <= 3)")
-    if kind == "pure":  # the reductions Tr_k |psi><psi|
+    _check_grade(sigma.m)
+    return _run(sigma, kind, dims, stack)
+
+
+def _check_grade(m: int) -> None:
+    if not has_closed_form(m):
+        raise ValueError(f"no closed form for grade {m} (only m <= 3)")
+
+
+def _run(sigma: PermTuple, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
+    """The label's program on a checked stack; a pure stack runs as its
+    reductions Tr_k |psi><psi|."""
+    if kind == "pure":
         a = stack.reshape(len(stack), -1, dims[-1])
         stack = a @ a.conj().swapaxes(1, 2)
     return _program(sigma, kind, dims)(stack)
@@ -174,8 +191,7 @@ def formula_text(sigma: Label, kind: str) -> str:
     sigma = as_tuple(sigma)
     if not has_closed_form(sigma.m):
         raise ValueError(f"no closed form for grade {sigma.m}")
-    if kind not in ("pure", "mixed"):
-        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    _check_kind(kind)
     arg = "rho" if kind == "mixed" else "pi"
     k = sigma.r
     if sigma.m == 1:
@@ -205,7 +221,7 @@ class FormulaDescriptor(Value):
         than the label's r subsystems raises ValueError."""
         rho = projector(state) if self.kind == "pure" else state
         _check_arity(self.label.r, rho.k, "mixed")
-        return parse_formula(self.text)(rho)
+        return _compiled(_parse(self.text), rho.dims)(rho.entries[None]).item()
 
 
 def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
@@ -220,8 +236,7 @@ def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
     sigma = as_tuple(sigma)
     if not has_closed_form(sigma.m):
         raise ValueError(f"no closed form for grade {sigma.m}")
-    if kind not in ("pure", "mixed"):
-        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    _check_kind(kind)
     return list(_writings(sigma, kind))
 
 
@@ -407,4 +422,4 @@ def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
     program compiled once per (syntax tree, dims), whose building checks the
     subsystem indices and supports against the dims."""
     tree = _parse(text)
-    return lambda rho: complex(_compiled(tree, rho.dims)(rho.entries[None])[0])
+    return lambda rho: _compiled(tree, rho.dims)(rho.entries[None]).item()

@@ -61,8 +61,7 @@ class InvariantSpec(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.kind not in ("pure", "mixed"):
-            raise ValueError(f"kind must be 'pure' or 'mixed', got {self.kind!r}")
+        _check_kind(self.kind)
 
     @property
     def m(self) -> int:
@@ -75,6 +74,11 @@ class InvariantSpec(Value):
     @property
     def k(self) -> int:
         return self.r + 1 if self.kind == "pure" else self.r
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 
 
 def _check_arity(r: int, k: int, kind: str) -> None:
@@ -111,8 +115,8 @@ def _evaluate(sigma: Label, kind: str, state, method: str) -> complex:
     m = sigma.m
     if method == "einsum":
         if kind == "pure":
-            return complex(_pure_plan(sigma, dims)(*[data] * m, *[data.conj()] * m))
-        return complex(_mixed_plan(sigma, dims)(*[data.reshape(dims + dims)] * m))
+            return _pure_plan(sigma, dims)(*[data] * m, *[data.conj()] * m).item()
+        return _mixed_plan(sigma, dims)(*[data.reshape(dims + dims)] * m).item()
     if method == "loop":
         total_dim = math.prod(dims)
         if total_dim**m * m > _EVAL_TERM_LIMIT:
@@ -127,8 +131,7 @@ def _checked_stack(sigma: PermTuple, kind: str, dims: Sequence[int],
     """dims, checked against the guard, and a non-empty stack on them as a
     complex array: amplitudes (n, *dims) for kind "pure", (n, N, N) matrices
     for "mixed"; the label arity must be k - 1 or k."""
-    if kind not in ("pure", "mixed"):
-        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    _check_kind(kind)
     dims = check_dims(dims)
     stack = np.asarray(stack, dtype=complex)
     size = math.prod(dims)

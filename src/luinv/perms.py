@@ -337,9 +337,13 @@ class PermTuple(Ordered):
         if grade < 0:
             raise ValueError(f"grade must be a non-negative integer: {m!r}")
         object.__setattr__(self, "m", grade)
-        for p in self.perms:
+        perms = tuple(self.perms)
+        for p in perms:
+            if not isinstance(p, Perm):
+                raise ValueError(f"a tuple entry must be a Perm, not {p!r}")
             if p.m != grade:
                 raise ValueError(f"grade mismatch inside tuple: {p.m} != {grade}")
+        object.__setattr__(self, "perms", perms)
 
     @property
     def r(self) -> int:
@@ -778,7 +782,9 @@ class SimClass(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.anchor not in self.members:
+        # sim_decompose passes the anchor object itself: identity first
+        anchor = self.anchor
+        if not any(m is anchor for m in self.members) and anchor not in self.members:
             raise ValueError("anchor must be one of the members")
 
 

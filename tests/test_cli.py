@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,25 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--label", label, "--m", "8", "--kind", "pure",
                            "--state", str(path))
         assert code == 3 and "resource guard" in err and "56 axis ids" in err
+
+    def test_contraction_over_the_cost_guard_is_refused_at_once(self, capsys, tmp_path):
+        path = tmp_path / "rho444.json"
+        S.save_state(S.random_density((4, 4, 4), seed=2), path)
+        label = "[3,5,8,7,1,4,6,2],[4,3,7,5,2,1,8,6],[5,2,6,4,3,7,1,8]"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--label", label, "--kind", "mixed",
+                             "--state", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "resource guard" in err and "FLOPs" in err and out == ""
+
+    def test_grade_without_closed_form_is_refused_before_contracting(
+            self, capsys, qubits_file, monkeypatch):
+        def contract(*args):
+            raise AssertionError("contracted")
+        monkeypatch.setattr("luinv.contract.eval_mixed", contract)
+        code, out, err = run(capsys, "eval", "--label", "[2,3,4,1],[1,2,3,4]", "--kind", "mixed",
+                             "--state", qubits_file)
+        assert code == 2 and "no closed form for grade 4" in err and out == ""
 
 
 class TestGraph:

@@ -243,6 +243,34 @@ class TestDispatcher:
             F.closed_form(P.perm_tuple(2, "t"), "pure", S.projector(psi))
 
 
+    def test_kept_checks_in_order(self):
+        # each check raises its own type; a call failing two checks gets the
+        # earlier one: state class, kind, dims against the current guard,
+        # arity, grade
+        psi, rho = S.random_pure((2, 2), seed=94), S.random_density((2, 2), seed=95)
+        grade_four = P.PermTuple(4, (P.identity(4),) * 3)
+        previous = S.dim_limit()
+        try:
+            S.set_dim_limit(3)
+            with pytest.raises(TypeError, match="mixed labels take a DensityMatrix"):
+                F.closed_form(grade_four, "mixed", psi)
+            with pytest.raises(TypeError, match="both labels take a DensityMatrix"):
+                F.closed_form(grade_four, "both", psi)
+            with pytest.raises(ValueError, match="kind must be"):
+                F.closed_form(grade_four, "both", rho)
+            with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+                F.closed_form(grade_four, "mixed", rho)
+            S.set_dim_limit(4)
+            with pytest.raises(ValueError, match="arity"):
+                F.closed_form(grade_four, "mixed", rho)
+            with pytest.raises(ValueError, match="arity"):
+                F.closed_form(P.perm_tuple(2, "t", "t"), "pure", psi)
+            with pytest.raises(ValueError, match="no closed form for grade 4"):
+                F.closed_form(P.PermTuple(4, (P.identity(4),) * 2), "mixed", rho)
+        finally:
+            S.set_dim_limit(previous)
+
+
 def sample_stack(kind, dims, n, seed):
     """n unit states and their data as one array: amplitudes (n, *dims) for
     kind "pure", matrices (n, N, N) for "mixed"."""

@@ -1,8 +1,11 @@
 """Compiled contraction plans: values against np.einsum(optimize=True), the
-stored greedy path, the cost fields, the caches, the axis-id limit and the
-batched engine entry points."""
+stored greedy path, the cost fields and guard, the step program, the caches,
+the axis-id limit, the batched engine entry points and the bits of the
+single-state routes."""
 
+import hashlib
 import importlib
+import time
 import pkgutil
 import re
 
@@ -11,10 +14,11 @@ import pytest
 
 from conftest import relerr
 import luinv
-from luinv import contract, states
-from luinv._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, Plan, compile_plan, plan
+from luinv import closedform, contract, states
+from luinv._einsum import (MAX_AXIS_IDS, MAX_PLAN_FLOPS, MAX_PLAN_INTERMEDIATE, PLAN_CACHE_SIZE,
+                           Plan, compile_plan, plan)
 from luinv.errors import ResourceLimitError
-from luinv.perms import enumerate_orbits
+from luinv.perms import enumerate_orbits, parse_label
 from luinv.states import random_density, random_hermitian, random_pure
 
 DIMS = [(2, 2), (3, 3), (2, 2, 2)]
@@ -204,6 +208,96 @@ class TestPlan:
         with pytest.raises(ResourceLimitError, match="53 axis ids"):
             plan([list(range(MAX_AXIS_IDS + 1))], [], [(1,) * (MAX_AXIS_IDS + 1)])
 
+
+    def test_program_reads_each_register_once_and_never_transposes_a_presum(self):
+        rho, psi = random_density((2, 2, 2), seed=13), random_pure((3, 3, 3), seed=14)
+        networks = [mixed_network(lab.rep, rho) for m in (1, 2, 3, 4)
+                    for lab in enumerate_orbits(m, 3)]
+        networks += [pure_network(lab.rep, psi) for lab in enumerate_orbits(4, 2)]
+        kinds = set()
+        for ops, subs in networks:
+            for batch in (None, 3):
+                shapes = [op.shape for op in ops]
+                if batch:
+                    subs, shapes = [["n", *ids] for ids in subs], [(batch, *s) for s in shapes]
+                p = plan(subs, ["n"] if batch else [], shapes)
+                reads = []
+                for x, y, sum_x, axes_x, sum_y, axes_y, *_ in p.program:
+                    if y is None:
+                        reads += x
+                        kinds.add("einsum")
+                        continue
+                    reads += [x, y]
+                    for summed, axes in ((sum_x, axes_x), (sum_y, axes_y)):
+                        assert summed is None or axes is None
+                        kinds.add("presum" if summed else "transpose" if axes else "plain")
+                assert sorted(reads) == list(range(len(ops) + len(p.program) - 1))
+        assert kinds == {"einsum", "presum", "transpose", "plain"}
+
+
+class TestCostGuard:
+    #: a grade-8 mixed label of 3.08e13 FLOPs on (4,4,4)
+    GATE = "[3,5,8,7,1,4,6,2],[4,3,7,5,2,1,8,6],[5,2,6,4,3,7,1,8]"
+
+    def test_flops_and_intermediate_limits(self):
+        with pytest.raises(ResourceLimitError, match="FLOPs"):
+            plan([["a", "b"], ["b", "c"]], [], [(2**17, 2**17), (2**17, 1)])
+        with pytest.raises(ResourceLimitError, match="largest intermediate of 33554432"):
+            plan([["a"], ["b"]], ["a", "b"], [(2**13,), (2**12,)])
+        assert MAX_PLAN_INTERMEDIATE < 2**25
+
+    def test_gate_label_is_refused_before_any_array_work(self):
+        rho = random_density((4, 4, 4), seed=15)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="3.08e[+]13 FLOPs"):
+            contract.eval_mixed(parse_label(self.GATE, 8), rho)
+        assert time.perf_counter() - start < 1.0
+
+    def test_benchmark_networks_are_admitted(self):
+        # the costliest networks the tests and benchmarks run: grade-4 pure
+        # labels at (4,4,4), up to 1.3e8 FLOPs
+        worst = max(contract._pure_plan(lab.rep, (4, 4, 4)).flops
+                    for lab in enumerate_orbits(4, 2))
+        assert 1e8 < worst < MAX_PLAN_FLOPS / 10
+
+
+#: The dims of the oracle sweep, and the sha256 of every single-state value
+#: on them (see TestSingleStateRoutes), as the per-step engine gave them.
+ORACLE_DIMS = [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)]
+SINGLE_STATE_SHA256 = "6924a56bc5d9210db64689efc59b4368f299a630acc5334962ac02a17e86effb"
+
+
+class TestSingleStateRoutes:
+    def test_values_are_pinned_to_the_bit(self):
+        values = []
+        for d, dims in enumerate(ORACLE_DIMS):
+            k = len(dims)
+            for seed in (11 + d, 47 + d):
+                psi, rho = random_pure(dims, seed), random_density(dims, seed + 1)
+                for m in (1, 2, 3):
+                    for lab in enumerate_orbits(m, k - 1):
+                        values += [contract.eval_pure(lab, psi),
+                                   closedform.closed_form(lab, "pure", psi)]
+                        values += [w.evaluate_text(psi)
+                                   for w in closedform.alternate_writings(lab, "pure")]
+                    for lab in enumerate_orbits(m, k):
+                        values += [contract.eval_mixed(lab, rho),
+                                   closedform.closed_form(lab, "mixed", rho)]
+                        values += [w.evaluate_text(rho)
+                                   for w in closedform.alternate_writings(lab, "mixed")]
+        assert all(type(v) is complex for v in values)
+        digest = hashlib.sha256(np.array(values, dtype=complex).tobytes()).hexdigest()
+        assert digest == SINGLE_STATE_SHA256
+
+    @pytest.mark.parametrize("dims", ORACLE_DIMS)
+    def test_closed_form_is_the_batch_of_one(self, dims):
+        psi, rho = random_pure(dims, seed=16), random_density(dims, seed=17)
+        for kind, state, data, r in (("pure", psi, psi.amplitudes, len(dims) - 1),
+                                     ("mixed", rho, rho.entries, len(dims))):
+            for m in (1, 2, 3):
+                for lab in enumerate_orbits(m, r):
+                    batch = closedform.closed_form_batch(lab, kind, dims, data[None])
+                    assert closedform.closed_form(lab, kind, state) == batch[0]
 
 
 def stacks(dims, n, seed):

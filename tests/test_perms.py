@@ -729,6 +729,23 @@ class TestPermBasics:
         with pytest.raises(ValueError, match="grade must be a non-negative integer"):
             P.PermTuple(m, ())
 
+    def test_entries_are_stored_as_a_tuple(self):
+        t = P.PermTuple(3, [T, T])
+        assert t.perms == (T, T) and type(t.perms) is tuple
+        assert t == P.PermTuple(3, (T, T)) and hash(t) == hash(P.PermTuple(3, (T, T)))
+        assert t.embed() == P.perm_tuple(3, "t", "t", "e")
+
+    @pytest.mark.parametrize("entry", [(2, 1, 3), [2, 1, 3], "t", None])
+    def test_entries_must_be_perms(self, entry):
+        with pytest.raises(ValueError, match="must be a Perm"):
+            P.PermTuple(3, (T, entry))
+
+    def test_sim_class_accepts_an_anchor_equal_to_a_member(self):
+        members = P.sim_decompose(named("t")).members
+        twin = P.OrbitLabel(P.PermTuple(3, tuple(P.Perm(p.images) for p in members[0].rep.perms)))
+        assert twin == members[0] and twin is not members[0]
+        assert P.SimClass(twin, members).anchor is twin
+
     def test_inverse(self):
         assert S.inverse() == S2
         assert TS.inverse() == TS
