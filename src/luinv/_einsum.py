@@ -8,7 +8,7 @@ shapes) and kept in a bounded cache.  It holds:
   path ``np.einsum(..., optimize=True)`` picks;
 - the path's FLOP count and largest intermediate (numpy's cost model),
   which the cost guard (``MAX_PLAN_FLOPS``, ``MAX_PLAN_INTERMEDIATE``)
-  checks before any array work;
+  checks per stacked contraction before any array work;
 - the path lowered to one flat step program, replayed by one loop.
 
 The program's registers hold the operands, then each step's result; every
@@ -41,8 +41,11 @@ import numpy as np
 
 try:  # what np.einsum calls when it is given no path, without its argument handling
     from numpy._core.multiarray import c_einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum
+except ImportError:
+    try:  # numpy < 2
+        from numpy.core.multiarray import c_einsum
+    except ImportError:  # the same sums, through np.einsum's argument handling
+        c_einsum = np.einsum
 
 from .errors import ResourceLimitError
 
@@ -53,11 +56,13 @@ PLAN_CACHE_SIZE = 2048
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_AXIS_IDS = len(_LETTERS)
 
-#: The cost guard: a plan whose path needs more FLOPs (numpy's count), or
-#: whose largest intermediate has more entries, is refused when it is built.
-#: The networks of the tests and benchmarks reach 1.3e8 FLOPs and 72 900
-#: entries.
-MAX_PLAN_FLOPS = 10**10
+#: The cost guard, per stacked contraction (per state of a batch): a plan
+#: whose path needs more FLOPs (numpy's count), or whose largest
+#: intermediate has more entries, is refused when it is built.  Both admit
+#: every network of grade <= 3 at the default total-dimension limit N = 4096:
+#: its N^3 index values make at most 10 N^3 = 6.9e11 FLOPs (five pairwise
+#: steps of a grade-3 pure network), and no step keeps more than N^2 = 2^24.
+MAX_PLAN_FLOPS = 10**12
 MAX_PLAN_INTERMEDIATE = 2**24
 
 _ZERO = np.zeros((), dtype=complex)
@@ -161,11 +166,15 @@ class Plan:
             self.largest_intermediate = max(
                 self.largest_intermediate, math.prod(size[i] for i in result))
             current.append((len(terms) + n_step, result))
-        if self.flops > MAX_PLAN_FLOPS or self.largest_intermediate > MAX_PLAN_INTERMEDIATE:
+        # ids on every operand and on the output index a stack of independent
+        # contractions (a batch of states); the guard bounds one of them
+        stack = math.prod(size[i] for i in set(out).intersection(*terms))
+        flops, largest = (c // max(stack, 1) for c in (self.flops, self.largest_intermediate))
+        if flops > MAX_PLAN_FLOPS or largest > MAX_PLAN_INTERMEDIATE:
             raise ResourceLimitError(
-                f"contraction costs {self.flops:.3g} FLOPs with a largest intermediate of "
-                f"{self.largest_intermediate} entries; the guard allows {MAX_PLAN_FLOPS:.0e} "
-                f"FLOPs and {MAX_PLAN_INTERMEDIATE} entries"
+                f"contraction costs {flops:.3g} FLOPs with a largest intermediate of "
+                f"{largest} entries per stacked contraction; the guard allows "
+                f"{MAX_PLAN_FLOPS:.0e} FLOPs and {MAX_PLAN_INTERMEDIATE} entries"
             )
         self.program = tuple(program)
         self._final_axes = _axes(current[0][1], out)

@@ -61,7 +61,7 @@ from ._record import Value, set_hash
 from .contract import _check_arity, _check_kind, _checked_stack, _state_data
 from .errors import ResourceLimitError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
-from .states import DensityMatrix, _check_subsystems, check_dims, projector
+from .states import DensityMatrix, _check_subsystems, projector
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -89,17 +89,10 @@ def has_closed_form(m: int) -> bool:
 
 
 def closed_form(sigma: Label, kind: str, state) -> complex:
-    """The grade-1/2/3 closed form of one label on one state: the value of
-    closed_form_batch on the stack of one.  The state's array was checked
-    when the state was built; its dims are checked against the current
-    guard."""
+    """The grade-1/2/3 closed form of one label on one state: the batch of
+    one of closed_form_batch."""
     data = _state_data(kind, state)
-    sigma = as_tuple(sigma)
-    _check_kind(kind)
-    dims = check_dims(state.dims)
-    _check_arity(sigma.r, len(dims), kind)
-    _check_grade(sigma.m)
-    return _run(sigma, kind, dims, data[None]).item()
+    return closed_form_batch(sigma, kind, state.dims, data[None])[0].item()
 
 
 def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int],
@@ -116,21 +109,15 @@ def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int],
     sigma = as_tuple(sigma)
     dims, stack = _checked_stack(sigma, kind, dims, stack)
     _check_grade(sigma.m)
-    return _run(sigma, kind, dims, stack)
+    if kind == "pure":  # the reductions Tr_k |psi><psi|
+        a = stack.reshape(len(stack), -1, dims[-1])
+        stack = a @ a.conj().swapaxes(1, 2)
+    return _program(sigma, kind, dims)(stack)
 
 
 def _check_grade(m: int) -> None:
     if not has_closed_form(m):
         raise ValueError(f"no closed form for grade {m} (only m <= 3)")
-
-
-def _run(sigma: PermTuple, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
-    """The label's program on a checked stack; a pure stack runs as its
-    reductions Tr_k |psi><psi|."""
-    if kind == "pure":
-        a = stack.reshape(len(stack), -1, dims[-1])
-        stack = a @ a.conj().swapaxes(1, 2)
-    return _program(sigma, kind, dims)(stack)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -221,7 +208,7 @@ class FormulaDescriptor(Value):
         than the label's r subsystems raises ValueError."""
         rho = projector(state) if self.kind == "pure" else state
         _check_arity(self.label.r, rho.k, "mixed")
-        return _compiled(_parse(self.text), rho.dims)(rho.entries[None]).item()
+        return parse_formula(self.text)(rho)
 
 
 def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:

@@ -5,9 +5,14 @@ single-state routes."""
 
 import hashlib
 import importlib
-import time
+import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,16 +240,63 @@ class TestPlan:
         assert kinds == {"einsum", "presum", "transpose", "plain"}
 
 
+    def test_plans_fall_back_to_np_einsum_without_numpys_private_c_einsum(self):
+        label, rho = parse_label("[1,3,2],[2,3,1]", 3), random_density((2, 3), seed=4)
+        code = (
+            "import numpy as np, numpy._core.multiarray as m\n"
+            "del m.c_einsum\n"
+            "from luinv import _einsum, contract, states\n"
+            "from luinv.perms import parse_label\n"
+            "assert _einsum.c_einsum is np.einsum\n"
+            "label = parse_label('[1,3,2],[2,3,1]', 3)\n"
+            "print(repr(contract.eval_mixed(label, states.random_density((2, 3), seed=4))))\n"
+        )
+        src = str(Path(luinv.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == repr(contract.eval_mixed(label, rho)) + "\n"
+
+
 class TestCostGuard:
     #: a grade-8 mixed label of 3.08e13 FLOPs on (4,4,4)
     GATE = "[3,5,8,7,1,4,6,2],[4,3,7,5,2,1,8,6],[5,2,6,4,3,7,1,8]"
 
     def test_flops_and_intermediate_limits(self):
-        with pytest.raises(ResourceLimitError, match="FLOPs"):
-            plan([["a", "b"], ["b", "c"]], [], [(2**17, 2**17), (2**17, 1)])
+        with pytest.raises(ResourceLimitError, match="2.2e[+]12 FLOPs"):
+            plan([["a", "b"], ["b", "c"]], [], [(2**20, 2**20), (2**20, 1)])
         with pytest.raises(ResourceLimitError, match="largest intermediate of 33554432"):
             plan([["a"], ["b"]], ["a", "b"], [(2**13,), (2**12,)])
         assert MAX_PLAN_INTERMEDIATE < 2**25
+
+    def test_the_guard_bounds_one_contraction_of_a_stack(self):
+        # "n", on every operand and on the output, indexes the stack
+        with pytest.raises(ResourceLimitError, match="intermediate of 33554432 entries per"):
+            plan([["n", "a"], ["n", "b"]], ["n", "a", "b"], [(2, 2**13), (2, 2**12)])
+        p = plan([["n", "a", "b"], ["n", "b", "c"]], ["n", "a", "c"], [(2**12,) * 3] * 2)
+        assert p.flops == 2**12 * 2 * 2**36 and p.largest_intermediate == 2**36
+
+    @pytest.mark.parametrize("dims", [(64, 64), (16, 16, 16), (4096,)])
+    def test_grade_3_networks_at_the_dim_limit_are_admitted(self, dims):
+        # plans only: their operands are broadcast views of one zero
+        assert math.prod(dims) == states.DEFAULT_DIM_LIMIT
+        worst = [0, 0]
+        for kind, r in (("mixed", len(dims)), ("pure", len(dims) - 1)):
+            build = contract._mixed_plan if kind == "mixed" else contract._pure_plan
+            for m in (1, 2, 3) if r else ():
+                for lab in enumerate_orbits(m, r):
+                    p = build(lab.rep, dims)
+                    program = closedform._program(lab.rep, kind, dims)
+                    q = compile_plan(program.terms, program.out,
+                                     ((1,) + program.dims * 2,) * len(program.terms))
+                    for c in (p, q):
+                        worst = [max(worst[0], c.flops), max(worst[1], c.largest_intermediate)]
+        assert 1e11 < worst[0] <= MAX_PLAN_FLOPS and worst[1] == MAX_PLAN_INTERMEDIATE
+
+    def test_stacks_are_admitted_at_any_size(self):
+        two, three = (parse_label(",".join(["[2,3,1]"] * k), 3) for k in (2, 3))
+        assert contract._mixed_plan(two, (32, 16), 40).flops > 40 * 2 * 512**3
+        assert contract._mixed_plan(three, (3, 3, 3), 30000).largest_intermediate > 2**24
 
     def test_gate_label_is_refused_before_any_array_work(self):
         rho = random_density((4, 4, 4), seed=15)
