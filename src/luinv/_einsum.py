@@ -8,7 +8,7 @@ shapes) and kept in a bounded cache.  It holds:
   path ``np.einsum(..., optimize=True)`` picks;
 - the path's FLOP count and largest intermediate (numpy's cost model),
   which the cost guard (``MAX_PLAN_FLOPS``, ``MAX_PLAN_INTERMEDIATE``)
-  checks per stacked contraction before any array work;
+  checks before any array work;
 - the path lowered to one flat step program, replayed by one loop.
 
 The program's registers hold the operands, then each step's result; every
@@ -23,11 +23,13 @@ more operands when the greedy path falls back past its memory limit) is one
 ``np.einsum`` call.  Plans hold index bookkeeping only, never arrays of
 operand size.
 
-Callers with their own cheap keys (a label and dims, a subsystem list) wrap
-``plan`` in a cache of their own, so that a hit does no per-axis work.  The
-closed forms keep each formula's network renumbered once per (syntax tree,
-dims) and call ``compile_plan`` when the stack size, which is in the
-shapes, changes.
+A plan's stack id, the first output id that sits once on every operand,
+indexes a stack of independent contractions (a batch of states).  Keyed at
+size 1, reshaped with -1 and written as einsum's ellipsis (no letter), it
+lets one plan serve stacks of every size at the cost of one contraction.
+The engines and closed forms run one state as a stack of one, and wrap
+``plan`` or ``compile_plan`` in caches of their own cheap keys (a label and
+dims, a syntax tree and dims), so that a hit does no per-axis work.
 This module is the only one that writes einsum's letter format.
 """
 
@@ -52,11 +54,11 @@ from .errors import ResourceLimitError
 #: Entries of every plan cache in the package (one constant bound).
 PLAN_CACHE_SIZE = 2048
 
-#: einsum names axes with single letters, so a contraction has at most 52.
+#: einsum names axes with single letters, so a contraction has at most 52
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_AXIS_IDS = len(_LETTERS)
 
-#: The cost guard, per stacked contraction (per state of a batch): a plan
+#: The cost guard, per stacked contraction (per state of a stack): a plan
 #: whose path needs more FLOPs (numpy's count), or whose largest
 #: intermediate has more entries, is refused when it is built.  Both admit
 #: every network of grade <= 3 at the default total-dimension limit N = 4096:
@@ -65,15 +67,9 @@ MAX_AXIS_IDS = len(_LETTERS)
 MAX_PLAN_FLOPS = 10**12
 MAX_PLAN_INTERMEDIATE = 2**24
 
-_ZERO = np.zeros((), dtype=complex)
-
-
-def _letters(term: Sequence[int]) -> str:
-    return "".join(_LETTERS[i] for i in term)
-
-
-def _einsum_string(terms: Sequence[Sequence[int]], out: Sequence[int]) -> str:
-    return ",".join(_letters(t) for t in terms) + "->" + _letters(out)
+def _einsum_string(terms: Sequence[Sequence[int]], out: Sequence[int], names) -> str:
+    return "->".join([",".join("".join(names[i] for i in t) for t in terms),
+                      "".join(names[i] for i in out)])
 
 
 def _unique(term: Sequence[int], needed) -> tuple[int, ...]:
@@ -81,9 +77,10 @@ def _unique(term: Sequence[int], needed) -> tuple[int, ...]:
     return tuple(i for i in dict.fromkeys(term) if i in needed)
 
 
-def _pair(x: Sequence[int], y: Sequence[int], later, size) -> tuple[tuple, tuple[int, ...]]:
+def _pair(x: Sequence[int], y: Sequence[int], later, size, names) -> tuple[tuple, tuple[int, ...]]:
     """A pairwise program entry after its two registers, and the ids of its
-    result in (batch, left, right) order."""
+    result in (batch, left, right) order; the stack id, a batch id named
+    "...", takes its size from the operands (-1 in every reshape)."""
     x1 = _unique(x, set(y) | later)
     y1 = _unique(y, set(x) | later)
     batch = [i for i in x1 if i in y1 and i in later]
@@ -93,13 +90,14 @@ def _pair(x: Sequence[int], y: Sequence[int], later, size) -> tuple[tuple, tuple
     args = []
     for term, kept, order in ((x, x1, batch + left + shared), (y, y1, batch + shared + right)):
         if kept != tuple(term):
-            args += [_einsum_string([term], order), None]
+            args += [_einsum_string([term], order, names), None]
         else:
             args += [None, _axes(term, order)]
-    nb, nl, ns, nr = (math.prod(size[i] for i in g) for g in (batch, left, shared, right))
-    lead = (nb,) if batch else ()
+    nl, ns, nr = (math.prod(size[i] for i in g) for g in (left, shared, right))
+    lead = (-1,) if batch else ()
     result = tuple(batch + left + right)
-    return (*args, lead + (nl, ns), lead + (ns, nr), tuple(size[i] for i in result)), result
+    shape = tuple(-1 if names[i] == "..." else size[i] for i in result)
+    return (*args, lead + (nl, ns), lead + (ns, nr), shape), result
 
 
 def _axes(term: Sequence[int], order: Sequence[int]) -> tuple[int, ...] | None:
@@ -109,7 +107,8 @@ def _axes(term: Sequence[int], order: Sequence[int]) -> tuple[int, ...] | None:
 
 
 class Plan:
-    """A compiled contraction; call it with operands of the planned shapes.
+    """A compiled contraction; call it with operands of the planned shapes,
+    the stack axis (if any) at any size, the same on every operand.
 
     Its steps are one flat program.  Registers hold the operands, then each
     step's result in turn; every register is read by exactly one step.  A
@@ -132,16 +131,25 @@ class Plan:
                     raise ValueError(f"axis id {i} has sizes {size[i]} and {n}")
         if len(set(out)) != len(out) or any(i not in size for i in out):
             raise ValueError(f"output ids {out} must be distinct ids of the operands")
-        if len(size) > MAX_AXIS_IDS:
+        # the stack id counts at size 1, whatever its keyed size, and is
+        # written as einsum's ellipsis, which takes none of the letters
+        stack = next((i for i in out if all(t.count(i) == 1 for t in terms)), None)
+        letters = [i for i in size if i != stack]
+        if len(letters) > MAX_AXIS_IDS:
             raise ResourceLimitError(
-                f"contraction needs {len(size)} axis ids; einsum allows {MAX_AXIS_IDS}"
+                f"contraction needs {len(letters)} axis ids; einsum allows {MAX_AXIS_IDS}"
             )
+        names = dict(zip(letters, _LETTERS))
+        if stack is not None:
+            names[stack], size[stack] = "...", 1
         self.terms, self.out, self.shapes = terms, out, shapes
 
-        args: list = []
-        for term, shape in zip(terms, shapes):
-            args += [np.broadcast_to(_ZERO, shape), list(term)]
-        self.path = tuple(np.einsum_path(*args, list(out), optimize="greedy")[0][1:])
+        # numpy's path for the network without its stack id, which numpy
+        # also picks with the stack at any size
+        bare = [[i for i in t if i != stack] for t in terms]
+        ops = [np.broadcast_to(0j, [size[i] for i in t]) for t in bare]
+        subscripts = _einsum_string(bare, [i for i in out if i != stack], names)
+        self.path = tuple(np.einsum_path(subscripts, *ops, optimize="greedy")[0][1:])
 
         current = list(enumerate(terms))  # (register, ids) of each live tensor
         program = []
@@ -154,26 +162,23 @@ class Plan:
             later = set(out).union(*(t for _, t in current))
             involved = set().union(*inputs)
             if len(inputs) == 2:
-                step, result = _pair(inputs[0], inputs[1], later, size)
+                step, result = _pair(inputs[0], inputs[1], later, size, names)
                 program.append(registers + step)
             else:
                 last = n_step == len(self.path) - 1
                 result = tuple(out) if last else _unique(
                     [i for t in inputs for i in t], later)
-                program.append((registers, None, _einsum_string(inputs, result)) + (None,) * 6)
+                program.append((registers, None, _einsum_string(inputs, result, names))
+                               + (None,) * 6)
             inner = not involved <= set(result)
             self.flops += math.prod(size[i] for i in involved) * (max(1, len(inputs) - 1) + inner)
             self.largest_intermediate = max(
                 self.largest_intermediate, math.prod(size[i] for i in result))
             current.append((len(terms) + n_step, result))
-        # ids on every operand and on the output index a stack of independent
-        # contractions (a batch of states); the guard bounds one of them
-        stack = math.prod(size[i] for i in set(out).intersection(*terms))
-        flops, largest = (c // max(stack, 1) for c in (self.flops, self.largest_intermediate))
-        if flops > MAX_PLAN_FLOPS or largest > MAX_PLAN_INTERMEDIATE:
+        if self.flops > MAX_PLAN_FLOPS or self.largest_intermediate > MAX_PLAN_INTERMEDIATE:
             raise ResourceLimitError(
-                f"contraction costs {flops:.3g} FLOPs with a largest intermediate of "
-                f"{largest} entries per stacked contraction; the guard allows "
+                f"contraction costs {self.flops:.3g} FLOPs with a largest intermediate of "
+                f"{self.largest_intermediate} entries per stacked contraction; the guard allows "
                 f"{MAX_PLAN_FLOPS:.0e} FLOPs and {MAX_PLAN_INTERMEDIATE} entries"
             )
         self.program = tuple(program)
@@ -209,7 +214,8 @@ def compile_plan(
     out: tuple[int, ...],
     shapes: tuple[tuple[int, ...], ...],
 ) -> Plan:
-    """The cached plan for integer subscripts (ids renumbered from 0)."""
+    """The cached plan for integer subscripts (ids renumbered from 0); key
+    the stack id at size 1 to share one plan among all stack sizes."""
     return Plan(terms, out, shapes)
 
 

@@ -338,10 +338,10 @@ class Program:
     meets the next copy's row, and the last copy's column closes on the
     first copy's row.  Identities pass the index on; a support subsystem
     that no copy keeps is a free loop, a factor d_j of ``scale``.  The
-    network has 1 + k axis ids per copy, and einsum allows 52.  Called on a
-    stack (n, N, N) of operators on dims, it returns the formula's values,
-    shape (n,); it keeps the plan of its last stack size, so that a call at
-    that size skips the plan cache's key hashing."""
+    network has k axis ids per copy besides the stack id, which takes none
+    of einsum's 52 letters.  It compiles one plan, whose stack axis is free:
+    called on a stack (n, N, N) of operators on dims, of any size n, it
+    returns the formula's values, shape (n,)."""
 
     def __init__(self, tree, dims: tuple[int, ...]):
         k = len(dims)
@@ -379,19 +379,14 @@ class Program:
             i = ring[j].index(c) + (what == "col")
             return j, i % len(ring[j])
         subscripts = [["n"] + [axis(c, role) for role in roles] for c, roles in enumerate(copies)]
-        self.terms, self.out = renumber(subscripts, ["n"])
-        self._last = (None, None)  # the stack size of the last call, and its plan
+        terms, out = renumber(subscripts, ["n"])
+        self.plan = compile_plan(terms, out, ((1,) + dims * 2,) * len(terms)) if terms else None
         self.scale = math.prod(dims[j - 1] for j, cs in ring.items() if not cs)
 
     def __call__(self, stack: np.ndarray) -> np.ndarray:
-        n = len(stack)
-        if not self.terms:
-            return np.full(n, self.scale, dtype=complex)
-        shape = (n,) + self.dims * 2
-        last = self._last
-        if last[0] != n:  # the shapes are fixed by the stack size
-            last = self._last = (n, compile_plan(self.terms, self.out, (shape,) * len(self.terms)))
-        values = last[1](*[stack.reshape(shape)] * len(self.terms))
+        if self.plan is None:
+            return np.full(len(stack), self.scale, dtype=complex)
+        values = self.plan(*[stack.reshape((-1,) + self.dims * 2)] * len(self.plan.terms))
         return values if self.scale == 1 else self.scale * values
 
 

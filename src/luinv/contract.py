@@ -11,13 +11,13 @@ Two strategies are provided and must agree to 1e-12 relative:
 
 - ``method="einsum"``: the whole m-copy network contracted pairwise along
   numpy's greedy einsum path, so the m-fold tensor power is never formed;
-  the compiled plan is cached per (label, dims);
+  one compiled plan per (label, kind, dims) serves a stack of any size;
 - ``method="loop"``: a literal nested loop over all index assignments,
   O((prod n)^m); the independent oracle.
 
 ``eval_mixed_batch`` and ``eval_pure_batch`` evaluate one label on a stack
-of n states on one dims, an array, with one plan call: the same network
-with one shared leading batch axis on every operand and on the output.
+of n states on one dims, an array, with one plan call; ``eval_mixed`` and
+``eval_pure`` run the same plan on a stack of one.
 """
 
 from __future__ import annotations
@@ -108,17 +108,14 @@ def eval_pure(sigma: Label, psi: PureState, method: str = "einsum") -> complex:
 
 
 def _evaluate(sigma: Label, kind: str, state, method: str) -> complex:
-    """One label on one state through the unbatched network or the loop."""
+    """One label on one state: the einsum plan on a stack of one, or the loop."""
     data = _state_data(kind, state)
     sigma, dims = as_tuple(sigma), state.dims
     _check_arity(sigma.r, len(dims), kind)
-    m = sigma.m
     if method == "einsum":
-        if kind == "pure":
-            return _pure_plan(sigma, dims)(*[data] * m, *[data.conj()] * m).item()
-        return _mixed_plan(sigma, dims)(*[data.reshape(dims + dims)] * m).item()
+        return _contract(sigma, kind, dims, data[None]).item()
     if method == "loop":
-        total_dim = math.prod(dims)
+        m, total_dim = sigma.m, math.prod(dims)
         if total_dim**m * m > _EVAL_TERM_LIMIT:
             raise ResourceLimitError(
                 f"naive contraction over {total_dim}^{m} terms exceeds the guard")
@@ -150,9 +147,7 @@ def eval_mixed_batch(sigma: Label, dims: Sequence[int], rhos: np.ndarray) -> np.
     dims, an (n, N, N) array, as a complex array of shape (n,) from one plan
     call."""
     sigma = as_tuple(sigma)
-    dims, rhos = _checked_stack(sigma, "mixed", dims, rhos)
-    stack = rhos.reshape((len(rhos),) + dims + dims)
-    return _mixed_plan(sigma, dims, len(rhos))(*[stack] * sigma.m)
+    return _contract(sigma, "mixed", *_checked_stack(sigma, "mixed", dims, rhos))
 
 
 def eval_pure_batch(sigma: Label, dims: Sequence[int], psis: np.ndarray) -> np.ndarray:
@@ -160,44 +155,44 @@ def eval_pure_batch(sigma: Label, dims: Sequence[int], psis: np.ndarray) -> np.n
     (n, *dims) array of amplitudes, as a complex array of shape (n,) from one
     plan call."""
     sigma = as_tuple(sigma)
-    dims, psis = _checked_stack(sigma, "pure", dims, psis)
-    m = sigma.m
-    return _pure_plan(sigma, dims, len(psis))(*[psis] * m, *[psis.conj()] * m)
+    return _contract(sigma, "pure", *_checked_stack(sigma, "pure", dims, psis))
 
 
 # -- einsum strategy ----------------------------------------------------------
 #
 # Axis ids are (j, l) pairs: the summation index on subsystem j shared by
-# copy l's row slot and copy sigma_j(l)'s column slot.  A batched plan adds
-# the id "n", leading on every operand and on the output, for the stack of
-# states; batch=None is the unbatched network.
+# copy l's row slot and copy sigma_j(l)'s column slot.  The id "n", leading
+# on every operand and on the output, is the plan's free stack axis.
 
 
-def _batched(subscripts, shapes, batch: int | None) -> Plan:
-    if batch is None:
-        return plan(subscripts, [], shapes)
-    return plan([["n", *ids] for ids in subscripts], ["n"], [(batch, *s) for s in shapes])
+def _contract(sigma: PermTuple, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
+    """One label on a checked stack on dims (amplitudes (n, *dims) or
+    matrices (n, N, N)): its values, shape (n,), from one plan call."""
+    m = sigma.m
+    if kind == "pure":
+        return _pure_plan(sigma, dims)(*[stack] * m, *[stack.conj()] * m)
+    return _mixed_plan(sigma, dims)(*[stack.reshape((-1,) + dims + dims)] * m)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _mixed_plan(sigma: PermTuple, dims: tuple[int, ...], batch: int | None = None) -> Plan:
+def _mixed_plan(sigma: PermTuple, dims: tuple[int, ...]) -> Plan:
     m, k = sigma.m, sigma.r
     subscripts = []
     for l in range(1, m + 1):
         rows = [(j, l) for j in range(1, k + 1)]
         cols = [(j, sigma.perms[j - 1](l)) for j in range(1, k + 1)]
-        subscripts.append(rows + cols)
-    return _batched(subscripts, [dims + dims] * m, batch)
+        subscripts.append(["n"] + rows + cols)
+    return plan(subscripts, ["n"], [(1,) + dims + dims] * m)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _pure_plan(sigma: PermTuple, dims: tuple[int, ...], batch: int | None = None) -> Plan:
+def _pure_plan(sigma: PermTuple, dims: tuple[int, ...]) -> Plan:
     m, k = sigma.m, len(dims)
-    subscripts = [[(j, l) for j in range(1, k + 1)] for l in range(1, m + 1)]
+    subscripts = [["n"] + [(j, l) for j in range(1, k + 1)] for l in range(1, m + 1)]
     for l in range(1, m + 1):
         cols = [(j, sigma.perms[j - 1](l)) for j in range(1, k)]
-        subscripts.append(cols + [(k, l)])
-    return _batched(subscripts, [dims] * (2 * m), batch)
+        subscripts.append(["n"] + cols + [(k, l)])
+    return plan(subscripts, ["n"], [(1,) + dims] * (2 * m))
 
 
 # -- naive loop strategy -------------------------------------------------------

@@ -59,9 +59,10 @@ def dim_limit() -> int:
 def set_dim_limit(limit: int) -> None:
     """Raise or lower the total-dimension guard (CLI: --dim-limit)."""
     global _dim_limit
-    if limit < 1:
-        raise ValueError("dimension limit must be positive")
-    _dim_limit = limit
+    # an integer, numpy's included, but no float, str or bool
+    if type(limit) is bool or not hasattr(type(limit), "__index__") or operator.index(limit) < 1:
+        raise ValueError(f"dimension limit must be a positive integer: {limit!r}")
+    _dim_limit = operator.index(limit)
 
 
 def check_dims(dims: Sequence[int]) -> tuple[int, ...]:

@@ -373,18 +373,16 @@ class TestBatch:
         assert compile_plan.cache_info().misses > misses
         assert relerr(value, C.eval_mixed(lab, rho)) < 1e-10
 
-    def test_program_keeps_its_last_plan(self):
+    def test_program_compiles_one_plan(self):
+        # a single state and stacks of every size run it with no plan lookup
         rho = S.random_density((2, 3), seed=350)
         program = F._program(P.perm_tuple(3, "s", "t"), "mixed", (2, 3))
-        stack = np.stack([rho.entries] * 3)
-        first = program(stack)
         lookups = compile_plan.cache_info()
-        assert np.array_equal(program(stack), first)
-        assert compile_plan.cache_info() == lookups  # no plan cache lookup
-        program(stack[:2])
-        after = compile_plan.cache_info()
-        assert after.hits + after.misses == lookups.hits + lookups.misses + 1
-        assert np.array_equal(program(stack), first)
+        value = F.closed_form(P.perm_tuple(3, "s", "t"), "mixed", rho)
+        for n in (1, 3, 40, 2):
+            assert np.array_equal(program(np.stack([rho.entries] * n)), np.full(n, value))
+        assert compile_plan.cache_info() == lookups
+        assert program.plan.shapes == ((1, 2, 3, 2, 3),) * 3
 
     @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (1, 3), (3, 1), (2, 2), (2, 1, 2)])
     def test_pure_programs_run_on_the_reduction(self, dims):
@@ -564,14 +562,15 @@ class TestFormulaText:
         assert relerr(got, want) < 1e-12
 
     def test_high_power_within_the_axis_ids(self):
-        # 25 copies on two subsystems need 1 + 25 * 2 = 51 of the 52 ids
+        # 25 copies on two subsystems need 25 * 2 = 50 of the 52 ids; the
+        # stack id, an ellipsis, takes none
         rho = unit_density((2, 3), seed=105)
         want = np.trace(np.linalg.matrix_power(rho.entries, 25))
         assert relerr(F.parse_formula("Tr( rho^25 )")(rho), want) < 1e-12
 
     def test_too_many_axis_ids_is_a_resource_limit(self):
         rho = S.random_density((2, 3), seed=106)
-        with pytest.raises(ResourceLimitError, match="61 axis ids"):
+        with pytest.raises(ResourceLimitError, match="60 axis ids"):
             F.parse_formula("Tr( rho^30 )")(rho)
 
     def test_huge_power_is_refused_before_expanding(self):

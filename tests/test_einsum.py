@@ -123,15 +123,36 @@ class TestBuildingBlocks:
 
 class TestPlan:
     def test_path_is_numpys_greedy_path(self):
-        rho = random_density((2, 2, 2), seed=9)
-        for lab in enumerate_orbits(3, 3):
-            ops, subs = mixed_network(lab.rep, rho)
-            terms, out = renumber(subs, [])
+        """The engines' plans store numpy's greedy path of their network
+        without the stack id, which is its path at every stack size."""
+        networks = []
+        for dims in ORACLE_DIMS:
+            rho, psi = random_density(dims, seed=9), random_pure(dims, seed=10)
+            networks += [(contract._mixed_plan, lab, dims, mixed_network(lab.rep, rho))
+                         for lab in labels("mixed", len(dims))]
+            networks += [(contract._pure_plan, lab, dims, pure_network(lab.rep, psi))
+                         for lab in labels("pure", len(dims))]
+        rho, psi = random_density((2, 2), seed=9), random_pure((4, 4, 4), seed=10)
+        networks += [(contract._mixed_plan, lab, (2, 2), mixed_network(lab.rep, rho))
+                     for lab in enumerate_orbits(4, 2)]
+        networks += [(contract._pure_plan, lab, (4, 4, 4), pure_network(lab.rep, psi))
+                     for lab in enumerate_orbits(4, 2)]
+
+        def greedy(subs, out, shapes):
+            terms, out = renumber(subs, out)
             args = []
-            for op, term in zip(ops, terms):
-                args += [op, term]
-            want = np.einsum_path(*args, out, optimize="greedy")[0]
-            assert list(plan(subs, [], [op.shape for op in ops]).path) == want[1:]
+            for shape, term in zip(shapes, terms):
+                args += [np.broadcast_to(0j, shape), term]
+            return np.einsum_path(*args, out, optimize="greedy")[0][1:]
+
+        for build, lab, dims, (ops, subs) in networks:
+            shapes = [op.shape for op in ops]
+            want = greedy(subs, [], shapes)
+            assert list(build(lab.rep, dims).path) == want, (lab, dims)
+            assert list(plan(subs, [], shapes).path) == want
+            for n in (1, 2, 7, 40):
+                stacked = greedy([["n", *ids] for ids in subs], ["n"], [(n, *s) for s in shapes])
+                assert stacked == want, (lab, dims, n)
 
     def test_cost_fields_match_numpy_report(self):
         psi = random_pure((4, 4, 4), seed=10)
@@ -273,8 +294,10 @@ class TestCostGuard:
         # "n", on every operand and on the output, indexes the stack
         with pytest.raises(ResourceLimitError, match="intermediate of 33554432 entries per"):
             plan([["n", "a"], ["n", "b"]], ["n", "a", "b"], [(2, 2**13), (2, 2**12)])
+        one = plan([["n", "a", "b"], ["n", "b", "c"]], ["n", "a", "c"], [(1,) + (2**12,) * 2] * 2)
+        assert one.flops == 2 * 2**36 and one.largest_intermediate == 2**24
         p = plan([["n", "a", "b"], ["n", "b", "c"]], ["n", "a", "c"], [(2**12,) * 3] * 2)
-        assert p.flops == 2**12 * 2 * 2**36 and p.largest_intermediate == 2**36
+        assert (p.flops, p.largest_intermediate) == (one.flops, 2**24)
 
     @pytest.mark.parametrize("dims", [(64, 64), (16, 16, 16), (4096,)])
     def test_grade_3_networks_at_the_dim_limit_are_admitted(self, dims):
@@ -286,17 +309,21 @@ class TestCostGuard:
             for m in (1, 2, 3) if r else ():
                 for lab in enumerate_orbits(m, r):
                     p = build(lab.rep, dims)
-                    program = closedform._program(lab.rep, kind, dims)
-                    q = compile_plan(program.terms, program.out,
-                                     ((1,) + program.dims * 2,) * len(program.terms))
-                    for c in (p, q):
+                    for c in (p, closedform._program(lab.rep, kind, dims).plan):
                         worst = [max(worst[0], c.flops), max(worst[1], c.largest_intermediate)]
         assert 1e11 < worst[0] <= MAX_PLAN_FLOPS and worst[1] == MAX_PLAN_INTERMEDIATE
 
     def test_stacks_are_admitted_at_any_size(self):
+        # a plan keyed at a stack size builds the one plan of size 1, and a
+        # stack of any size then runs it
         two, three = (parse_label(",".join(["[2,3,1]"] * k), 3) for k in (2, 3))
-        assert contract._mixed_plan(two, (32, 16), 40).flops > 40 * 2 * 512**3
-        assert contract._mixed_plan(three, (3, 3, 3), 30000).largest_intermediate > 2**24
+        for lab, dims, n in ((two, (32, 16), 40), (three, (3, 3, 3), 30000)):
+            one = contract._mixed_plan(lab, dims)
+            p = compile_plan(one.terms, one.out, tuple((n,) + s[1:] for s in one.shapes))
+            assert (p.flops, p.largest_intermediate, p.path) == (
+                one.flops, one.largest_intermediate, one.path)
+        # whole, the second stack would be over the intermediate bound
+        assert 30000 * contract._mixed_plan(three, (3, 3, 3)).largest_intermediate > 2**24
 
     def test_gate_label_is_refused_before_any_array_work(self):
         rho = random_density((4, 4, 4), seed=15)
@@ -343,6 +370,9 @@ class TestSingleStateRoutes:
 
     @pytest.mark.parametrize("dims", ORACLE_DIMS)
     def test_closed_form_is_the_batch_of_one(self, dims):
+        # and so are the engines
+        engines = {"pure": contract.eval_pure_batch, "mixed": contract.eval_mixed_batch}
+        evaluate = {"pure": contract.eval_pure, "mixed": contract.eval_mixed}
         psi, rho = random_pure(dims, seed=16), random_density(dims, seed=17)
         for kind, state, data, r in (("pure", psi, psi.amplitudes, len(dims) - 1),
                                      ("mixed", rho, rho.entries, len(dims))):
@@ -350,6 +380,8 @@ class TestSingleStateRoutes:
                 for lab in enumerate_orbits(m, r):
                     batch = closedform.closed_form_batch(lab, kind, dims, data[None])
                     assert closedform.closed_form(lab, kind, state) == batch[0]
+                    batch = engines[kind](lab, dims, data[None])
+                    assert evaluate[kind](lab, state) == batch[0]
 
 
 def stacks(dims, n, seed):
@@ -380,37 +412,21 @@ class TestBatchedEngines:
                 for value, psi in zip(got, psis):
                     assert relerr(value, contract.eval_pure(lab, psi)) < 1e-12, lab
 
-    def test_one_plan_per_label_dims_and_size(self):
-        lab = enumerate_orbits(3, 2)[5].rep
-        rhos, _, psis, _ = stacks((2, 2), 3, seed=0)
-        contract.eval_mixed_batch(lab, (2, 2), rhos)
-        three = contract._mixed_plan(lab, (2, 2), 3)
-        assert three.shapes == ((3, 2, 2, 2, 2),) * 3
-        hits = contract._mixed_plan.cache_info().hits
-        contract.eval_mixed_batch(lab, [2, 2], rhos[[2, 0, 1]])
-        assert contract._mixed_plan.cache_info().hits == hits + 1
-        assert contract._mixed_plan(lab, (2, 2), 3) is three
-        contract.eval_mixed_batch(lab, (2, 2), rhos[:2])
-        two = contract._mixed_plan(lab, (2, 2), 2)
-        assert two is not three and two.shapes == ((2, 2, 2, 2, 2),) * 3
-        assert contract._mixed_plan(lab, (2, 2)) not in (two, three)
-
-        pure = enumerate_orbits(3, 1)[1].rep
-        contract.eval_pure_batch(pure, (2, 2), psis)
-        assert contract._pure_plan(pure, (2, 2), 3).shapes == ((3, 2, 2),) * 6
-        assert contract._pure_plan(pure, (2, 2), 3) is contract._pure_plan(pure, (2, 2), 3)
-
-    def test_per_state_plan_survives_a_batched_call(self):
-        lab = enumerate_orbits(3, 2)[7]
-        rho = random_density((2, 2), seed=12)
-        value = contract.eval_mixed(lab, rho)
-        unbatched = contract._mixed_plan(lab.rep, (2, 2))
-        contract.eval_mixed_batch(lab, rho.dims, np.stack([rho.entries] * 4))
-        hits = contract._mixed_plan.cache_info().hits
-        assert contract.eval_mixed(lab, rho) == value
-        assert contract._mixed_plan.cache_info().hits == hits + 1
-        assert contract._mixed_plan(lab.rep, (2, 2)) is unbatched
-        assert unbatched.shapes == ((2, 2, 2, 2),) * 3
+    def test_one_plan_per_label_and_dims(self):
+        # a single state and stacks of every size run one plan, compiled once
+        mixed, pure = enumerate_orbits(3, 2)[5].rep, enumerate_orbits(3, 1)[1].rep
+        rho_stack, rhos, psi_stack, psis = stacks((2, 2), 40, seed=0)
+        for cache in (contract._mixed_plan, contract._pure_plan, compile_plan):
+            cache.cache_clear()
+        values = contract.eval_mixed(mixed, rhos[0]), contract.eval_pure(pure, psis[0])
+        plans = contract._mixed_plan(mixed, (2, 2)), contract._pure_plan(pure, (2, 2))
+        for n in (1, 3, 40):
+            assert contract.eval_mixed_batch(mixed, [2, 2], rho_stack[:n])[0] == values[0]
+            assert contract.eval_pure_batch(pure, (2, 2), psi_stack[:n])[0] == values[1]
+        assert (contract.eval_mixed(mixed, rhos[0]), contract.eval_pure(pure, psis[0])) == values
+        assert compile_plan.cache_info().misses == 2
+        assert plans[0].shapes == ((1, 2, 2, 2, 2),) * 3
+        assert plans[1].shapes == ((1, 2, 2),) * 6
 
     def test_bad_stacks_are_rejected(self):
         mixed, pure = enumerate_orbits(2, 2)[1], enumerate_orbits(2, 1)[1]

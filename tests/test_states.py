@@ -463,6 +463,23 @@ class TestResourceGuard:
         finally:
             S.set_dim_limit(old)
 
+    @pytest.mark.parametrize("limit", [0, -3, True, 2.5, "8", None])
+    def test_dim_limit_must_be_a_positive_integer(self, limit):
+        old = S.dim_limit()
+        with pytest.raises(ValueError, match="positive integer"):
+            S.set_dim_limit(limit)
+        assert S.dim_limit() == old
+
+    def test_numpy_integer_dim_limit(self):
+        old = S.dim_limit()
+        try:
+            S.set_dim_limit(np.int64(8))
+            assert type(S.dim_limit()) is int
+            with pytest.raises(ResourceLimitError, match="exceeds limit 8;"):
+                S.check_dims((3, 3))
+        finally:
+            S.set_dim_limit(old)
+
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             S.check_dims((2, 0))
