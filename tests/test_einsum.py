@@ -412,21 +412,40 @@ class TestBatchedEngines:
                 for value, psi in zip(got, psis):
                     assert relerr(value, contract.eval_pure(lab, psi)) < 1e-12, lab
 
-    def test_one_plan_per_label_and_dims(self):
-        # a single state and stacks of every size run one plan, compiled once
+    def test_one_plan_per_label_dims_and_size(self):
+        # stacks of every size run one plan per (label, dims), compiled once
         mixed, pure = enumerate_orbits(3, 2)[5].rep, enumerate_orbits(3, 1)[1].rep
-        rho_stack, rhos, psi_stack, psis = stacks((2, 2), 40, seed=0)
+        rho_stack, _, psi_stack, _ = stacks((2, 2), 40, seed=0)
         for cache in (contract._mixed_plan, contract._pure_plan, compile_plan):
             cache.cache_clear()
-        values = contract.eval_mixed(mixed, rhos[0]), contract.eval_pure(pure, psis[0])
         plans = contract._mixed_plan(mixed, (2, 2)), contract._pure_plan(pure, (2, 2))
+        hits = contract._mixed_plan.cache_info().hits, contract._pure_plan.cache_info().hits
         for n in (1, 3, 40):
-            assert contract.eval_mixed_batch(mixed, [2, 2], rho_stack[:n])[0] == values[0]
-            assert contract.eval_pure_batch(pure, (2, 2), psi_stack[:n])[0] == values[1]
-        assert (contract.eval_mixed(mixed, rhos[0]), contract.eval_pure(pure, psis[0])) == values
+            assert contract.eval_mixed_batch(mixed, [2, 2], rho_stack[:n]).shape == (n,)
+            assert contract.eval_pure_batch(pure, (2, 2), psi_stack[:n]).shape == (n,)
+        assert contract._mixed_plan.cache_info().hits == hits[0] + 3
+        assert contract._pure_plan.cache_info().hits == hits[1] + 3
+        assert contract._mixed_plan(mixed, (2, 2)) is plans[0]
+        assert contract._pure_plan(pure, (2, 2)) is plans[1]
         assert compile_plan.cache_info().misses == 2
         assert plans[0].shapes == ((1, 2, 2, 2, 2),) * 3
         assert plans[1].shapes == ((1, 2, 2),) * 6
+
+    def test_per_state_plan_survives_a_batched_call(self):
+        # a single state runs the plan that stacks run, as a stack of one,
+        # and its value is the same before and after stacks of any size
+        lab = enumerate_orbits(3, 2)[7]
+        rho = random_density((2, 2), seed=12)
+        value = contract.eval_mixed(lab, rho)
+        plan_ = contract._mixed_plan(lab.rep, (2, 2))
+        for n in (1, 4, 40):
+            got = contract.eval_mixed_batch(lab, rho.dims, np.stack([rho.entries] * n))
+            assert (got == value).all()
+        hits = contract._mixed_plan.cache_info().hits
+        assert contract.eval_mixed(lab, rho) == value
+        assert contract._mixed_plan.cache_info().hits == hits + 1
+        assert contract._mixed_plan(lab.rep, (2, 2)) is plan_
+        assert plan_.shapes == ((1, 2, 2, 2, 2),) * 3
 
     def test_bad_stacks_are_rejected(self):
         mixed, pure = enumerate_orbits(2, 2)[1], enumerate_orbits(2, 1)[1]
