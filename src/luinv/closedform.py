@@ -37,9 +37,10 @@ Operands carry their subsystem lists, so "(x)" assembles disjoint operands
 onto their slots regardless of textual order; pt[] is the full trace, a
 scalar.  Exponents are at least 1.
 
-A pure label's closed form is the formula of its embedded label (sigma, e),
-whose slot k holds the identity: every factor traces subsystem k and no text
-names it, so the formula runs on Tr_k |psi><psi| compiled for dims[:-1].
+A pure label's closed form is the program of its own tuple compiled for
+dims[:-1], run on Tr_k |psi><psi|.  That is the formula of its embedded
+label (sigma, e), whose slot k holds the identity: every factor traces
+subsystem k and no text names it.
 
 ``parse_formula`` is the compiler's front end; ``Program`` turns a syntax
 tree into the formula's contraction network, the paper's graph of it
@@ -58,7 +59,7 @@ import numpy as np
 
 from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
 from ._record import Value, set_hash
-from .contract import _check_arity, _check_kind, _checked_stack, _state_data
+from .contract import _check_kind, _check_label, _checked_stack, _state_data
 from .errors import ResourceLimitError
 from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
 from .states import DensityMatrix, _check_subsystems, projector
@@ -109,10 +110,10 @@ def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int],
     sigma = as_tuple(sigma)
     dims, stack = _checked_stack(sigma, kind, dims, stack)
     _check_grade(sigma.m)
-    if kind == "pure":  # the reductions Tr_k |psi><psi|
+    if kind == "pure":  # the reductions Tr_k |psi><psi|, on dims[:-1]
         a = stack.reshape(len(stack), -1, dims[-1])
-        stack = a @ a.conj().swapaxes(1, 2)
-    return _program(sigma, kind, dims)(stack)
+        stack, dims = a @ a.conj().swapaxes(1, 2), dims[:-1]
+    return _program(sigma, dims)(stack)
 
 
 def _check_grade(m: int) -> None:
@@ -121,13 +122,11 @@ def _check_grade(m: int) -> None:
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _program(sigma: PermTuple, kind: str, dims: tuple[int, ...]) -> "Program":
-    """The compiled closed form of a label on dims, built from formula_text:
-    a mixed label's formula on dims, or a pure label's embedded formula on
-    dims[:-1], the subsystems left by Tr_k."""
-    if kind == "mixed":
-        return _compiled(_parse(formula_text(sigma, "mixed")), dims)
-    return _compiled(_parse(formula_text(sigma.embed(), "pure")), dims[:-1])
+def _program(sigma: PermTuple, dims: tuple[int, ...]) -> "Program":
+    """The compiled mixed formula of a label tuple on dims.  A pure label
+    on dims runs it on dims[:-1], the subsystems left by Tr_k: that is its
+    embedded label's formula, which traces subsystem k."""
+    return _compiled(_parse(formula_text(sigma, "mixed")), dims)
 
 
 # -- formula descriptors -------------------------------------------------------
@@ -207,7 +206,7 @@ class FormulaDescriptor(Value):
         writing: the program its label's closed form runs.  A state on other
         than the label's r subsystems raises ValueError."""
         rho = projector(state) if self.kind == "pure" else state
-        _check_arity(self.label.r, rho.k, "mixed")
+        _check_label(self.label, rho.k, "mixed")
         return parse_formula(self.text)(rho)
 
 

@@ -81,10 +81,14 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 
 
-def _check_arity(r: int, k: int, kind: str) -> None:
+def _check_label(sigma: Label, k: int, kind: str) -> None:
+    """A label evaluates on k subsystems if its grade is at least 1 and its
+    arity is k - 1 (pure) or k (mixed)."""
+    if sigma.m < 1:
+        raise ValueError(f"grade {sigma.m} has no invariant; grades start at 1")
     need = k - 1 if kind == "pure" else k
-    if r != need:
-        raise ValueError(f"label arity {r} does not match {k} subsystems "
+    if sigma.r != need:
+        raise ValueError(f"label arity {sigma.r} does not match {k} subsystems "
                          f"(need {'k-1' if kind == 'pure' else 'k'})")
 
 
@@ -111,7 +115,7 @@ def _evaluate(sigma: Label, kind: str, state, method: str) -> complex:
     """One label on one state: the einsum plan on a stack of one, or the loop."""
     data = _state_data(kind, state)
     sigma, dims = as_tuple(sigma), state.dims
-    _check_arity(sigma.r, len(dims), kind)
+    _check_label(sigma, len(dims), kind)
     if method == "einsum":
         return _contract(sigma, kind, dims, data[None]).item()
     if method == "loop":
@@ -127,7 +131,7 @@ def _checked_stack(sigma: PermTuple, kind: str, dims: Sequence[int],
                    stack) -> tuple[tuple[int, ...], np.ndarray]:
     """dims, checked against the guard, and a non-empty stack on them as a
     complex array: amplitudes (n, *dims) for kind "pure", (n, N, N) matrices
-    for "mixed"; the label arity must be k - 1 or k."""
+    for "mixed"; the label passes _check_label."""
     _check_kind(kind)
     dims = check_dims(dims)
     stack = np.asarray(stack, dtype=complex)
@@ -138,7 +142,7 @@ def _checked_stack(sigma: PermTuple, kind: str, dims: Sequence[int],
                          f"not {stack.shape}")
     if not len(stack):
         raise ValueError("a batch needs at least one state")
-    _check_arity(sigma.r, len(dims), kind)
+    _check_label(sigma, len(dims), kind)
     return dims, stack
 
 

@@ -18,8 +18,16 @@ one stack, and hands every request a fresh C-order stack assembled from its
 rows.  A check called without a table gets a new one, so it reports the same
 as inside a run.  Haar rotations run once per stack.  Each label is
 evaluated once per stack by the batched engines and closed forms, which take
-the stacks as they are.  The checks then walk (sample, label) in a fixed
-order, so the worst residual and its witness do not depend on the batching.
+the stacks as they are.
+
+The residual checks (lu_invariance, closed_forms, class_consistency and
+purification) draw fixed sample counts and hold fixed tolerances, the module
+constants below.  Each returns through one report builder: it hands over its
+residuals as an array in its walk order, (sample, label) or, for
+class_consistency, (label, sample), so the worst residual and its witness do
+not depend on the batching.  The worst is the first largest residual, and a
+NaN counts as the largest, so a NaN fails the check.  linear_independence
+fails on a value matrix that is not finite.
 """
 
 from __future__ import annotations
@@ -62,6 +70,17 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+#: The samples of each kind that the lu, closed and purification checks draw.
+LU_SAMPLES, CLOSED_SAMPLES, PURIFICATION_SAMPLES = 20, 10, 10
+
+#: Each residual check passes when its worst residual is below its tolerance.
+TOLERANCES = {"lu_invariance": 1e-9, "closed_forms": 1e-10, "class_consistency": 1e-10,
+              "purification": 1e-9}
+
+#: linear_independence counts the singular values above this fraction of
+#: the largest.
+SV_THRESHOLD = 1e-8
 
 
 class VerifyReport(Value):
@@ -195,31 +214,40 @@ def all_specs(dims: Sequence[int], grades: Iterable[int] = (1, 2, 3)) -> list[In
     return specs
 
 
-def _values(label, kind: str, dims: tuple[int, ...], stack: np.ndarray,
-            closed: bool = False) -> list[complex]:
-    """The label's values on a stack of states of one kind on dims (none for
-    none), by the contraction engines or by the closed forms."""
-    if not len(stack):
-        return []
-    if closed:
-        return closed_form_batch(label, kind, dims, stack).tolist()
-    batch = eval_pure_batch if kind == "pure" else eval_mixed_batch
-    return batch(label, dims, stack).tolist()
+def _values(label, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
+    """The label's values on a stack of states of one kind on dims, by the
+    contraction engines."""
+    return (eval_pure_batch if kind == "pure" else eval_mixed_batch)(label, dims, stack)
 
 
-def check_lu_invariance(
-    specs: Sequence[InvariantSpec] | None,
-    dims: Sequence[int],
-    samples: int = 50,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-    table: _SampleTable | None = None,
-) -> VerifyReport:
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, rounded as Python's abs rounds it (np.abs is not)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _residual_report(check: str, params: dict, residuals: np.ndarray, witness,
+                     details: dict | None = None) -> VerifyReport:
+    """The report of a residual check.  residuals holds the check's
+    residuals in its walk order, one axis per loop.  The worst residual is
+    the first largest, and a NaN counts as the largest; the check passes
+    only if it is below the check's tolerance, and otherwise
+    witness(*index, worst) describes it."""
+    at = int(residuals.argmax())  # argmax takes the first NaN, if any
+    worst = float(residuals.flat[at])
+    tolerance = TOLERANCES[check]
+    passed = worst < tolerance
+    index = [int(i) for i in np.unravel_index(at, residuals.shape)]
+    return VerifyReport(check, params, tolerance, worst, passed, details,
+                        None if passed else witness(*index, worst))
+
+
+def check_lu_invariance(dims: Sequence[int], seed: int = 0,
+                        table: _SampleTable | None = None) -> VerifyReport:
     """Relative drift of every invariant under Haar-random local rotations."""
     dims = check_dims(dims)
     table = _SampleTable() if table is None else table
-    if specs is None:
-        specs = all_specs(dims)
+    specs = all_specs(dims)
+    samples = LU_SAMPLES
     psis = table.pures(dims, [seed * 100_003 + 2 * i for i in range(samples)])
     rhos = table.densities(dims, [seed * 100_003 + 2 * i + 1 for i in range(samples)])
     us = table.unitaries(dims, [seed * 900_001 + i for i in range(samples)])
@@ -227,26 +255,16 @@ def check_lu_invariance(
         "pure": _interleave(psis, _rotate_stack(psis, us)),
         "mixed": _interleave(rhos, _rotate_mixed_stack(rhos, dims, us)),
     }
-    # values[spec][2 i] on sample i, values[spec][2 i + 1] on its rotation
-    values = [_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs]
-    worst = 0.0
-    witness = None
-    for i in range(samples):
-        for spec, vals in zip(specs, values):
-            a, b = vals[2 * i], vals[2 * i + 1]
-            drift = abs(a - b) / max(abs(a), 1e-300)
-            if drift > worst:
-                worst = drift
-                witness = {"label": format_label(spec.label.rep), "kind": spec.kind,
-                           "sample": i, "drift": drift}
-    return VerifyReport(
-        check="lu_invariance",
-        params={"dims": list(dims), "samples": samples, "seed": seed,
-                "labels": len(specs)},
-        tolerance=tolerance,
-        max_residual=worst,
-        passed=worst < tolerance,
-        witness=None if worst < tolerance else witness,
+    # values[spec, 2 i] on sample i, values[spec, 2 i + 1] on its rotation
+    values = np.array([_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs])
+    a, b = values[:, 0::2], values[:, 1::2]
+    drift = _modulus(a - b) / np.maximum(_modulus(a), 1e-300)
+    return _residual_report(
+        "lu_invariance",
+        {"dims": list(dims), "samples": samples, "seed": seed, "labels": len(specs)},
+        drift.T,
+        lambda i, s, d: {"label": format_label(specs[s].label.rep), "kind": specs[s].kind,
+                         "sample": i, "drift": d},
     )
 
 
@@ -255,11 +273,12 @@ def check_linear_independence(
     kind: str,
     dims: Sequence[int],
     seed: int = 0,
-    sv_threshold: float = 1e-8,
     table: _SampleTable | None = None,
 ) -> VerifyReport:
     """Numerical rank of the label-by-state value matrix over 2D random
-    states.  Full rank is expected (and asserted) when m <= min(n_j)."""
+    states.  Full rank is expected (and asserted) when m <= min(n_j).  A
+    value matrix with a NaN or an infinity fails, with rank 0 and a NaN
+    residual."""
     dims = check_dims(dims)
     table = _SampleTable() if table is None else table
     k = len(dims)
@@ -270,17 +289,17 @@ def check_linear_independence(
     seeds = [seed * 77_041 + i for i in range(n_states)]
     states = table.pures(dims, seeds) if kind == "pure" else table.densities(dims, seeds)
     matrix = np.array([_values(lab, kind, dims, states) for lab in labels])
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    rank = int((sv > sv_threshold * sv[0]).sum())
+    finite = bool(np.isfinite(matrix).all())
+    sv = np.linalg.svd(matrix, compute_uv=False) if finite else np.full(d, np.nan)
+    rank = int((sv > SV_THRESHOLD * sv[0]).sum())
     expect_full = m <= min(dims)
-    passed = rank == d if expect_full else True
     return VerifyReport(
         check="linear_independence",
         params={"m": m, "kind": kind, "dims": list(dims), "seed": seed,
                 "labels": d, "states": n_states},
-        tolerance=sv_threshold,
+        tolerance=SV_THRESHOLD,
         max_residual=float(sv[-1] / sv[0]),
-        passed=passed,
+        passed=finite and (rank == d or not expect_full),
         details={"rank": rank, "expected_full_rank": expect_full,
                  "note": "algebraic independence lives in the large-dimension "
                          "limit and is not numerically testable; only linear "
@@ -288,14 +307,8 @@ def check_linear_independence(
     )
 
 
-def check_class_consistency(
-    m: int,
-    k: int,
-    seed: int = 0,
-    dims: Sequence[int] | None = None,
-    tolerance: float = 1e-10,
-    table: _SampleTable | None = None,
-) -> VerifyReport:
+def check_class_consistency(m: int, dims: Sequence[int], seed: int = 0,
+                            table: _SampleTable | None = None) -> VerifyReport:
     """Two-sided class coherence.
 
     Hard check: for every pure label, all conjugation classes in its split
@@ -304,25 +317,22 @@ def check_class_consistency(
     take different values for at least one sample; absence of a witness is
     recorded as inconclusive.
     """
-    dims = check_dims((2,) * k if dims is None else dims)
+    dims = check_dims(dims)
     table = _SampleTable() if table is None else table
-    worst = 0.0
-    witness = None
+    k = len(dims)
+    labels = enumerate_orbits(m, k - 1)
+    spreads = []
     split_results = []
     projectors = _projector_stack(table.pures(dims, [seed * 61_543 + i for i in range(5)]))
     rhos = table.densities(dims, [seed * 44_497 + i for i in range(20)])
-    for lab in enumerate_orbits(m, k - 1):
+    for lab in labels:
         split = sim_decompose(lab.rep)
         assert split.anchor.rep.perms[-1].is_identity()
-        member_vals = [_values(member, "mixed", dims, projectors) for member in split.members]
-        for i in range(len(projectors)):
-            vals = [row[i] for row in member_vals]
-            ref = vals[0]
-            spread = max(abs(v - ref) for v in vals) / max(abs(ref), 1e-300)
-            if spread > worst:
-                worst = spread
-                witness = {"label": format_label(lab.rep), "sample": i, "spread": spread}
-        rho_vals = [_values(member, "mixed", dims, rhos) for member in split.members]
+        member_vals = np.array([_values(member, "mixed", dims, projectors)
+                                for member in split.members])
+        ref = member_vals[0]
+        spreads.append(_modulus(member_vals - ref).max(axis=0) / np.maximum(_modulus(ref), 1e-300))
+        rho_vals = [_values(member, "mixed", dims, rhos).tolist() for member in split.members]
         separated = 0
         pairs = 0
         for a in range(len(split.members)):
@@ -340,57 +350,42 @@ def check_class_consistency(
             "pairs": pairs,
             "inconclusive_pairs": pairs - separated,
         })
-    return VerifyReport(
-        check="class_consistency",
-        params={"m": m, "k": k, "dims": list(dims), "seed": seed},
-        tolerance=tolerance,
-        max_residual=worst,
-        passed=worst < tolerance,
+    return _residual_report(
+        "class_consistency",
+        {"m": m, "k": k, "dims": list(dims), "seed": seed},
+        np.array(spreads),
+        lambda l, i, spread: {"label": format_label(labels[l].rep), "sample": i,
+                              "spread": spread},
         details={"splits": split_results},
-        witness=None if worst < tolerance else witness,
     )
 
 
-def check_purification(
-    m: int,
-    dims: Sequence[int],
-    seed: int = 0,
-    samples: int = 10,
-    tolerance: float = 1e-9,
-    table: _SampleTable | None = None,
-) -> VerifyReport:
+def check_purification(m: int, dims: Sequence[int], seed: int = 0,
+                       table: _SampleTable | None = None) -> VerifyReport:
     """f(rho) equals the embedded pure invariant of a purification of rho,
     for every mixed label of grade m."""
     dims = check_dims(dims)
     table = _SampleTable() if table is None else table
     labels = enumerate_orbits(m, len(dims))
+    samples = PURIFICATION_SAMPLES
     total_dim = math.prod(dims)
     ranks = [1 + (i % total_dim) for i in range(samples)]
     # a purification's rank is at most its requested rank: refuse its dims
     # before any draw
-    check_dims(dims + (max(ranks, default=1),))
+    check_dims(dims + (max(ranks),))
     seeds = [seed * 52_361 + i for i in range(samples)]
     stack = table.densities(dims, seeds, ranks)
     # the purifications' ranks differ: one stack, zero-padded to the largest
     amps = table.purified(dims, seeds, ranks)
-    mixed_vals = [_values(lab, "mixed", dims, stack) for lab in labels]
-    pure_vals = [_values(lab, "pure", amps.shape[1:], amps) for lab in labels]
-    worst = 0.0
-    witness = None
-    for i, rank in enumerate(ranks):
-        for lab, a_vals, b_vals in zip(labels, mixed_vals, pure_vals):
-            a, b = a_vals[i], b_vals[i]
-            resid = abs(a - b) / max(abs(a), 1e-300)
-            if resid > worst:
-                worst = resid
-                witness = {"label": format_label(lab.rep), "rank": rank, "residual": resid}
-    return VerifyReport(
-        check="purification",
-        params={"m": m, "dims": list(dims), "seed": seed, "samples": samples},
-        tolerance=tolerance,
-        max_residual=worst,
-        passed=worst < tolerance,
-        witness=None if worst < tolerance else witness,
+    a = np.array([_values(lab, "mixed", dims, stack) for lab in labels])
+    b = np.array([_values(lab, "pure", amps.shape[1:], amps) for lab in labels])
+    residuals = _modulus(a - b) / np.maximum(_modulus(a), 1e-300)
+    return _residual_report(
+        "purification",
+        {"m": m, "dims": list(dims), "seed": seed, "samples": samples},
+        residuals.T,
+        lambda i, l, resid: {"label": format_label(labels[l].rep), "rank": ranks[i],
+                             "residual": resid},
     )
 
 
@@ -423,62 +418,43 @@ def check_counts() -> VerifyReport:
     )
 
 
-def check_closed_forms(
-    dims: Sequence[int],
-    samples: int = 10,
-    seed: int = 0,
-    tolerance: float = 1e-10,
-    table: _SampleTable | None = None,
-) -> VerifyReport:
-    """Closed-form evaluators against the contraction evaluator on random
-    states, every label of grades 1-3, both kinds."""
+def check_closed_forms(dims: Sequence[int], seed: int = 0,
+                       table: _SampleTable | None = None) -> VerifyReport:
+    """closed_form_batch against the contraction engines on random states,
+    every label of grades 1-3, both kinds."""
     dims = check_dims(dims)
     table = _SampleTable() if table is None else table
-    worst = 0.0
-    witness = None
     specs = all_specs(dims)
+    samples = CLOSED_SAMPLES
     stacks = {
         "pure": table.pures(dims, [seed * 39_989 + 2 * i for i in range(samples)]),
         "mixed": table.densities(dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)]),
     }
-    values = [_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs]
-    closed = [_values(spec.label, spec.kind, dims, stacks[spec.kind], closed=True)
-              for spec in specs]
-    for i in range(samples):
-        for spec, vals, closed_vals in zip(specs, values, closed):
-            a, b = vals[i], closed_vals[i]
-            resid = abs(a - b) / max(abs(a), abs(b), 1e-300)
-            if resid > worst:
-                worst = resid
-                witness = {"label": format_label(spec.label.rep), "kind": spec.kind,
-                           "sample": i, "residual": resid}
-    return VerifyReport(
-        check="closed_forms",
-        params={"dims": list(dims), "samples": samples, "seed": seed,
-                "labels": len(specs)},
-        tolerance=tolerance,
-        max_residual=worst,
-        passed=worst < tolerance,
-        witness=None if worst < tolerance else witness,
+    a = np.array([_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs])
+    b = np.array([closed_form_batch(spec.label, spec.kind, dims, stacks[spec.kind])
+                  for spec in specs])
+    residuals = _modulus(a - b) / np.maximum(np.maximum(_modulus(a), _modulus(b)), 1e-300)
+    return _residual_report(
+        "closed_forms",
+        {"dims": list(dims), "samples": samples, "seed": seed, "labels": len(specs)},
+        residuals.T,
+        lambda i, s, resid: {"label": format_label(specs[s].label.rep), "kind": specs[s].kind,
+                             "sample": i, "residual": resid},
     )
 
 
 #: Each suite's checks, called as (seed, dims, table).
 SUITES = {
     "counts": lambda seed, dims, table: [check_counts()],
-    "lu": lambda seed, dims, table: [
-        check_lu_invariance(None, dims, samples=20, seed=seed, table=table)
-    ],
-    "closed": lambda seed, dims, table: [
-        check_closed_forms(dims, samples=10, seed=seed, table=table)
-    ],
+    "lu": lambda seed, dims, table: [check_lu_invariance(dims, seed=seed, table=table)],
+    "closed": lambda seed, dims, table: [check_closed_forms(dims, seed=seed, table=table)],
     "independence": lambda seed, dims, table: [
         check_linear_independence(m, kind, dims, seed=seed, table=table)
         for m in (2, 3)
         for kind in ("pure", "mixed")
     ],
     "classes": lambda seed, dims, table: [
-        check_class_consistency(m, len(dims), seed=seed, dims=dims, table=table)
+        check_class_consistency(m, dims, seed=seed, table=table)
         for m in (2, 3)
     ],
     "purification": lambda seed, dims, table: [

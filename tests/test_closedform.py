@@ -336,7 +336,7 @@ class TestBatch:
         rho = S.random_density((2, 3), seed=320)
         lab = P.enumerate_orbits(3, 2)[7]
         F.closed_form(lab, "mixed", rho)
-        program = F._program(lab.rep, "mixed", rho.dims)
+        program = F._program(lab.rep, rho.dims)
         assert program is F._compiled(F._parse(F.formula_text(lab.rep, "mixed")), rho.dims)
         before, compiled = F._program.cache_info(), F._compiled.cache_info()
         F.closed_form(lab, "mixed", rho)
@@ -347,11 +347,15 @@ class TestBatch:
         (w,) = F.alternate_writings(lab, "mixed")
         w.evaluate_text(rho)
         assert F._compiled.cache_info().misses == compiled.misses
-        # a pure label runs its embedded label's formula, compiled without slot k
+        # a pure label runs the program of its tuple on dims[:-1], which
+        # shares its plan and scale with its embedded label's formula
         t = P.perm_tuple(2, "t")
-        program = F._program(t, "pure", (2, 3))
-        assert program.dims == (2,)
-        assert program is F._compiled(F._parse(F.formula_text(t.embed(), "pure")), (2,))
+        F.closed_form(t, "pure", unit_pure((2, 3), seed=321))
+        hits = F._program.cache_info().hits
+        program = F._program(t, (2,))
+        assert F._program.cache_info().hits == hits + 1
+        embedded = F.Program(F._parse(F.formula_text(t.embed(), "pure")), (2,))
+        assert program.plan is embedded.plan and program.scale == embedded.scale
 
     def test_writings_of_both_kinds_share_programs(self):
         # the "rho" and "pi" texts of a writing parse to one tree: one program
@@ -376,7 +380,7 @@ class TestBatch:
     def test_program_compiles_one_plan(self):
         # a single state and stacks of every size run it with no plan lookup
         rho = S.random_density((2, 3), seed=350)
-        program = F._program(P.perm_tuple(3, "s", "t"), "mixed", (2, 3))
+        program = F._program(P.perm_tuple(3, "s", "t"), (2, 3))
         lookups = compile_plan.cache_info()
         value = F.closed_form(P.perm_tuple(3, "s", "t"), "mixed", rho)
         for n in (1, 3, 40, 2):
@@ -390,8 +394,13 @@ class TestBatch:
         states, psis = sample_stack("pure", dims, 3, seed=360)
         for m in (1, 2, 3):
             for lab in P.enumerate_orbits(m, len(dims) - 1):
-                assert F._program(lab.rep, "pure", dims).dims == dims[:-1]
                 got = F.closed_form_batch(lab, "pure", dims, psis)
+                hits = F._program.cache_info().hits
+                program = F._program(lab.rep, dims[:-1])
+                assert F._program.cache_info().hits == hits + 1
+                # the plan and scale of its embedded label's formula
+                embedded = F.Program(F._parse(F.formula_text(lab.rep.embed(), "pure")), dims[:-1])
+                assert program.plan is embedded.plan and program.scale == embedded.scale
                 want = np.array([C.eval_pure(lab, psi) for psi in states])
                 assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 

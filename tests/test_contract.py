@@ -96,6 +96,22 @@ class TestStrategiesAgree:
         with pytest.raises(TypeError, match="pure labels take a PureState"):
             C.eval_pure(P.perm_tuple(2, "t"), rho, method=method)
 
+    def test_grade_0_is_refused_by_every_route(self):
+        # enumerate_orbits(0, 1) yields the empty label, mixed on (2,) and pure
+        # on (2, 2); no route evaluates it
+        (empty,) = P.enumerate_orbits(0, 1)
+        rho, psi = S.random_density((2,), seed=0), S.random_pure((2, 2), seed=1)
+        refused = pytest.raises(ValueError, match="grade 0 has no invariant")
+        for method in ("einsum", "loop"):
+            with refused:
+                C.eval_mixed(empty, rho, method=method)
+            with refused:
+                C.eval_pure(empty, psi, method=method)
+        with refused:
+            C.eval_mixed_batch(empty, (2,), rho.entries[None])
+        with refused:
+            C.eval_pure_batch(empty, (2, 2), psi.amplitudes[None])
+
     def test_per_state_network_may_use_all_52_axis_ids(self):
         # 4 copies on 13 subsystems: 52 ids, none left for a batch axis
         lab = P.PermTuple(4, (P.identity(4),) * 13)

@@ -64,12 +64,12 @@ class TestReports:
         assert rep.details["failures"] == [{"m": 4, "r": 2, "got": 43, "want": 44}]
 
     def test_deterministic(self):
-        a = V.check_lu_invariance(None, (2, 2), samples=5, seed=3)
-        b = V.check_lu_invariance(None, (2, 2), samples=5, seed=3)
+        a = V.check_lu_invariance((2, 2), seed=3)
+        b = V.check_lu_invariance((2, 2), seed=3)
         assert a.to_dict() == b.to_dict()
 
     def test_json_serializable(self):
-        reports = [V.check_counts(), V.check_purification(2, (2, 2), seed=1, samples=3)]
+        reports = [V.check_counts(), V.check_purification(2, (2, 2), seed=1)]
         doc = json.loads(V.reports_to_json(reports))
         assert len(doc) == 2
         assert all(d["schema_version"] == 1 for d in doc)
@@ -81,12 +81,12 @@ class TestReports:
 
 class TestChecks:
     def test_lu_invariance_passes(self):
-        rep = V.check_lu_invariance(None, (2, 3), samples=5, seed=0)
+        rep = V.check_lu_invariance((2, 3), seed=0)
         assert rep.passed, rep.witness
         assert rep.max_residual < 1e-9
 
     def test_closed_forms_pass(self):
-        rep = V.check_closed_forms((2, 2), samples=3, seed=0)
+        rep = V.check_closed_forms((2, 2), seed=0)
         assert rep.passed, rep.witness
 
     def test_linear_independence_full_rank_m2(self):
@@ -101,7 +101,7 @@ class TestChecks:
         assert not rep.details["expected_full_rank"]
 
     def test_class_consistency(self):
-        rep = V.check_class_consistency(3, 2, seed=0, dims=(2, 2))
+        rep = V.check_class_consistency(3, (2, 2), seed=0)
         assert rep.passed, rep.witness
         splits = rep.details["splits"]
         assert sum(s["classes"] for s in splits) == 11
@@ -110,15 +110,75 @@ class TestChecks:
 
     def test_purification(self):
         for m in (1, 2, 3):
-            rep = V.check_purification(m, (2, 2), seed=0, samples=4)
+            rep = V.check_purification(m, (2, 2), seed=0)
             assert rep.passed, rep.witness
 
-    def test_zero_samples_pass_vacuously(self):
-        reports = [V.check_lu_invariance(None, (2, 2), samples=0),
-                   V.check_closed_forms((2, 2), samples=0),
-                   V.check_purification(2, (2, 2), samples=0)]
-        for rep in reports:
-            assert rep.passed and rep.max_residual == 0.0 and rep.witness is None
+    def test_modulus_rounds_as_python_abs(self, rng):
+        # the residuals keep the bits of the Python loops they replaced;
+        # np.abs rounds the last bit of about a third of these otherwise
+        zs = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) * 10.0 ** rng.integers(
+            -12, 3, 4000)
+        assert V._modulus(zs).tolist() == [abs(z) for z in zs.tolist()]
+
+
+def nan_values(label, *args):
+    # an engine or closed form whose every value is NaN; the stack comes last
+    return np.full(len(args[-1]), np.nan, dtype=complex)
+
+
+#: The four residual checks, each on its own table.
+RESIDUAL_CHECKS = {
+    "lu_invariance": lambda: V.check_lu_invariance((2, 2)),
+    "closed_forms": lambda: V.check_closed_forms((2, 2)),
+    "class_consistency": lambda: V.check_class_consistency(2, (2, 2)),
+    "purification": lambda: V.check_purification(2, (2, 2)),
+}
+
+
+class TestNaNFails:
+    @pytest.fixture
+    def nan_engines(self, monkeypatch):
+        for name in ("eval_pure_batch", "eval_mixed_batch"):
+            monkeypatch.setattr(V, name, nan_values)
+
+    def test_the_worst_residual_is_the_first_largest_or_nan(self):
+        def where(*index):
+            return index
+
+        rep = V._residual_report("purification", {}, np.array([[1.0, 3.0], [3.0, 0.0]]), where)
+        assert (rep.max_residual, rep.passed, rep.witness) == (3.0, False, (0, 1, 3.0))
+        rep = V._residual_report("purification", {}, np.array([[5.0, 0.0], [np.nan, 0.0]]), where)
+        assert np.isnan(rep.max_residual) and not rep.passed and rep.witness[:2] == (1, 0)
+        rep = V._residual_report("purification", {}, np.zeros((2, 3)), where)
+        assert (rep.max_residual, rep.passed, rep.witness) == (0.0, True, None)
+
+    @pytest.mark.parametrize("check", sorted(RESIDUAL_CHECKS))
+    def test_nan_engines_fail_every_residual_check(self, check, nan_engines):
+        rep = RESIDUAL_CHECKS[check]()
+        assert rep.check == check and not rep.passed
+        assert np.isnan(rep.max_residual)
+        assert rep.witness is not None and np.isnan(list(rep.witness.values())[-1])
+
+    def test_nan_closed_forms_fail_the_closed_check(self, monkeypatch):
+        monkeypatch.setattr(V, "closed_form_batch", nan_values)
+        rep = V.check_closed_forms((2, 2))
+        assert not rep.passed and np.isnan(rep.max_residual)
+        assert rep.witness["sample"] == 0 and np.isnan(rep.witness["residual"])
+
+    def test_nan_engines_fail_linear_independence(self, nan_engines):
+        rep = V.check_linear_independence(2, "mixed", (2, 2))
+        assert not rep.passed and np.isnan(rep.max_residual)
+        assert rep.details["rank"] == 0
+
+    @pytest.mark.parametrize("suite", NUMERIC_SUITES)
+    def test_cli_exits_1(self, suite, nan_engines, capsys):
+        assert main(["verify", "--suite", suite, "--dims", "2,2"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_cli_exits_1_on_nan_closed_forms(self, monkeypatch, capsys):
+        monkeypatch.setattr(V, "closed_form_batch", nan_values)
+        assert main(["verify", "--suite", "closed", "--dims", "2,2"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestSuites:
