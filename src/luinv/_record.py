@@ -15,9 +15,22 @@ with ``__setstate__``, without ``__init__``.
 - ``Ordered`` also orders by the field tuple.
 
 Against any other class the comparisons return NotImplemented.
+
+``as_int`` is the package's one rule for an integer argument.
 """
 
-from operator import attrgetter
+from operator import attrgetter, index
+
+
+def as_int(value):
+    """value as an int if it is an integer, numpy's included, but no float,
+    str or bool; otherwise None."""
+    if type(value) is bool:
+        return None
+    try:
+        return index(value)
+    except TypeError:
+        return None
 
 
 class Record:

@@ -175,8 +175,7 @@ def formula_text(sigma: Label, kind: str) -> str:
     kind selects the argument symbol: "mixed" -> rho, "pure" -> pi (the label
     is then one conjugation class of an embedded pure label)."""
     sigma = as_tuple(sigma)
-    if not has_closed_form(sigma.m):
-        raise ValueError(f"no closed form for grade {sigma.m}")
+    _check_grade(sigma.m)
     _check_kind(kind)
     arg = "rho" if kind == "mixed" else "pi"
     k = sigma.r
@@ -220,8 +219,7 @@ def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
     list of them.
     """
     sigma = as_tuple(sigma)
-    if not has_closed_form(sigma.m):
-        raise ValueError(f"no closed form for grade {sigma.m}")
+    _check_grade(sigma.m)
     _check_kind(kind)
     return list(_writings(sigma, kind))
 

@@ -30,14 +30,12 @@ from functools import lru_cache
 import numpy as np
 
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
-from ._record import Value, set_hash
 from .errors import ResourceLimitError
-from .perms import Label, OrbitLabel, PermTuple, as_tuple
+from .perms import Label, PermTuple, as_tuple
 from .states import DensityMatrix, PureState, check_dims
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
-    "InvariantSpec",
     "eval_mixed",
     "eval_mixed_batch",
     "eval_pure",
@@ -46,34 +44,6 @@ __all__ = [
 
 #: Cap on (prod n)^m * m for a single naive-loop evaluation.
 _EVAL_TERM_LIMIT = 20_000_000
-
-
-class InvariantSpec(Value):
-    """A label bundled with its interpretation, kind "pure" (r = k-1) or
-    "mixed" (r = k)."""
-
-    __slots__ = ("label", "kind")
-
-    def __init__(self, label: OrbitLabel, kind: str):
-        set_hash(self, None)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "kind", kind)
-        self.__post_init__()
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-
-    @property
-    def m(self) -> int:
-        return self.label.m
-
-    @property
-    def r(self) -> int:
-        return self.label.r
-
-    @property
-    def k(self) -> int:
-        return self.r + 1 if self.kind == "pure" else self.r
 
 
 def _check_kind(kind: str) -> None:

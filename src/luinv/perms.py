@@ -26,8 +26,7 @@ representative (its class minimum) and the centralizer of that
 representative, of order z_lambda.  A tuple's first non-identity entry goes
 to its representative; the conjugators that do so are one coset of the
 centralizer, and each later entry keeps only the part of that coset that
-gives it its least image.  The kernel ``_relabelings`` lists the m!
-conjugates of a tuple, for ``orbit``.
+gives it its least image.
 ``orbit_partition`` is the one orbit routine on points, shared by
 ``is_transitive`` and ``graphs.connected_components``.
 
@@ -51,16 +50,15 @@ Every label the package builds shares the interned ``Perm`` objects of
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 from math import factorial
 from typing import Any, Iterator, Sequence, Union
 
-from ._record import Ordered, Value, set_hash
+from ._record import Ordered, Value, as_int, set_hash
 from .errors import ResourceLimitError
 
 #: Upper bound on the grade: the routines that list S_m (symmetric_group,
-#: orbit, sim_decompose, the enumeration walk) and the class table.
+#: sim_decompose, the enumeration walk) and the class table.
 MAX_GRADE = 8
 
 #: Most label entries (labels times max(r, 1)) enumerate_orbits returns, and
@@ -84,11 +82,8 @@ class Perm(Ordered):
 
     def __post_init__(self):
         images = self.images
-        try:  # integers, numpy's included, but no float, str or bool
-            checked = tuple([operator.index(i) for i in images if type(i) is not bool])
-        except TypeError:
-            checked = ()
-        if len(checked) != len(images) or sorted(checked) != list(range(1, len(images) + 1)):
+        checked = tuple([as_int(i) for i in images])
+        if None in checked or sorted(checked) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", checked)
 
@@ -164,20 +159,6 @@ def _check_grade(m: int):
         raise ResourceLimitError(
             f"grade {m} exceeds MAX_GRADE={MAX_GRADE}: too large for brute-force canonicalization"
         )
-
-
-@lru_cache(maxsize=None)
-def _conjugators(m: int) -> tuple[_Conjugator, ...]:
-    """Every b in S_m, in lexicographic image order, as the pair (value map,
-    index order) of _Conjugator."""
-    _check_grade(m)
-    out = []
-    for b in itertools.permutations(range(m)):
-        order = [0] * m
-        for i, x in enumerate(b):
-            order[x] = i
-        out.append(((0,) + tuple(x + 1 for x in b), tuple(order)))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -330,11 +311,8 @@ class PermTuple(Ordered):
 
     def __post_init__(self):
         m = self.m
-        try:  # an integer, numpy's included, but no float, str or bool
-            grade = -1 if type(m) is bool else operator.index(m)
-        except TypeError:
-            grade = -1
-        if grade < 0:
+        grade = as_int(m)
+        if grade is None or grade < 0:
             raise ValueError(f"grade must be a non-negative integer: {m!r}")
         object.__setattr__(self, "m", grade)
         perms = tuple(self.perms)
@@ -395,14 +373,6 @@ def parse_label(text: str, m: int) -> PermTuple:
             cur += ch
     parts.append(cur)
     return PermTuple(m, tuple(perm_from_name(p, m) for p in parts))
-
-
-def _relabelings(images: tuple[tuple[int, ...], ...], m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The conjugates b·sigma_j·b^-1 of one tuple of image lists, one per b in
-    S_m in symmetric_group order (so the identity's comes first), for orbit;
-    canonical forms come from _canonical_images, which scans no S_m."""
-    return [tuple([tuple([vmap[s[i]] for i in order]) for s in images])
-            for vmap, order in _conjugators(m)]
 
 
 def _canonical_images(
@@ -556,13 +526,6 @@ def canonical_form(sigma: PermTuple) -> OrbitLabel:
     m = sigma.m
     images = _canonical_images(tuple([p.images for p in sigma.perms]), m)
     return OrbitLabel._trusted(_from_images(images, m))
-
-
-def orbit(sigma: PermTuple) -> set[PermTuple]:
-    """The full simultaneous-conjugation orbit of sigma."""
-    m = sigma.m
-    images = tuple([p.images for p in sigma.perms])
-    return {_from_images(x, m) for x in set(_relabelings(images, m))}
 
 
 def _check_sizes(m: int, r: int):

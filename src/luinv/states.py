@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from ._einsum import PLAN_CACHE_SIZE, plan
-from ._record import Record
+from ._record import Record, as_int
 from .errors import ResourceLimitError
 
 #: The public names, which ``luinv`` also exports
@@ -59,19 +58,16 @@ def dim_limit() -> int:
 def set_dim_limit(limit: int) -> None:
     """Raise or lower the total-dimension guard (CLI: --dim-limit)."""
     global _dim_limit
-    # an integer, numpy's included, but no float, str or bool
-    if type(limit) is bool or not hasattr(type(limit), "__index__") or operator.index(limit) < 1:
+    value = as_int(limit)
+    if value is None or value < 1:
         raise ValueError(f"dimension limit must be a positive integer: {limit!r}")
-    _dim_limit = operator.index(limit)
+    _dim_limit = value
 
 
 def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     given = tuple(dims)
-    try:  # integers, numpy's included, but no float, str or bool
-        dims = tuple(operator.index(n) for n in given if type(n) is not bool)
-    except TypeError:
-        dims = ()
-    if not dims or len(dims) != len(given) or min(dims) < 1:
+    dims = tuple([as_int(n) for n in given])
+    if not dims or None in dims or min(dims) < 1:
         raise ValueError(f"subsystem dimensions must be positive integers: {given}")
     total = math.prod(dims)
     if total > _dim_limit:

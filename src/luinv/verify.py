@@ -1,8 +1,9 @@
 """Property-check harness.
 
 Each check returns a VerifyReport: deterministic given (name, parameters,
-seed), JSON-serializable, carrying the worst residual seen and a witness for
-any failure.  Checks are independent and own their seeded PRNG streams.
+seed), JSON-serializable (reports_to_json writes a number that is not finite
+as null), carrying the worst residual seen and a witness for any failure.
+Checks are independent and own their seeded PRNG streams.
 
 Linear independence is only ever asserted at fixed local dimensions with
 grade m <= min(n_j); algebraic independence of the transitive generators is
@@ -34,13 +35,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._record import Value
+from ._record import Value, as_int
 from .closedform import closed_form_batch
-from .contract import InvariantSpec, eval_mixed_batch, eval_pure_batch
+from .contract import eval_mixed_batch, eval_pure_batch
 from .perms import (
     enumerate_orbits,
     format_label,
@@ -63,7 +64,6 @@ from .states import (
 #: The public names, which ``luinv`` also exports
 __all__ = [
     "VerifyReport",
-    "all_specs",
     "render_table",
     "reports_to_json",
     "run_suite",
@@ -195,23 +195,13 @@ def _assembled(rows: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray
     return out
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[0], b[0], a[1], b[1], ... as one stack."""
-    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
-    out[0::2], out[1::2] = a, b
-    return out
-
-
-def all_specs(dims: Sequence[int], grades: Iterable[int] = (1, 2, 3)) -> list[InvariantSpec]:
-    """Every pure (r = k-1) and mixed (r = k) label of the given grades."""
-    k = len(tuple(dims))
-    specs = []
-    for m in grades:
-        for lab in enumerate_orbits(m, k - 1):
-            specs.append(InvariantSpec(lab, "pure"))
-        for lab in enumerate_orbits(m, k):
-            specs.append(InvariantSpec(lab, "mixed"))
-    return specs
+def _label_kinds(dims: tuple[int, ...]) -> list[tuple]:
+    """Every (label, kind) pair of grades 1-3 on dims: at each grade the
+    pure labels (r = k-1), then the mixed ones (r = k)."""
+    k = len(dims)
+    return [(lab, kind) for m in (1, 2, 3)
+            for kind, r in (("pure", k - 1), ("mixed", k))
+            for lab in enumerate_orbits(m, r)]
 
 
 def _values(label, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
@@ -246,24 +236,24 @@ def check_lu_invariance(dims: Sequence[int], seed: int = 0,
     """Relative drift of every invariant under Haar-random local rotations."""
     dims = check_dims(dims)
     table = _SampleTable() if table is None else table
-    specs = all_specs(dims)
+    pairs = _label_kinds(dims)
     samples = LU_SAMPLES
     psis = table.pures(dims, [seed * 100_003 + 2 * i for i in range(samples)])
     rhos = table.densities(dims, [seed * 100_003 + 2 * i + 1 for i in range(samples)])
     us = table.unitaries(dims, [seed * 900_001 + i for i in range(samples)])
     stacks = {
-        "pure": _interleave(psis, _rotate_stack(psis, us)),
-        "mixed": _interleave(rhos, _rotate_mixed_stack(rhos, dims, us)),
+        "pure": np.concatenate([psis, _rotate_stack(psis, us)]),
+        "mixed": np.concatenate([rhos, _rotate_mixed_stack(rhos, dims, us)]),
     }
-    # values[spec, 2 i] on sample i, values[spec, 2 i + 1] on its rotation
-    values = np.array([_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs])
-    a, b = values[:, 0::2], values[:, 1::2]
+    # values[pair, i] on sample i, values[pair, samples + i] on its rotation
+    values = np.array([_values(lab, kind, dims, stacks[kind]) for lab, kind in pairs])
+    a, b = values[:, :samples], values[:, samples:]
     drift = _modulus(a - b) / np.maximum(_modulus(a), 1e-300)
     return _residual_report(
         "lu_invariance",
-        {"dims": list(dims), "samples": samples, "seed": seed, "labels": len(specs)},
+        {"dims": list(dims), "samples": samples, "seed": seed, "labels": len(pairs)},
         drift.T,
-        lambda i, s, d: {"label": format_label(specs[s].label.rep), "kind": specs[s].kind,
+        lambda i, s, d: {"label": format_label(pairs[s][0].rep), "kind": pairs[s][1],
                          "sample": i, "drift": d},
     )
 
@@ -424,21 +414,20 @@ def check_closed_forms(dims: Sequence[int], seed: int = 0,
     every label of grades 1-3, both kinds."""
     dims = check_dims(dims)
     table = _SampleTable() if table is None else table
-    specs = all_specs(dims)
+    pairs = _label_kinds(dims)
     samples = CLOSED_SAMPLES
     stacks = {
         "pure": table.pures(dims, [seed * 39_989 + 2 * i for i in range(samples)]),
         "mixed": table.densities(dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)]),
     }
-    a = np.array([_values(spec.label, spec.kind, dims, stacks[spec.kind]) for spec in specs])
-    b = np.array([closed_form_batch(spec.label, spec.kind, dims, stacks[spec.kind])
-                  for spec in specs])
+    a = np.array([_values(lab, kind, dims, stacks[kind]) for lab, kind in pairs])
+    b = np.array([closed_form_batch(lab, kind, dims, stacks[kind]) for lab, kind in pairs])
     residuals = _modulus(a - b) / np.maximum(np.maximum(_modulus(a), _modulus(b)), 1e-300)
     return _residual_report(
         "closed_forms",
-        {"dims": list(dims), "samples": samples, "seed": seed, "labels": len(specs)},
+        {"dims": list(dims), "samples": samples, "seed": seed, "labels": len(pairs)},
         residuals.T,
-        lambda i, s, resid: {"label": format_label(specs[s].label.rep), "kind": specs[s].kind,
+        lambda i, s, resid: {"label": format_label(pairs[s][0].rep), "kind": pairs[s][1],
                              "sample": i, "residual": resid},
     )
 
@@ -465,10 +454,15 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0, dims: Sequence[int] = (2, 2)) -> list[VerifyReport]:
     """Run one named suite, or all of them with name="all", on one sample
-    table.  dims are checked once, whether or not the suite reads them."""
+    table.  dims and the seed, a non-negative integer, are checked once,
+    whether or not the suite reads them."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     dims = check_dims(dims)
+    checked = as_int(seed)
+    if checked is None or checked < 0:
+        raise ValueError(f"seed must be a non-negative integer: {seed!r}")
+    seed = checked
     table = _SampleTable()
     reports = []
     for key in SUITES if name == "all" else [name]:
@@ -490,5 +484,19 @@ def render_table(reports: Sequence[VerifyReport]) -> str:
     return "\n".join(lines)
 
 
+def _finite_or_null(value):
+    """value with every float that is not finite, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def reports_to_json(reports: Sequence[VerifyReport]) -> str:
-    return json.dumps([rep.to_dict() for rep in reports], indent=2)
+    """The reports as strict JSON: a residual or witness value that is not
+    finite is written as null."""
+    return json.dumps([_finite_or_null(rep.to_dict()) for rep in reports],
+                      indent=2, allow_nan=False)

@@ -526,10 +526,10 @@ def test_numerical_modules_resolve_after_a_bare_import():
 #: Every public name of a bare ``import luinv``: a removal or an addition
 #: edits this list on purpose.
 PUBLIC_API = [
-    "DEFAULT_DIM_LIMIT", "DensityMatrix", "FormulaDescriptor", "InvariantSpec",
+    "DEFAULT_DIM_LIMIT", "DensityMatrix", "FormulaDescriptor",
     "MAX_GRADE", "OrbitLabel", "Perm", "PermTuple", "PureState",
     "ResourceLimitError", "SimClass", "VerifyReport",
-    "all_specs", "alternate_writings", "apply_local_unitaries",
+    "alternate_writings", "apply_local_unitaries",
     "apply_local_unitaries_mixed", "build_graph", "canonical_form",
     "canonical_graph", "closed_form", "closed_form_batch", "closedform",
     "compose", "conjugate", "connected_components", "contract", "dim_limit",

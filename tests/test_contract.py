@@ -238,17 +238,3 @@ class TestPureViaMixed:
         for m in (1, 2, 3):
             for lab in P.enumerate_orbits(m, 2):
                 assert_three_ways_agree(lab.rep, psi)
-
-
-class TestInvariantSpec:
-    def test_kinds(self):
-        lab = P.canonical_form(P.perm_tuple(3, "s", "t"))
-        spec = C.InvariantSpec(lab, "pure")
-        assert spec.k == 3 and spec.m == 3 and spec.r == 2
-        spec = C.InvariantSpec(lab, "mixed")
-        assert spec.k == 2
-
-    def test_bad_kind(self):
-        lab = P.canonical_form(P.perm_tuple(2, "t"))
-        with pytest.raises(ValueError, match="kind"):
-            C.InvariantSpec(lab, "thermal")

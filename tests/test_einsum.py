@@ -201,7 +201,6 @@ class TestPlan:
         assert isinstance(PLAN_CACHE_SIZE, int) and PLAN_CACHE_SIZE > 0
         # caches bounded by something else, each with the reason
         exempt = {
-            "luinv.perms._conjugators": "one entry per grade, at most MAX_GRADE",
             "luinv.perms.symmetric_group": "one entry per grade, at most MAX_GRADE",
             "luinv.perms._interned": "one entry per grade, at most MAX_GRADE",
             "luinv.perms._classes": "one entry per grade, at most MAX_GRADE",

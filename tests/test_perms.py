@@ -276,13 +276,13 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("m,n", [(7, 12), (8, 4)])
     def test_matches_the_conjugator_scan(self, m, n):
-        """The least of all m! conjugates, from the relabeling kernel."""
+        """The least of all m! conjugates, from the brute-force oracle."""
         rng = random.Random(m)
         for i in range(n):
             sigma = random_tuple(rng, m, 1 + i % 4)
             images = tuple(p.images for p in sigma.perms)
             got = P.canonical_form(sigma).rep
-            assert tuple(p.images for p in got.perms) == min(P._relabelings(images, m))
+            assert tuple(p.images for p in got.perms) == oracle_canonical(images)
 
 
 class TestClassTable:
@@ -293,13 +293,13 @@ class TestClassTable:
         table = P._classes(m)
         want = oracle_classes(m)
         assert list(table) == sorted(rep for rep, _ in want.values())
-        assert sorted(len(c or P._conjugators(m)) for c in table.values()) == sorted(
+        assert sorted(factorial(m) if c is None else len(c) for c in table.values()) == sorted(
             map(P._centralizer_order, P._cycle_types(m)))
         for lam, (rep, fixing) in want.items():
             centralizer = table[rep]
             if centralizer is None:  # the identity's: the whole group
-                assert len(lam) == m > 1
-                centralizer = P._conjugators(m)
+                assert len(lam) == m > 1 and len(fixing) == factorial(m)
+                continue
             assert len(centralizer) == prod(i ** a * factorial(a) for i, a in Counter(lam).items())
             assert sorted(vmap[1:] for vmap, _ in centralizer) == fixing
             for vmap, order in centralizer:
@@ -355,7 +355,6 @@ class TestEnumerateOrbits:
             raise AssertionError("the empty label needs no group")
 
         monkeypatch.setattr(P, "symmetric_group", no_work)
-        monkeypatch.setattr(P, "_conjugators", no_work)
         for m in range(0, 9):
             labels = P.enumerate_orbits(m, 0)
             assert [(lab.m, lab.rep.perms) for lab in labels] == [(m, ())]
@@ -388,7 +387,6 @@ class TestEnumerateOrbits:
             raise AssertionError("the guard let the enumeration start")
 
         monkeypatch.setattr(P, "symmetric_group", no_work)
-        monkeypatch.setattr(P, "_conjugators", no_work)
         with pytest.raises(ResourceLimitError, match="m=5, r=6"):
             P.enumerate_orbits(5, 6)
 
@@ -403,7 +401,6 @@ class TestEnumerateOrbits:
             raise AssertionError("the guard let the enumeration start")
 
         monkeypatch.setattr(P, "symmetric_group", no_work)
-        monkeypatch.setattr(P, "_conjugators", no_work)
         with pytest.raises(ResourceLimitError, match=why):
             P.enumerate_orbits(m, r)
 
@@ -415,7 +412,6 @@ class TestEnumerateOrbits:
             raise AssertionError("the guard let the enumeration start")
 
         monkeypatch.setattr(P, "symmetric_group", no_work)
-        monkeypatch.setattr(P, "_conjugators", no_work)
         limit = P.ENUM_ENTRY_LIMIT
         refused = set()
         for m in range(0, 9):
@@ -529,10 +525,13 @@ class TestS3Algorithm:
     def test_orbit_lengths(self):
         # all-[s] entries: length 2; same-element [t]: 3; two different [t]
         # or [s] with [t]: 6 (identity slots never matter)
-        assert len(P.orbit(named("s", "s2", "e"))) == 2
-        assert len(P.orbit(named("t", "t", "e"))) == 3
-        assert len(P.orbit(named("t", "ts"))) == 6
-        assert len(P.orbit(named("s", "t"))) == 6
+        def orbit(sigma):
+            return {sigma.conjugated(b) for b in P.symmetric_group(sigma.m)}
+
+        assert len(orbit(named("s", "s2", "e"))) == 2
+        assert len(orbit(named("t", "t", "e"))) == 3
+        assert len(orbit(named("t", "ts"))) == 6
+        assert len(orbit(named("s", "t"))) == 6
 
 
 class TestTransitivity:

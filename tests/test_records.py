@@ -24,7 +24,6 @@ VALUES = {
     "PermTuple": ({"order": True}, (3, (T, S)), (3, (S, T))),
     "OrbitLabel": ({"order": True}, (LAB_A.rep,), (LAB_B.rep,)),
     "SimClass": ({}, (LAB_A, (LAB_A,)), (LAB_B, (LAB_A, LAB_B))),
-    "InvariantSpec": ({}, (LAB_A, "mixed"), (LAB_A, "pure")),
     "FormulaDescriptor": ({}, (LAB_A, "mixed", "Tr( rho )"), (LAB_B, "mixed", "Tr( rho )")),
 }
 #: Records whose repr is their own, not the field listing.
@@ -111,8 +110,6 @@ class TestValues:
 def test_checks_run_on_keyword_construction():
     with pytest.raises(ValueError, match="anchor must be one of the members"):
         luinv.SimClass(anchor=LAB_B, members=(LAB_A,))
-    with pytest.raises(ValueError, match="kind must be"):
-        luinv.InvariantSpec(label=LAB_A, kind="both")
     with pytest.raises(ValueError, match="not canonical"):
         luinv.OrbitLabel(rep=P.perm_tuple(3, "t", "e"))
 

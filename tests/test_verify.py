@@ -181,6 +181,59 @@ class TestNaNFails:
         assert "FAIL" in capsys.readouterr().out
 
 
+def strict_loads(text):
+    """json.loads that refuses the NaN and Infinity tokens RFC 8259 forbids."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJSON:
+    def test_non_finite_values_are_null(self):
+        nan, inf = float("nan"), float("inf")
+        rep = V.VerifyReport("purification", {"seed": 0}, 1e-9, nan, False,
+                             details={"values": [1.5, -inf, (nan, 2)]},
+                             witness={"label": "t", "rank": 1, "residual": inf})
+        (doc,) = strict_loads(V.reports_to_json([rep]))
+        assert doc["max_residual"] is None and doc["witness"]["residual"] is None
+        assert doc["details"] == {"values": [1.5, None, [None, 2]]}
+        assert doc["witness"]["rank"] == 1 and doc["schema_version"] == 1
+        # the report itself keeps its values
+        assert np.isnan(rep.to_dict()["max_residual"]) and rep.witness["residual"] == inf
+
+    def test_cli_report_with_nan_engines(self, monkeypatch, tmp_path, capsys):
+        for name in ("eval_pure_batch", "eval_mixed_batch"):
+            monkeypatch.setattr(V, name, nan_values)
+        path = tmp_path / "report.json"
+        argv = ["verify", "--suite", "purification", "--dims", "2,2", "--report", str(path)]
+        assert main(argv) == 1
+        doc = strict_loads(path.read_text())
+        assert [d["max_residual"] for d in doc] == [None, None, None]
+        assert all(d["witness"]["residual"] is None for d in doc)
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize("suite", ["counts", "lu", "all"])
+    @pytest.mark.parametrize("seed", [-3, True, 2.0])
+    def test_refused_before_any_check(self, suite, seed, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(V, "SUITES", dict.fromkeys(V.SUITES, refuse))
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer: {seed!r}"):
+            V.run_suite(suite, seed=seed)
+
+    @pytest.mark.parametrize("suite", ["counts", "lu", "all"])
+    def test_cli_exits_2(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--seed", "-3"]) == 2
+        assert "seed must be a non-negative integer: -3" in capsys.readouterr().err
+
+    def test_numpy_integers_run_as_ints(self):
+        (rep,) = V.run_suite("lu", seed=np.int64(3))
+        assert rep.params["seed"] == 3 and type(rep.params["seed"]) is int
+
+
 class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
