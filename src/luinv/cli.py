@@ -310,14 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.dim_limit is None:
             return args.func(args)
         # the guard lives in states, which loads numpy: imported only when set
-        from .states import dim_limit, set_dim_limit
-
-        previous_limit = dim_limit()
-        try:
-            set_dim_limit(args.dim_limit)
+        from .states import dim_limit
+        with dim_limit(args.dim_limit):
             return args.func(args)
-        finally:
-            set_dim_limit(previous_limit)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -42,26 +44,27 @@ __all__ = [
     "random_local_unitaries",
     "random_pure",
     "save_state",
-    "set_dim_limit",
 ]
 
 #: Default cap on the total Hilbert-space dimension prod(n_j).
 DEFAULT_DIM_LIMIT = 4096
+_limit = ContextVar("dim_limit", default=DEFAULT_DIM_LIMIT)
 
-_dim_limit = DEFAULT_DIM_LIMIT
-
-
-def dim_limit() -> int:
-    return _dim_limit
+#: purify keeps the eigenvalues above this multiple of the largest |eigenvalue|
+_PURIFY_RTOL = 1e-12
 
 
-def set_dim_limit(limit: int) -> None:
-    """Raise or lower the total-dimension guard (CLI: --dim-limit)."""
-    global _dim_limit
+@contextmanager
+def dim_limit(limit: int):
+    """Set the total-dimension guard inside a ``with`` block (--dim-limit)."""
     value = as_int(limit)
     if value is None or value < 1:
         raise ValueError(f"dimension limit must be a positive integer: {limit!r}")
-    _dim_limit = value
+    token = _limit.set(value)
+    try:
+        yield value
+    finally:
+        _limit.reset(token)
 
 
 def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -70,10 +73,10 @@ def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     if not dims or None in dims or min(dims) < 1:
         raise ValueError(f"subsystem dimensions must be positive integers: {given}")
     total = math.prod(dims)
-    if total > _dim_limit:
+    if total > _limit.get():
         raise ResourceLimitError(
-            f"total dimension {total} exceeds limit {_dim_limit}; "
-            "raise it with set_dim_limit / --dim-limit"
+            f"total dimension {total} exceeds limit {_limit.get()}; "
+            "raise it with dim_limit / --dim-limit"
         )
     return dims
 
@@ -158,11 +161,15 @@ def is_hermitian(rho: DensityMatrix, tol: float = 1e-12) -> bool:
 
 
 def _check_subsystems(subs: Iterable[int], k: int) -> tuple[int, ...]:
-    subs = tuple(sorted(set(int(j) for j in subs)))
+    checked = set()
     for j in subs:
-        if not 1 <= j <= k:
-            raise ValueError(f"subsystem index {j} out of range 1..{k}")
-    return subs
+        index = as_int(j)
+        if index is None:
+            raise ValueError(f"subsystem index must be an integer: {j!r}")
+        if not 1 <= index <= k:
+            raise ValueError(f"subsystem index {index} out of range 1..{k}")
+        checked.add(index)
+    return tuple(sorted(checked))
 
 
 def projector(psi: PureState) -> DensityMatrix:
@@ -179,7 +186,7 @@ def _projector_stack(amps: np.ndarray) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
     """Trace out the listed subsystems; the result lives on the complement.
     Tracing everything yields a 1x1 matrix holding the full trace."""
-    traced = frozenset(traced)
+    traced = _check_subsystems(traced, rho.k)  # before the cache: {True} == {1}
     if not traced:
         return rho
     trace, new_dims = _partial_trace_plan(rho.dims, traced)
@@ -188,8 +195,7 @@ def partial_trace(rho: DensityMatrix, traced: Iterable[int]) -> DensityMatrix:
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _partial_trace_plan(dims: tuple[int, ...], traced: frozenset):
-    traced = _check_subsystems(traced, len(dims))
+def _partial_trace_plan(dims: tuple[int, ...], traced: tuple[int, ...]):
     k = len(dims)
     keep = [j for j in range(1, k + 1) if j not in traced]
     subs = [("t", j) if j in traced else ("r", j) for j in range(1, k + 1)]
@@ -260,13 +266,13 @@ def apply_local_unitaries_mixed(rho: DensityMatrix, us: Sequence[np.ndarray]) ->
     return DensityMatrix(rho.dims, _rotate_mixed_stack(rho.entries[None], rho.dims, stacks)[0])
 
 
-def purify(rho: DensityMatrix, tol: float = 1e-12) -> PureState:
+def purify(rho: DensityMatrix) -> PureState:
     """Pure state on dims + (rank,) whose reduction over the appended
     subsystem reproduces rho: phi = sum_i sqrt(lambda_i) |v_i>|i>.
 
     Raises ValueError if rho has an eigenvalue below -1e-9 * ||rho||.
     """
-    amps = _purify_stack(rho.entries[None], rho.dims, tol)[0]
+    amps = _purify_stack(rho.entries[None], rho.dims)[0]
     return PureState(amps.shape, amps)
 
 
@@ -304,11 +310,10 @@ def _density_stack(dims: tuple[int, ...], seeds: Sequence[int],
     """random_density's matrices for each seed, shape (n, N, N): one draw of
     A per seed, then one batched product A A^dagger."""
     n = math.prod(dims)
-    if rank is None:
-        rank = n
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    a = _complex_stack(_normals(seeds, 2 * n * rank), (n, rank))
+    width = n if rank is None else as_int(rank)
+    if width is None or width < 1:
+        raise ValueError(f"rank must be a positive integer: {rank!r}")
+    a = _complex_stack(_normals(seeds, 2 * n * width), (n, width))
     return a @ a.conj().swapaxes(1, 2)
 
 
@@ -351,7 +356,7 @@ def _rotate_mixed_stack(rhos: np.ndarray, dims: tuple[int, ...],
     return t.reshape(rhos.shape)
 
 
-def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...], tol: float = 1e-12) -> np.ndarray:
+def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """purify for each of a stack of matrices (n, N, N) on dims, with one
     batched eigh, as one amplitude stack (n, *dims, top).  The ranks may
     differ: each purification fills the first rank columns of its last
@@ -368,7 +373,7 @@ def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...], tol: float = 1e-12) -
         if vals.min() < -1e-9 * scale:
             raise ValueError(
                 f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
-        rank = max(int((vals > tol * scale).sum()), 1)
+        rank = max(int((vals > _PURIFY_RTOL * scale).sum()), 1)
         order = np.argsort(vals)[::-1][:rank]
         columns.append((vecs[:, order], np.sqrt(np.maximum(vals[order], 0.0))))
     top = max((len(weights) for _, weights in columns), default=1)

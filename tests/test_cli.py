@@ -14,6 +14,7 @@ import luinv
 from luinv import cli
 from luinv import states as S
 from luinv.cli import build_parser, main
+from luinv.errors import ResourceLimitError
 from luinv.perms import MAX_GRADE
 
 
@@ -394,7 +395,6 @@ class TestGlobalFlags:
         code, _, _ = run(capsys, "--dim-limit", "8192", "eval", "--label", "t",
                          "--m", "2", "--kind", "pure", "--state", str(path))
         assert code == 0
-        S.set_dim_limit(S.DEFAULT_DIM_LIMIT)
 
     def test_dim_limit_flag_does_not_leak(self, capsys, tmp_path):
         path = tmp_path / "s.json"
@@ -402,11 +402,27 @@ class TestGlobalFlags:
         code, _, _ = run(capsys, "--dim-limit", "8192", "eval", "--label", "t",
                          "--m", "2", "--kind", "pure", "--state", str(path))
         assert code == 0
-        assert S.dim_limit() == S.DEFAULT_DIM_LIMIT
+        with pytest.raises(ResourceLimitError, match="exceeds limit 4096"):
+            S.check_dims((2,) * 13)
         code, _, _ = run(capsys, "--dim-limit", "8192", "eval", "--label", "q",
                          "--m", "2", "--kind", "pure", "--state", str(path))
         assert code == 2
-        assert S.dim_limit() == S.DEFAULT_DIM_LIMIT
+        with pytest.raises(ResourceLimitError, match="exceeds limit 4096"):
+            S.check_dims((2,) * 13)
+
+    def test_dim_limit_flag_restores_an_enclosing_block(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        S.save_state(S.random_pure((2, 2), seed=0), path)
+        with S.dim_limit(16):
+            code, _, _ = run(capsys, "--dim-limit", "8192", "eval", "--label", "t",
+                             "--m", "2", "--kind", "pure", "--state", str(path))
+            assert code == 0
+            S.check_dims((2,) * 4)
+            with pytest.raises(ResourceLimitError, match="exceeds limit 16;"):
+                S.check_dims((2,) * 5)
+        S.check_dims((2,) * 12)
+        with pytest.raises(ResourceLimitError, match="exceeds limit 4096"):
+            S.check_dims((2,) * 13)
 
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "enumerate")
@@ -542,7 +558,7 @@ PUBLIC_API = [
     "perm_name", "perm_tuple", "perms", "projector", "purify",
     "random_density", "random_hermitian", "random_local_unitaries",
     "random_pure", "render_table", "reports_to_json", "run_suite",
-    "s3_orbit_representatives", "save_state", "set_dim_limit", "sim_decompose",
+    "s3_orbit_representatives", "save_state", "sim_decompose",
     "states", "verify",
 ]
 
@@ -567,3 +583,14 @@ def test_public_api_is_pinned():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == PUBLIC_API
+
+
+def test_no_module_rebinds_a_global():
+    """No process-global mutable state: no module of the package holds a
+    ``global`` or ``nonlocal`` statement."""
+    src = Path(luinv.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert not found, found

@@ -249,9 +249,7 @@ class TestDispatcher:
         # arity, grade
         psi, rho = S.random_pure((2, 2), seed=94), S.random_density((2, 2), seed=95)
         grade_four = P.PermTuple(4, (P.identity(4),) * 3)
-        previous = S.dim_limit()
-        try:
-            S.set_dim_limit(3)
+        with S.dim_limit(3):
             with pytest.raises(TypeError, match="mixed labels take a DensityMatrix"):
                 F.closed_form(grade_four, "mixed", psi)
             with pytest.raises(TypeError, match="both labels take a DensityMatrix"):
@@ -260,15 +258,13 @@ class TestDispatcher:
                 F.closed_form(grade_four, "both", rho)
             with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
                 F.closed_form(grade_four, "mixed", rho)
-            S.set_dim_limit(4)
+        with S.dim_limit(4):
             with pytest.raises(ValueError, match="arity"):
                 F.closed_form(grade_four, "mixed", rho)
             with pytest.raises(ValueError, match="arity"):
                 F.closed_form(P.perm_tuple(2, "t", "t"), "pure", psi)
             with pytest.raises(ValueError, match="no closed form for grade 4"):
                 F.closed_form(P.PermTuple(4, (P.identity(4),) * 2), "mixed", rho)
-        finally:
-            S.set_dim_limit(previous)
 
 
 def sample_stack(kind, dims, n, seed):
@@ -322,15 +318,15 @@ class TestBatch:
         with pytest.raises(ValueError, match="no closed form"):
             F.closed_form_batch(P.parse_label("[2,3,4,1],[1,2,3,4]", 4), "mixed", (2, 2), rhos)
 
-    def test_dims_over_the_guard_are_refused(self, monkeypatch):
+    def test_dims_over_the_guard_are_refused(self):
         lab = P.perm_tuple(3, "t", "s")
         _, rhos = sample_stack("mixed", (2, 2), 2, seed=0)
         _, psis = sample_stack("pure", (2, 2, 2), 2, seed=2)
-        monkeypatch.setattr(S, "_dim_limit", 3)
-        with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
-            F.closed_form_batch(lab, "mixed", (2, 2), rhos)
-        with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
-            F.closed_form_batch(lab, "pure", (2, 2, 2), psis)
+        with S.dim_limit(3):
+            with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+                F.closed_form_batch(lab, "mixed", (2, 2), rhos)
+            with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+                F.closed_form_batch(lab, "pure", (2, 2, 2), psis)
 
     def test_one_program_per_label_kind_and_dims(self):
         rho = S.random_density((2, 3), seed=320)

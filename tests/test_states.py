@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="out of range"):
             S.partial_trace(S.random_density((2, 2), seed=9), {3})
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, True, "2", 2.0, None])
+    def test_indices_must_be_integers(self, index):
+        rho = S.random_density((2, 3), seed=9)
+        S.partial_trace(rho, {1})  # cached first: {True} and {1.0} hash equal to {1}
+        with pytest.raises(ValueError, match=f"subsystem index must be an integer: {index!r}"):
+            S.partial_trace(rho, {index})
+
+    def test_numpy_integer_indices(self):
+        rho = S.random_density((2, 3), seed=9)
+        got = S.partial_trace(rho, {np.int64(1)})
+        assert got.dims == (3,)
+        assert np.array_equal(got.entries, S.partial_trace(rho, {1}).entries)
+
 
 class TestTensorWithIdentity:
     def test_identity_insertion_trick(self):
@@ -150,6 +164,11 @@ class TestSampling:
     def test_rank_validation(self):
         with pytest.raises(ValueError, match="rank"):
             S.random_density((2,), seed=0, rank=0)
+
+    @pytest.mark.parametrize("rank", [True, 2.5, 2.0, "2", -1])
+    def test_rank_must_be_a_positive_integer(self, rank):
+        with pytest.raises(ValueError, match=f"rank must be a positive integer: {rank!r}"):
+            S.random_density((2, 2), seed=0, rank=rank)
 
 
 class TestLocalUnitaries:
@@ -442,9 +461,7 @@ class TestResourceGuard:
         # user builds over the limit still trips it
         psi = S.random_pure((2, 2, 2), seed=0)
         rho = S.random_density((2, 2, 2), seed=1)
-        old = S.dim_limit()
-        try:
-            S.set_dim_limit(4)
+        with S.dim_limit(4):
             pi = S.projector(psi)
             assert relerr(pi.trace(), psi.norm() ** 2) < 1e-12
             assert S.partial_trace(rho, {3}).dims == (2, 2)
@@ -452,33 +469,62 @@ class TestResourceGuard:
                 S.DensityMatrix((2, 2, 2), rho.entries)
             with pytest.raises(ResourceLimitError, match="exceeds limit"):
                 S.PureState((2, 2, 2), psi.amplitudes)
-        finally:
-            S.set_dim_limit(old)
 
     def test_limit_override(self):
-        old = S.dim_limit()
-        try:
-            S.set_dim_limit(2 ** 13)
+        with S.dim_limit(2 ** 13):
             S.check_dims((2,) * 13)
-        finally:
-            S.set_dim_limit(old)
 
     @pytest.mark.parametrize("limit", [0, -3, True, 2.5, "8", None])
     def test_dim_limit_must_be_a_positive_integer(self, limit):
-        old = S.dim_limit()
         with pytest.raises(ValueError, match="positive integer"):
-            S.set_dim_limit(limit)
-        assert S.dim_limit() == old
+            with S.dim_limit(limit):
+                pytest.fail("the block ran")
+        S.check_dims((2,) * 12)
+        with pytest.raises(ResourceLimitError, match="exceeds limit 4096"):
+            S.check_dims((2,) * 13)
 
     def test_numpy_integer_dim_limit(self):
-        old = S.dim_limit()
-        try:
-            S.set_dim_limit(np.int64(8))
-            assert type(S.dim_limit()) is int
+        with S.dim_limit(np.int64(8)) as limit:
+            assert type(limit) is int and limit == 8
             with pytest.raises(ResourceLimitError, match="exceeds limit 8;"):
                 S.check_dims((3, 3))
-        finally:
-            S.set_dim_limit(old)
+
+    def test_nested_blocks_restore_in_order(self):
+        with S.dim_limit(64):
+            with S.dim_limit(8):
+                with pytest.raises(ResourceLimitError, match="exceeds limit 8;"):
+                    S.check_dims((3, 3))
+            S.check_dims((8, 8))
+            with pytest.raises(ResourceLimitError, match="exceeds limit 64;"):
+                S.check_dims((5, 13))
+        S.check_dims((64, 64))
+        with pytest.raises(ResourceLimitError, match="exceeds limit 4096;"):
+            S.check_dims((2,) * 13)
+
+    def test_an_exception_in_the_block_restores_the_limit(self):
+        with pytest.raises(KeyError):
+            with S.dim_limit(8):
+                raise KeyError("inside")
+        S.check_dims((64, 64))
+        with pytest.raises(ResourceLimitError, match="exceeds limit 4096;"):
+            S.check_dims((2,) * 13)
+
+    def test_a_thread_starts_from_the_default(self):
+        seen = []
+
+        def probe():
+            S.check_dims((64, 64))
+            with pytest.raises(ResourceLimitError, match="exceeds limit 4096;") as info:
+                S.check_dims((2,) * 13)
+            seen.append(info.value)
+
+        with S.dim_limit(2 ** 13):
+            worker = threading.Thread(target=probe)
+            worker.start()
+            worker.join(timeout=30)
+            S.check_dims((2,) * 13)
+        assert not worker.is_alive()
+        assert len(seen) == 1
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):

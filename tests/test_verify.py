@@ -347,10 +347,8 @@ class TestDimGuard:
 
     @pytest.fixture
     def limit_3(self):
-        previous = S.dim_limit()
-        S.set_dim_limit(3)
-        yield
-        S.set_dim_limit(previous)
+        with S.dim_limit(3):
+            yield
 
     @pytest.mark.parametrize("suite", NUMERIC_SUITES)
     def test_checked_before_any_draw(self, suite, no_draws, limit_3):
@@ -361,13 +359,9 @@ class TestDimGuard:
         # (2, 2) passes a limit of 4, but its rank-4 purifications on
         # (2, 2, 4) do not
         monkeypatch.setattr(V, "_purify_stack", no_draws)
-        previous = S.dim_limit()
-        S.set_dim_limit(4)
-        try:
+        with S.dim_limit(4):
             with pytest.raises(ResourceLimitError, match="total dimension 16 exceeds limit 4"):
                 V.check_purification(2, (2, 2))
-        finally:
-            S.set_dim_limit(previous)
         argv = ["--dim-limit", "4", "verify", "--suite", "purification", "--dims", "2,2"]
         assert main(argv) == 3
         assert "resource guard" in capsys.readouterr().err
