@@ -3,11 +3,10 @@ without importing ``dataclasses`` (which loads ``inspect`` and costs about a
 third of the label algebra's import).
 
 A record's fields are the public names in its own ``__slots__``, in order;
-they are also its ``__match_args__``.  Its ``__init__`` stores them with
-``object.__setattr__`` and, if it has checks, calls ``self.__post_init__()``,
-looked up on the class so that a test can wrap it.  ``repr`` lists the
-fields by name, and copy and pickle carry the field tuple and restore it
-with ``__setstate__``, without ``__init__``.
+they are also its ``__match_args__``.  A record's ``__init__`` checks its
+arguments, then stores each checked value once with ``object.__setattr__``.
+``repr`` lists the fields by name, and copy and pickle carry the field tuple
+and restore it with ``__setstate__``, without ``__init__``.
 
 - ``Record`` refuses assignment and compares by identity;
 - ``Value`` compares equal to a record of exactly its class with an equal
@@ -71,7 +70,7 @@ class Value(Record):
     """An immutable record, equal and hashed by its field tuple.
 
     Every way of making one (``__init__``, ``__setstate__`` and the label
-    algebra's trusted builders) first stores None in its hash slot with
+    algebra's trusted builders) stores None in its hash slot with
     ``set_hash``, so that the first hash needs no exception to find the slot
     empty."""
 

@@ -56,19 +56,16 @@ def connected_components(g: PermTuple) -> list[tuple[PermTuple, tuple[int, ...]]
     return out
 
 
-def dot_export(g: PermTuple, color_names: tuple[str, ...] | None = None) -> str:
+def dot_export(g: PermTuple) -> str:
     """Deterministic DOT text: one node per vertex, one edge per (color,
-    vertex) drawn tail -> head."""
-    if color_names is None:
-        color_names = tuple(_PALETTE[j % len(_PALETTE)] for j in range(g.r))
-    if len(color_names) != g.r:
-        raise ValueError(f"need {g.r} color names, got {len(color_names)}")
+    vertex) drawn tail -> head, entry j in _PALETTE[j % len(_PALETTE)]."""
     lines = ["digraph invariant {"]
     for v in range(1, g.m + 1):
         lines.append(f'  v{v} [shape=circle label="{v}"];')
     for j, p in enumerate(g.perms):
+        color = _PALETTE[j % len(_PALETTE)]
         for l in range(1, g.m + 1):
-            lines.append(f"  v{p(l)} -> v{l} [color={color_names[j]}];")
+            lines.append(f"  v{p(l)} -> v{l} [color={color}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

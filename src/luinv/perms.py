@@ -76,15 +76,10 @@ class Perm(Ordered):
     __slots__ = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
-        set_hash(self, None)
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
-
-    def __post_init__(self):
-        images = self.images
         checked = tuple([as_int(i) for i in images])
         if None in checked or sorted(checked) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        set_hash(self, None)
         object.__setattr__(self, "images", checked)
 
     @property
@@ -121,9 +116,6 @@ class Perm(Ordered):
                 l = self(l)
             out.append(tuple(cyc))
         return out
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
 
     def __repr__(self):
         return f"Perm({list(self.images)})"
@@ -304,23 +296,17 @@ class PermTuple(Ordered):
     __slots__ = ("m", "perms")
 
     def __init__(self, m: int, perms: tuple[Perm, ...]):
-        set_hash(self, None)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "perms", perms)
-        self.__post_init__()
-
-    def __post_init__(self):
-        m = self.m
         grade = as_int(m)
         if grade is None or grade < 0:
             raise ValueError(f"grade must be a non-negative integer: {m!r}")
-        object.__setattr__(self, "m", grade)
-        perms = tuple(self.perms)
+        perms = tuple(perms)
         for p in perms:
             if not isinstance(p, Perm):
                 raise ValueError(f"a tuple entry must be a Perm, not {p!r}")
             if p.m != grade:
                 raise ValueError(f"grade mismatch inside tuple: {p.m} != {grade}")
+        set_hash(self, None)
+        object.__setattr__(self, "m", grade)
         object.__setattr__(self, "perms", perms)
 
     @property
@@ -475,14 +461,11 @@ class OrbitLabel(Ordered):
     __slots__ = ("rep",)
 
     def __init__(self, rep: PermTuple):
+        images = tuple([p.images for p in rep.perms])
+        if images != _canonical_images(images, rep.m):
+            raise ValueError(f"representative {rep} is not canonical")
         set_hash(self, None)
         object.__setattr__(self, "rep", rep)
-        self.__post_init__()
-
-    def __post_init__(self):
-        images = tuple([p.images for p in self.rep.perms])
-        if images != _canonical_images(images, self.m):
-            raise ValueError(f"representative {self.rep} is not canonical")
 
     @classmethod
     def _trusted(cls, rep: PermTuple) -> "OrbitLabel":
@@ -739,16 +722,12 @@ class SimClass(Value):
     __slots__ = ("anchor", "members")
 
     def __init__(self, anchor: OrbitLabel, members: tuple[OrbitLabel, ...]):
+        # sim_decompose passes the anchor object itself: identity first
+        if not any(m is anchor for m in members) and anchor not in members:
+            raise ValueError("anchor must be one of the members")
         set_hash(self, None)
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "members", members)
-        self.__post_init__()
-
-    def __post_init__(self):
-        # sim_decompose passes the anchor object itself: identity first
-        anchor = self.anchor
-        if not any(m is anchor for m in self.members) and anchor not in self.members:
-            raise ValueError("anchor must be one of the members")
 
 
 def sim_decompose(sigma: PermTuple) -> SimClass:

@@ -33,7 +33,6 @@ __all__ = [
     "apply_local_unitaries",
     "apply_local_unitaries_mixed",
     "dim_limit",
-    "haar_unitary",
     "is_hermitian",
     "load_state",
     "partial_trace",
@@ -87,24 +86,16 @@ class PureState(Record):
     __slots__ = ("dims", "amplitudes")
 
     def __init__(self, dims: tuple[int, ...], amplitudes: np.ndarray):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        self.__post_init__()
-
-    def __post_init__(self):
-        dims = check_dims(self.dims)
-        object.__setattr__(self, "dims", dims)
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        dims = check_dims(dims)
+        amp = np.asarray(amplitudes, dtype=complex)
         if amp.shape != dims:
             raise ValueError(f"amplitude shape {amp.shape} does not match dims {dims}")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def k(self) -> int:
         return len(self.dims)
-
-    def vector(self) -> np.ndarray:
-        return self.amplitudes.reshape(-1)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -118,17 +109,12 @@ class DensityMatrix(Record):
     __slots__ = ("dims", "entries")
 
     def __init__(self, dims: tuple[int, ...], entries: np.ndarray):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
-    def __post_init__(self):
-        dims = check_dims(self.dims)
-        object.__setattr__(self, "dims", dims)
-        mat = np.asarray(self.entries, dtype=complex)
+        dims = check_dims(dims)
+        mat = np.asarray(entries, dtype=complex)
         n = math.prod(dims)
         if mat.shape != (n, n):
             raise ValueError(f"entry shape {mat.shape} does not match dims {dims}")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
 
     @property
@@ -225,15 +211,9 @@ def random_hermitian(dims: Sequence[int], seed: int) -> DensityMatrix:
     return DensityMatrix(dims, (b + b.conj().T) / 2)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary: QR of a Ginibre matrix with the R
-    diagonal phase divided out (Mezzadri construction)."""
-    z = _complex_stack(rng.standard_normal((1, 2 * n * n)), (n, n)) / np.sqrt(2)
-    return _haar_stack(z)[0]
-
-
 def _haar_stack(z: np.ndarray) -> np.ndarray:
-    """Mezzadri's phase-fixed QR of each Ginibre matrix in z (..., n, n)."""
+    """Haar-distributed unitaries: Mezzadri's phase-fixed QR of each Ginibre
+    matrix in z (..., n, n), the R diagonal phase divided out."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
@@ -285,11 +265,19 @@ def purify(rho: DensityMatrix) -> PureState:
 # functions above are the stacks of one.
 
 
+def _check_seed(seed: int) -> int:
+    """seed as an int; a ValueError unless it is a non-negative integer."""
+    checked = as_int(seed)
+    if checked is None or checked < 0:
+        raise ValueError(f"seed must be a non-negative integer: {seed!r}")
+    return checked
+
+
 def _normals(seeds: Sequence[int], size: int) -> np.ndarray:
     """The first size standard normals of each seed's stream: (n, size)."""
     buf = np.empty((len(seeds), size))
     for row, seed in zip(buf, seeds):
-        np.random.default_rng(seed).standard_normal(size, out=row)
+        np.random.default_rng(_check_seed(seed)).standard_normal(size, out=row)
     return buf
 
 

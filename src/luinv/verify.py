@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._record import Value, as_int
+from ._record import Value
 from .closedform import closed_form_batch
 from .contract import eval_mixed_batch, eval_pure_batch
 from .perms import (
@@ -51,6 +51,7 @@ from .perms import (
     sim_decompose,
 )
 from .states import (
+    _check_seed,
     _density_stack,
     _projector_stack,
     _pure_stack,
@@ -459,10 +460,7 @@ def run_suite(name: str, seed: int = 0, dims: Sequence[int] = (2, 2)) -> list[Ve
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     dims = check_dims(dims)
-    checked = as_int(seed)
-    if checked is None or checked < 0:
-        raise ValueError(f"seed must be a non-negative integer: {seed!r}")
-    seed = checked
+    seed = _check_seed(seed)
     table = _SampleTable()
     reports = []
     for key in SUITES if name == "all" else [name]:

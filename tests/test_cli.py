@@ -552,7 +552,7 @@ PUBLIC_API = [
     "dot_export", "enumerate_orbits", "errors", "eval_mixed",
     "eval_mixed_batch", "eval_pure", "eval_pure_batch", "expressible_ordering",
     "format_label", "formula_text", "generator_count", "generator_labels",
-    "graph_from_json", "graph_to_json", "graphs", "haar_unitary", "identity",
+    "graph_from_json", "graph_to_json", "graphs", "identity",
     "is_hermitian", "is_transitive", "load_state", "orbit_count",
     "parse_formula", "parse_label", "partial_trace", "perm_from_name",
     "perm_name", "perm_tuple", "perms", "projector", "purify",
@@ -585,12 +585,27 @@ def test_public_api_is_pinned():
     assert json.loads(proc.stdout) == PUBLIC_API
 
 
+def package_nodes():
+    """(file name, node) for every syntax-tree node of every module of the
+    package."""
+    src = Path(luinv.__file__).resolve().parent
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_no_module_rebinds_a_global():
     """No process-global mutable state: no module of the package holds a
     ``global`` or ``nonlocal`` statement."""
-    src = Path(luinv.__file__).resolve().parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(src.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert not found, found
+
+
+def test_no_record_builds_in_two_steps():
+    """A record's __init__ checks its arguments, then stores them: no module
+    of the package defines a ``__post_init__`` to check them afterwards."""
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "__post_init__"]
     assert not found, found

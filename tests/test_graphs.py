@@ -126,14 +126,9 @@ class TestDotExport:
     def test_direction_convention(self):
         # color edge points from sigma(l) to l
         g = G.build_graph(P.PermTuple(2, (P.Perm((2, 1)),)))
-        dot = G.dot_export(g, color_names=("red",))
-        assert "v2 -> v1 [color=red];" in dot
-        assert "v1 -> v2 [color=red];" in dot
-
-    def test_custom_colors_validated(self):
-        g = G.build_graph(P.perm_tuple(2, "t"))
-        with pytest.raises(ValueError, match="color names"):
-            G.dot_export(g, color_names=("red", "blue"))
+        dot = G.dot_export(g)
+        assert "v2 -> v1 [color=black];" in dot
+        assert "v1 -> v2 [color=black];" in dot
 
     def test_golden_two_copy_swap(self):
         # embedded pure swap label: one swap color, one loop color

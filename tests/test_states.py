@@ -53,7 +53,7 @@ class TestProjector:
     def test_trace_is_norm_squared(self):
         psi = S.random_pure((2, 3), seed=0)
         pi = S.projector(psi)
-        assert relerr(pi.trace(), sum(abs(x) ** 2 for x in psi.vector())) < 1e-14
+        assert relerr(pi.trace(), sum(abs(x) ** 2 for x in psi.amplitudes.ravel())) < 1e-14
 
     def test_rank_one(self):
         pi = S.projector(S.random_pure((2, 2), seed=1))
@@ -132,6 +132,18 @@ class TestTensorWithIdentity:
         assert relerr(lhs, rhs) < 1e-12
 
 
+SAMPLERS = ["random_pure", "random_density", "random_hermitian", "random_local_unitaries"]
+
+
+def drawn(sample):
+    """A sampler's output as a list of arrays."""
+    if isinstance(sample, S.PureState):
+        return [sample.amplitudes]
+    if isinstance(sample, S.DensityMatrix):
+        return [sample.entries]
+    return sample
+
+
 class TestSampling:
     def test_deterministic(self):
         assert np.array_equal(
@@ -169,6 +181,18 @@ class TestSampling:
     def test_rank_must_be_a_positive_integer(self, rank):
         with pytest.raises(ValueError, match=f"rank must be a positive integer: {rank!r}"):
             S.random_density((2, 2), seed=0, rank=rank)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", -1])
+    def test_seed_must_be_a_non_negative_integer(self, sampler, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer: {seed!r}"):
+            getattr(S, sampler)((2, 3), seed)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_numpy_integer_seed(self, sampler):
+        draw = getattr(S, sampler)
+        got, want = drawn(draw((2, 3), np.int64(3))), drawn(draw((2, 3), 3))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestLocalUnitaries:
@@ -381,9 +405,6 @@ class TestStacks:
             rng = np.random.default_rng(seed)
             for u, nj in zip(S.random_local_unitaries(dims, seed), dims, strict=True):
                 same_bits(u, haar(rng, nj))
-            rng, parent = np.random.default_rng(seed), np.random.default_rng(seed)
-            for nj in dims:
-                same_bits(S.haar_unitary(nj, rng), haar(parent, nj))
 
     def test_empty_stacks(self):
         dims = (2, 3)

@@ -263,7 +263,7 @@ class TestStacks:
 
         # the two routes to a state object, and np.stack
         for cls in (S.PureState, S.DensityMatrix):
-            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
         monkeypatch.setattr(S.DensityMatrix, "_derived",
                             counted("DensityMatrix", S.DensityMatrix._derived))
         monkeypatch.setattr(np, "stack", counted("np.stack", np.stack))
