@@ -22,6 +22,8 @@ from .errors import ResourceLimitError
 from .graphs import dot_export, expressible_ordering, graph_to_json
 from .perms import (
     MAX_GRADE,
+    _arity,
+    _check_arity,
     canonical_form,
     enumerate_orbits,
     format_label,
@@ -78,16 +80,10 @@ def _label_grade(label: str) -> int:
     return grade(str(len(lists[0].split(",")))) if lists else 3
 
 
-def _arity(args) -> int:
-    if args.r is not None:
-        return args.r
-    if args.k is not None:
-        return args.k - 1 if args.kind == "pure" else args.k
-    raise ValueError("specify --r, or --k together with --kind")
-
-
 def cmd_enumerate(args) -> int:
-    r = _arity(args)
+    if args.r is None and args.k is None:
+        raise ValueError("specify --r, or --k together with --kind")
+    r = args.r if args.r is not None else _arity(args.kind, args.k)
     if args.count:
         # the count is at most m!^r, the number of r-tuples
         if r * math.log10(math.factorial(args.m)) > COUNT_DIGIT_LIMIT:
@@ -129,7 +125,7 @@ def _rounded(z: complex) -> str:
 def cmd_eval(args) -> int:
     # the numerical modules load numpy: imported where a command needs them
     from .closedform import _check_grade, closed_form
-    from .contract import _mixed_plan, _pure_plan, eval_mixed, eval_pure
+    from .contract import _evaluate, _plan
     from .states import DensityMatrix, PureState, load_state
 
     state = load_state(args.state)
@@ -139,19 +135,12 @@ def cmd_eval(args) -> int:
         raise ValueError("state file holds a pure state but --kind mixed was given")
     m = args.m if args.m is not None else _label_grade(args.label)
     sigma = parse_label(args.label, m)
-    expected_r = state.k - 1 if args.kind == "pure" else state.k
-    if sigma.r != expected_r:
-        raise ValueError(
-            f"label has {sigma.r} entries but the {args.kind} state needs {expected_r}"
-        )
+    _check_arity(sigma, args.kind, state.k)
     # refuse before contracting: a plan over the cost guard, then a grade
     # without a closed form to compare with
-    (_pure_plan if args.kind == "pure" else _mixed_plan)(sigma, state.dims)
+    _plan(sigma, args.kind, state.dims)
     _check_grade(sigma.m)
-    if args.kind == "pure":
-        via_contract = eval_pure(sigma, state)
-    else:
-        via_contract = eval_mixed(sigma, state)
+    via_contract = _evaluate(sigma, args.kind, state, "einsum")
     via_closed = closed_form(sigma, args.kind, state)
     diff = abs(via_contract - via_closed) / max(abs(via_contract), abs(via_closed), 1e-300)
     doc = {
@@ -177,14 +166,8 @@ def cmd_eval(args) -> int:
 def cmd_graph(args) -> int:
     sigma = parse_label(args.label, args.m)
     kind = args.kind
-    if kind == "pure":
-        if sigma.r != args.k - 1:
-            raise ValueError(f"pure label needs k-1 = {args.k - 1} entries, got {sigma.r}")
-        drawn = sigma.embed()
-    else:
-        if sigma.r != args.k:
-            raise ValueError(f"mixed label needs k = {args.k} entries, got {sigma.r}")
-        drawn = sigma
+    _check_arity(sigma, kind, args.k)
+    drawn = sigma.embed() if kind == "pure" else sigma
 
     # without a closed form (m > 3), "none" stands for the formula
     if args.decompose:

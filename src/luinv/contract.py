@@ -31,7 +31,7 @@ import numpy as np
 
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
 from .errors import ResourceLimitError
-from .perms import Label, PermTuple, as_tuple
+from .perms import Label, PermTuple, _arity, _check_arity, as_tuple
 from .states import DensityMatrix, PureState, check_dims
 
 #: The public names, which ``luinv`` also exports
@@ -47,19 +47,16 @@ _EVAL_TERM_LIMIT = 20_000_000
 
 
 def _check_kind(kind: str) -> None:
-    if kind not in ("pure", "mixed"):
-        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    """ValueError unless kind is "pure" or "mixed": perms._arity's check."""
+    _arity(kind, 0)
 
 
 def _check_label(sigma: Label, k: int, kind: str) -> None:
-    """A label evaluates on k subsystems if its grade is at least 1 and its
-    arity is k - 1 (pure) or k (mixed)."""
+    """A label evaluates on k subsystems if its grade is at least 1 and it
+    has the entries of its kind (perms._arity)."""
     if sigma.m < 1:
         raise ValueError(f"grade {sigma.m} has no invariant; grades start at 1")
-    need = k - 1 if kind == "pure" else k
-    if sigma.r != need:
-        raise ValueError(f"label arity {sigma.r} does not match {k} subsystems "
-                         f"(need {'k-1' if kind == 'pure' else 'k'})")
+    _check_arity(sigma, kind, k)
 
 
 def _state_data(kind: str, state) -> np.ndarray:
@@ -143,9 +140,15 @@ def _contract(sigma: PermTuple, kind: str, dims: tuple[int, ...], stack: np.ndar
     """One label on a checked stack on dims (amplitudes (n, *dims) or
     matrices (n, N, N)): its values, shape (n,), from one plan call."""
     m = sigma.m
-    if kind == "pure":
-        return _pure_plan(sigma, dims)(*[stack] * m, *[stack.conj()] * m)
-    return _mixed_plan(sigma, dims)(*[stack.reshape((-1,) + dims + dims)] * m)
+    operands = ([stack] * m + [stack.conj()] * m if kind == "pure"
+                else [stack.reshape((-1,) + dims + dims)] * m)
+    return _plan(sigma, kind, dims)(*operands)
+
+
+def _plan(sigma: PermTuple, kind: str, dims: tuple[int, ...]) -> Plan:
+    """The label's compiled network on dims: the one choice between the pure
+    and the mixed plan builders."""
+    return (_pure_plan if kind == "pure" else _mixed_plan)(sigma, dims)
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 
+from ._record import as_int
 from .errors import ResourceLimitError
 from .perms import MAX_GRADE, Perm, PermTuple, canonical_form, orbit_partition
 
@@ -87,7 +88,7 @@ def graph_from_json(text: str) -> PermTuple:
 
 
 def _json_int(x) -> int:
-    if type(x) is not int:  # no floats, no booleans
+    if as_int(x) is None:  # no floats, booleans or strings
         raise TypeError(f"{x!r} is not an integer")
     return x
 

@@ -328,6 +328,23 @@ class PermTuple(Ordered):
         return f"PermTuple(m={self.m}, [{format_label(self)}])"
 
 
+def _arity(kind: str, k: int) -> int:
+    """The entries of a label of kind on k subsystems: k - 1 for a pure
+    label, whose embedding adds entry k, and k for a mixed one.  Any other
+    kind raises ValueError; this is the package's one check of a kind."""
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    return k - 1 if kind == "pure" else k
+
+
+def _check_arity(sigma: PermTuple, kind: str, k: int) -> None:
+    """ValueError unless sigma has the _arity(kind, k) entries of its kind."""
+    need = _arity(kind, k)
+    if sigma.r != need:
+        raise ValueError(f"{kind} label arity {sigma.r} does not match {k} subsystems: "
+                         f"it needs {need} entries")
+
+
 def perm_tuple(m: int, *named: str) -> PermTuple:
     """Convenience constructor from names, e.g. perm_tuple(3, "t", "ts")."""
     return PermTuple(m, tuple(perm_from_name(n, m) for n in named))

@@ -418,7 +418,7 @@ def load_state(path) -> State:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
         dims, kind = doc["dims"], doc["kind"]
-        if not all(type(n) is int for n in dims):  # no floats, no booleans
+        if None in map(as_int, dims):  # no floats, booleans or strings
             raise TypeError(f"dims {dims!r} are not all integers")
         dims = tuple(dims)
         arr = _pairs_to_complex(doc["data"])

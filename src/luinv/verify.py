@@ -11,15 +11,16 @@ a statement about the limit of growing local dimensions and is not
 numerically testable, so it is out of scope here (the reports say so).
 
 Every numeric check runs on stacks.  It checks its dims against the
-dimension guard before it draws anything.  Its samples come from a sample
-table, which run_suite shares between the checks of one run: the table
-draws, normalizes and purifies each (kind, dims, seed, rank) sample once,
-each missing sample from its own seed and the missing ones of a request as
-one stack, and hands every request a fresh C-order stack assembled from its
-rows.  A check called without a table gets a new one, so it reports the same
-as inside a run.  Haar rotations run once per stack.  Each label is
-evaluated once per stack by the batched engines and closed forms, which take
-the stacks as they are.
+dimension guard, then its seed, before it draws anything.  Its states come
+from a sample table, which run_suite shares between the checks of one run:
+the table draws, normalizes and purifies each (kind, dims, seed, rank)
+sample once, each missing sample from its own seed and the missing ones of
+a request as one stack, and hands every request a fresh C-order stack
+assembled from its rows.  A check called without a table gets a new one, so
+it reports the same as inside a run.  lu_invariance, the one check that
+rotates, draws its Haar unitaries itself, one stack per subsystem.  Each
+label is evaluated once per stack by the batched engines and closed forms,
+which take the stacks as they are.
 
 The residual checks (lu_invariance, closed_forms, class_consistency and
 purification) draw fixed sample counts and hold fixed tolerances, the module
@@ -43,6 +44,7 @@ from ._record import Value
 from .closedform import closed_form_batch
 from .contract import eval_mixed_batch, eval_pure_batch
 from .perms import (
+    _arity,
     enumerate_orbits,
     format_label,
     generator_count,
@@ -129,11 +131,10 @@ class _SampleTable:
     """The samples of one verify run, each drawn, normalized and purified
     once.
 
-    A sample is keyed by (kind, dims, seed, rank): kind "pure" (unit norm),
-    "mixed" (unit trace, rank N for full rank) or "unitary" (one Haar
-    unitary per subsystem, rank None).  Its row is kept as drawn; each
-    request gets a fresh C-order stack of its rows, because the batched
-    engines' rounding depends on layout.
+    A sample is keyed by (kind, dims, seed, rank): kind "pure" (unit norm,
+    rank None) or "mixed" (unit trace, rank N for full rank).  Its row is
+    kept as drawn; each request gets a fresh C-order stack of its rows,
+    because the batched engines' rounding depends on layout.
     """
 
     def __init__(self):
@@ -153,10 +154,8 @@ class _SampleTable:
             seeds = [key[2] for key in group]
             if kind == "pure":
                 rows = _unit_pures(dims, seeds)
-            elif kind == "mixed":
-                rows = _unit_densities(dims, seeds, rank)
             else:
-                rows = zip(*_unitary_stacks(dims, seeds))
+                rows = _unit_densities(dims, seeds, rank)
             self._rows.update(zip(group, rows))
         return [self._rows[key] for key in keys]
 
@@ -171,12 +170,6 @@ class _SampleTable:
         n = math.prod(dims)
         ranks = [n] * len(seeds) if ranks is None else ranks
         return _assembled(self._fetch("mixed", dims, seeds, ranks), (n, n))
-
-    def unitaries(self, dims: tuple[int, ...], seeds: Sequence[int]) -> list[np.ndarray]:
-        """random_local_unitaries per seed, one (n, n_j, n_j) stack per
-        subsystem."""
-        rows = self._fetch("unitary", dims, seeds, [None] * len(seeds))
-        return [_assembled([row[j] for row in rows], (nj, nj)) for j, nj in enumerate(dims)]
 
     def purified(self, dims: tuple[int, ...], seeds: Sequence[int],
                  ranks: Sequence[int]) -> np.ndarray:
@@ -199,10 +192,8 @@ def _assembled(rows: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray
 def _label_kinds(dims: tuple[int, ...]) -> list[tuple]:
     """Every (label, kind) pair of grades 1-3 on dims: at each grade the
     pure labels (r = k-1), then the mixed ones (r = k)."""
-    k = len(dims)
-    return [(lab, kind) for m in (1, 2, 3)
-            for kind, r in (("pure", k - 1), ("mixed", k))
-            for lab in enumerate_orbits(m, r)]
+    return [(lab, kind) for m in (1, 2, 3) for kind in ("pure", "mixed")
+            for lab in enumerate_orbits(m, _arity(kind, len(dims)))]
 
 
 def _values(label, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
@@ -236,12 +227,13 @@ def check_lu_invariance(dims: Sequence[int], seed: int = 0,
                         table: _SampleTable | None = None) -> VerifyReport:
     """Relative drift of every invariant under Haar-random local rotations."""
     dims = check_dims(dims)
+    seed = _check_seed(seed)
     table = _SampleTable() if table is None else table
     pairs = _label_kinds(dims)
     samples = LU_SAMPLES
     psis = table.pures(dims, [seed * 100_003 + 2 * i for i in range(samples)])
     rhos = table.densities(dims, [seed * 100_003 + 2 * i + 1 for i in range(samples)])
-    us = table.unitaries(dims, [seed * 900_001 + i for i in range(samples)])
+    us = _unitary_stacks(dims, [seed * 900_001 + i for i in range(samples)])
     stacks = {
         "pure": np.concatenate([psis, _rotate_stack(psis, us)]),
         "mixed": np.concatenate([rhos, _rotate_mixed_stack(rhos, dims, us)]),
@@ -271,10 +263,9 @@ def check_linear_independence(
     value matrix with a NaN or an infinity fails, with rank 0 and a NaN
     residual."""
     dims = check_dims(dims)
+    seed = _check_seed(seed)
+    labels = enumerate_orbits(m, _arity(kind, len(dims)))
     table = _SampleTable() if table is None else table
-    k = len(dims)
-    r = k - 1 if kind == "pure" else k
-    labels = enumerate_orbits(m, r)
     d = len(labels)
     n_states = 2 * d
     seeds = [seed * 77_041 + i for i in range(n_states)]
@@ -309,9 +300,10 @@ def check_class_consistency(m: int, dims: Sequence[int], seed: int = 0,
     recorded as inconclusive.
     """
     dims = check_dims(dims)
+    seed = _check_seed(seed)
     table = _SampleTable() if table is None else table
     k = len(dims)
-    labels = enumerate_orbits(m, k - 1)
+    labels = enumerate_orbits(m, _arity("pure", k))
     spreads = []
     split_results = []
     projectors = _projector_stack(table.pures(dims, [seed * 61_543 + i for i in range(5)]))
@@ -356,6 +348,7 @@ def check_purification(m: int, dims: Sequence[int], seed: int = 0,
     """f(rho) equals the embedded pure invariant of a purification of rho,
     for every mixed label of grade m."""
     dims = check_dims(dims)
+    seed = _check_seed(seed)
     table = _SampleTable() if table is None else table
     labels = enumerate_orbits(m, len(dims))
     samples = PURIFICATION_SAMPLES
@@ -414,6 +407,7 @@ def check_closed_forms(dims: Sequence[int], seed: int = 0,
     """closed_form_batch against the contraction engines on random states,
     every label of grades 1-3, both kinds."""
     dims = check_dims(dims)
+    seed = _check_seed(seed)
     table = _SampleTable() if table is None else table
     pairs = _label_kinds(dims)
     samples = CLOSED_SAMPLES

@@ -267,7 +267,7 @@ class TestEval:
             self, capsys, qubits_file, monkeypatch):
         def contract(*args):
             raise AssertionError("contracted")
-        monkeypatch.setattr("luinv.contract.eval_mixed", contract)
+        monkeypatch.setattr("luinv.contract._evaluate", contract)
         code, out, err = run(capsys, "eval", "--label", "[2,3,4,1],[1,2,3,4]", "--kind", "mixed",
                              "--state", qubits_file)
         assert code == 2 and "no closed form for grade 4" in err and out == ""
@@ -608,4 +608,17 @@ def test_no_record_builds_in_two_steps():
     found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name == "__post_init__"]
+    assert not found, found
+
+
+def test_the_plan_builders_are_chosen_in_contract_alone():
+    """contract._plan is the one choice between the pure and the mixed
+    network: no other module names a plan builder, and cli evaluates through
+    contract._evaluate rather than naming a per-kind evaluator."""
+    names = {"_pure_plan", "_mixed_plan", "eval_pure", "eval_mixed"}
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if name != "contract.py"
+             and (isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.alias) and node.name in names)]
     assert not found, found

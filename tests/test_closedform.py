@@ -400,6 +400,18 @@ class TestBatch:
                 want = np.array([C.eval_pure(lab, psi) for psi in states])
                 assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+    def test_mixed_programs_are_the_engines_plans(self, dims):
+        """Pins README, "Evaluation engines": a mixed label's closed form
+        compiles to the very plan the contraction engine runs, so the
+        closed check tests that the formula's network is the label's, and
+        only the loop oracle is independent in arithmetic.  No state is
+        drawn."""
+        labels = [lab for m in (1, 2, 3) for lab in P.enumerate_orbits(m, len(dims))]
+        assert len(labels) == {2: 16, 3: 58}[len(dims)]
+        for lab in labels:
+            assert F._program(lab.rep, dims).plan is C._mixed_plan(lab.rep, dims)
+
 
 def test_an_ordering_is_only_sufficient_for_a_matrix_form():
     # README, "Scope notes": no cyclic ordering, yet a matrix form

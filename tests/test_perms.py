@@ -465,6 +465,24 @@ class TestEnumerateOrbits:
             P.enumerate_orbits(3, -1)
 
 
+class TestArity:
+    def test_kind_fixes_the_entries(self):
+        assert [P._arity(kind, k) for kind in ("pure", "mixed") for k in (1, 2, 3)] == [
+            0, 1, 2, 1, 2, 3]
+
+    @pytest.mark.parametrize("kind", ["Pure", "both", "", None])
+    def test_any_other_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match=f"kind must be 'pure' or 'mixed', got {kind!r}"):
+            P._arity(kind, 2)
+
+    def test_check_names_arity_and_entries(self):
+        P._check_arity(P.perm_tuple(3, "s"), "pure", 2)
+        P._check_arity(P.perm_tuple(3, "s"), "mixed", 1)
+        with pytest.raises(ValueError, match="pure label arity 1 does not match 3 "
+                                             "subsystems: it needs 2 entries"):
+            P._check_arity(P.perm_tuple(3, "s"), "pure", 3)
+
+
 class TestCounts:
     @pytest.mark.parametrize("m,r", [(m, r) for m in range(1, 5) for r in range(4)]
                              + [(5, 1), (5, 2), (6, 1), (6, 2), (7, 1)])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -93,6 +94,10 @@ class TestChecks:
         rep = V.check_linear_independence(2, "pure", (2, 2, 2), seed=0)
         assert rep.passed
         assert rep.details["rank"] == 4
+
+    def test_linear_independence_refuses_an_unknown_kind_before_any_draw(self, no_draws):
+        with pytest.raises(ValueError, match="kind must be 'pure' or 'mixed', got 'Pure'"):
+            V.check_linear_independence(2, "Pure", (2, 2, 2))
 
     def test_linear_independence_qubit_m3_not_asserted(self):
         rep = V.check_linear_independence(3, "pure", (2, 2, 2), seed=0)
@@ -213,7 +218,42 @@ class TestStrictJSON:
         assert all(d["witness"]["residual"] is None for d in doc)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    for sampler in ("_pure_stack", "_density_stack", "_unitary_stacks"):
+        monkeypatch.setattr(V, sampler, refuse)
+    return refuse
+
+
+#: The five checks that draw samples, each called on its own at (2, 2).
+SAMPLING_CHECKS = {
+    "lu_invariance": lambda seed: V.check_lu_invariance((2, 2), seed=seed),
+    "linear_independence": lambda seed: V.check_linear_independence(2, "mixed", (2, 2),
+                                                                    seed=seed),
+    "class_consistency": lambda seed: V.check_class_consistency(2, (2, 2), seed=seed),
+    "purification": lambda seed: V.check_purification(2, (2, 2), seed=seed),
+    "closed_forms": lambda seed: V.check_closed_forms((2, 2), seed=seed),
+}
+
+
 class TestSeedCheck:
+    @pytest.mark.parametrize("check", SAMPLING_CHECKS)
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, "3"])
+    def test_each_check_refuses_the_callers_seed_before_any_draw(self, check, seed,
+                                                                  no_draws):
+        message = re.escape(f"seed must be a non-negative integer: {seed!r}") + "$"
+        with pytest.raises(ValueError, match=message):
+            SAMPLING_CHECKS[check](seed)
+
+    @pytest.mark.parametrize("check", SAMPLING_CHECKS)
+    def test_each_check_reports_a_numpy_seed_as_an_int(self, check):
+        rep = SAMPLING_CHECKS[check](np.int64(3))
+        assert rep.check == check
+        assert rep.params["seed"] == 3 and type(rep.params["seed"]) is int
+
     @pytest.mark.parametrize("suite", ["counts", "lu", "all"])
     @pytest.mark.parametrize("seed", [-3, True, 2.0])
     def test_refused_before_any_check(self, suite, seed, monkeypatch):
@@ -336,15 +376,6 @@ class TestSampleTable:
 
 
 class TestDimGuard:
-    @pytest.fixture
-    def no_draws(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sample was drawn")
-
-        for sampler in ("_pure_stack", "_density_stack", "_unitary_stacks"):
-            monkeypatch.setattr(V, sampler, refuse)
-        return refuse
-
     @pytest.fixture
     def limit_3(self):
         with S.dim_limit(3):
