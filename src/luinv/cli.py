@@ -124,24 +124,21 @@ def _rounded(z: complex) -> str:
 
 def cmd_eval(args) -> int:
     # the numerical modules load numpy: imported where a command needs them
-    from .closedform import _check_grade, closed_form
-    from .contract import _evaluate, _plan
-    from .states import DensityMatrix, PureState, load_state
+    from .closedform import _closed
+    from .contract import _checked, _contract, _plan
+    from .states import PureState, load_state
 
     state = load_state(args.state)
-    if args.kind == "pure" and not isinstance(state, PureState):
-        raise ValueError("state file holds a mixed state but --kind pure was given")
-    if args.kind == "mixed" and not isinstance(state, DensityMatrix):
-        raise ValueError("state file holds a pure state but --kind mixed was given")
+    held = "pure" if isinstance(state, PureState) else "mixed"
+    if held != args.kind:
+        raise ValueError(f"state file holds a {held} state but --kind {args.kind} was given")
     m = args.m if args.m is not None else _label_grade(args.label)
-    sigma = parse_label(args.label, m)
-    _check_arity(sigma, args.kind, state.k)
+    sigma, kind, dims, stack = _checked(parse_label(args.label, m), args.kind, state)
     # refuse before contracting: a plan over the cost guard, then a grade
     # without a closed form to compare with
-    _plan(sigma, args.kind, state.dims)
-    _check_grade(sigma.m)
-    via_contract = _evaluate(sigma, args.kind, state, "einsum")
-    via_closed = closed_form(sigma, args.kind, state)
+    _plan(sigma, kind, dims)
+    via_closed = _closed(sigma, kind, dims, stack).item()
+    via_contract = _contract(sigma, kind, dims, stack).item()
     diff = abs(via_contract - via_closed) / max(abs(via_contract), abs(via_closed), 1e-300)
     doc = {
         "schema_version": SCHEMA_VERSION,

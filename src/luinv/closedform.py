@@ -59,9 +59,10 @@ import numpy as np
 
 from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
 from ._record import Value, set_hash
-from .contract import _check_kind, _check_label, _checked_stack, _state_data
+from .contract import _checked
 from .errors import ResourceLimitError
-from .perms import Label, OrbitLabel, PermTuple, as_tuple, canonical_form, identity, sim_decompose
+from .perms import (Label, OrbitLabel, PermTuple, _arity, as_tuple, canonical_form, identity,
+                    sim_decompose)
 from .states import DensityMatrix, _check_subsystems, projector
 
 #: The public names, which ``luinv`` also exports
@@ -92,8 +93,7 @@ def has_closed_form(m: int) -> bool:
 def closed_form(sigma: Label, kind: str, state) -> complex:
     """The grade-1/2/3 closed form of one label on one state: the batch of
     one of closed_form_batch."""
-    data = _state_data(kind, state)
-    return closed_form_batch(sigma, kind, state.dims, data[None])[0].item()
+    return _closed(*_checked(sigma, kind, state)).item()
 
 
 def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int],
@@ -107,8 +107,11 @@ def closed_form_batch(sigma: Label, kind: str, dims: Sequence[int],
     An empty stack, a wrong shape or a wrong label arity raise ValueError,
     as in contract.eval_mixed_batch / eval_pure_batch.
     """
-    sigma = as_tuple(sigma)
-    dims, stack = _checked_stack(sigma, kind, dims, stack)
+    return _closed(*_checked(sigma, kind, stack, dims))
+
+
+def _closed(sigma: PermTuple, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
+    """closed_form_batch on the arguments contract._checked returns."""
     _check_grade(sigma.m)
     if kind == "pure":  # the reductions Tr_k |psi><psi|, on dims[:-1]
         a = stack.reshape(len(stack), -1, dims[-1])
@@ -126,7 +129,7 @@ def _program(sigma: PermTuple, dims: tuple[int, ...]) -> "Program":
     """The compiled mixed formula of a label tuple on dims.  A pure label
     on dims runs it on dims[:-1], the subsystems left by Tr_k: that is its
     embedded label's formula, which traces subsystem k."""
-    return _compiled(_parse(formula_text(sigma, "mixed")), dims)
+    return _compiled(_parse(_render(sigma, "rho")), dims)
 
 
 # -- formula descriptors -------------------------------------------------------
@@ -176,8 +179,11 @@ def formula_text(sigma: Label, kind: str) -> str:
     is then one conjugation class of an embedded pure label)."""
     sigma = as_tuple(sigma)
     _check_grade(sigma.m)
-    _check_kind(kind)
-    arg = "rho" if kind == "mixed" else "pi"
+    _arity(kind, 0)  # ValueError for a kind that is neither "pure" nor "mixed"
+    return _render(sigma, "rho" if kind == "mixed" else "pi")
+
+
+def _render(sigma: PermTuple, arg: str) -> str:
     k = sigma.r
     if sigma.m == 1:
         return f"Tr( {arg} )"
@@ -202,11 +208,10 @@ class FormulaDescriptor(Value):
 
     def evaluate_text(self, state) -> complex:
         """self.text run through parse_formula, on |psi><psi| for a pure
-        writing: the program its label's closed form runs.  A state on other
-        than the label's r subsystems raises ValueError."""
+        writing: the program its label's closed form runs.  A state of the
+        other class raises TypeError, one not on r subsystems ValueError."""
         rho = projector(state) if self.kind == "pure" else state
-        _check_label(self.label, rho.k, "mixed")
-        return parse_formula(self.text)(rho)
+        return _run_text(_parse(self.text), self.label, rho)
 
 
 def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
@@ -220,7 +225,7 @@ def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
     """
     sigma = as_tuple(sigma)
     _check_grade(sigma.m)
-    _check_kind(kind)
+    _arity(kind, 0)  # ValueError for a kind that is neither "pure" nor "mixed"
     return list(_writings(sigma, kind))
 
 
@@ -228,9 +233,9 @@ def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
 def _writings(sigma: PermTuple, kind: str) -> tuple[FormulaDescriptor, ...]:
     if kind == "mixed":
         lab = canonical_form(sigma)
-        return (FormulaDescriptor(lab, "mixed", formula_text(lab.rep, "mixed")),)
+        return (FormulaDescriptor(lab, "mixed", _render(lab.rep, "rho")),)
     return tuple(
-        FormulaDescriptor(member, "pure", formula_text(member.rep, "pure"))
+        FormulaDescriptor(member, "pure", _render(member.rep, "pi"))
         for member in sim_decompose(sigma).members
     )
 
@@ -399,6 +404,12 @@ def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
     for malformed text) and return an evaluator of the operator argument (a
     DensityMatrix; pass a projector for pure-state formulas).  It runs the
     program compiled once per (syntax tree, dims), whose building checks the
-    subsystem indices and supports against the dims."""
+    subsystem indices and supports against the checked dims."""
     tree = _parse(text)
-    return lambda rho: _compiled(tree, rho.dims)(rho.entries[None]).item()
+    return lambda rho: _run_text(tree, None, rho)
+
+
+def _run_text(tree: tuple, label: Label | None, rho: DensityMatrix) -> complex:
+    """A parsed formula, with its mixed label if any, on a checked operator."""
+    _, _, dims, stack = _checked(label, "mixed", rho)
+    return _compiled(tree, dims)(stack).item()

@@ -32,7 +32,7 @@ import numpy as np
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
 from .errors import ResourceLimitError
 from .perms import Label, PermTuple, _arity, _check_arity, as_tuple
-from .states import DensityMatrix, PureState, check_dims
+from .states import DensityMatrix, PureState, _check_total, _state_data, check_dims
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -46,87 +46,74 @@ __all__ = [
 _EVAL_TERM_LIMIT = 20_000_000
 
 
-def _check_kind(kind: str) -> None:
-    """ValueError unless kind is "pure" or "mixed": perms._arity's check."""
-    _arity(kind, 0)
-
-
-def _check_label(sigma: Label, k: int, kind: str) -> None:
-    """A label evaluates on k subsystems if its grade is at least 1 and it
-    has the entries of its kind (perms._arity)."""
-    if sigma.m < 1:
-        raise ValueError(f"grade {sigma.m} has no invariant; grades start at 1")
-    _check_arity(sigma, kind, k)
-
-
-def _state_data(kind: str, state) -> np.ndarray:
-    """A state's array for labels of kind: the amplitude tensor of a
-    PureState for "pure", the matrix of a DensityMatrix for "mixed"."""
-    cls = PureState if kind == "pure" else DensityMatrix
-    if not isinstance(state, cls):
-        raise TypeError(f"{kind} labels take a {cls.__name__}")
-    return state.amplitudes if kind == "pure" else state.entries
-
-
 def eval_mixed(sigma: Label, rho: DensityMatrix, method: str = "einsum") -> complex:
     """Invariant value for a mixed-state label (r = k entries)."""
-    return _evaluate(sigma, "mixed", rho, method)
+    return _evaluate(sigma, "mixed", rho, method=method).item()
 
 
 def eval_pure(sigma: Label, psi: PureState, method: str = "einsum") -> complex:
     """Invariant value for a pure-state label (r = k-1 entries)."""
-    return _evaluate(sigma, "pure", psi, method)
-
-
-def _evaluate(sigma: Label, kind: str, state, method: str) -> complex:
-    """One label on one state: the einsum plan on a stack of one, or the loop."""
-    data = _state_data(kind, state)
-    sigma, dims = as_tuple(sigma), state.dims
-    _check_label(sigma, len(dims), kind)
-    if method == "einsum":
-        return _contract(sigma, kind, dims, data[None]).item()
-    if method == "loop":
-        m, total_dim = sigma.m, math.prod(dims)
-        if total_dim**m * m > _EVAL_TERM_LIMIT:
-            raise ResourceLimitError(
-                f"naive contraction over {total_dim}^{m} terms exceeds the guard")
-        return (_pure_loop if kind == "pure" else _mixed_loop)(sigma, dims, data)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _checked_stack(sigma: PermTuple, kind: str, dims: Sequence[int],
-                   stack) -> tuple[tuple[int, ...], np.ndarray]:
-    """dims, checked against the guard, and a non-empty stack on them as a
-    complex array: amplitudes (n, *dims) for kind "pure", (n, N, N) matrices
-    for "mixed"; the label passes _check_label."""
-    _check_kind(kind)
-    dims = check_dims(dims)
-    stack = np.asarray(stack, dtype=complex)
-    size = math.prod(dims)
-    shape = dims if kind == "pure" else (size, size)
-    if stack.shape[1:] != shape:
-        raise ValueError(f"a {kind} stack on dims {dims} has shape (n,) + {shape}, "
-                         f"not {stack.shape}")
-    if not len(stack):
-        raise ValueError("a batch needs at least one state")
-    _check_label(sigma, len(dims), kind)
-    return dims, stack
+    return _evaluate(sigma, "pure", psi, method=method).item()
 
 
 def eval_mixed_batch(sigma: Label, dims: Sequence[int], rhos: np.ndarray) -> np.ndarray:
     """eval_mixed of one label on each of a stack of density matrices on
     dims, an (n, N, N) array, as a complex array of shape (n,) from one plan
     call."""
-    sigma = as_tuple(sigma)
-    return _contract(sigma, "mixed", *_checked_stack(sigma, "mixed", dims, rhos))
+    return _evaluate(sigma, "mixed", rhos, dims)
 
 
 def eval_pure_batch(sigma: Label, dims: Sequence[int], psis: np.ndarray) -> np.ndarray:
     """eval_pure of one label on each of a stack of pure states on dims, an
     (n, *dims) array of amplitudes, as a complex array of shape (n,) from one
     plan call."""
-    sigma = as_tuple(sigma)
-    return _contract(sigma, "pure", *_checked_stack(sigma, "pure", dims, psis))
+    return _evaluate(sigma, "pure", psis, dims)
+
+
+def _evaluate(sigma: Label, kind: str, states, dims: Sequence[int] | None = None,
+              method: str = "einsum") -> np.ndarray:
+    """One label on the states _checked takes: its values, shape (n,)."""
+    sigma, kind, dims, stack = _checked(sigma, kind, states, dims)
+    if method == "einsum":
+        return _contract(sigma, kind, dims, stack)
+    if method == "loop":
+        m, total_dim = sigma.m, math.prod(dims)
+        if total_dim**m * m > _EVAL_TERM_LIMIT:
+            raise ResourceLimitError(
+                f"naive contraction over {total_dim}^{m} terms exceeds the guard")
+        loop = _pure_loop if kind == "pure" else _mixed_loop
+        return np.array([loop(sigma, dims, data) for data in stack])
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _checked(sigma: Label | None, kind: str, states, dims: Sequence[int] | None = None
+             ) -> tuple[PermTuple | None, str, tuple[int, ...], np.ndarray]:
+    """The one checked route of every evaluation, on a state record or, given
+    dims, a non-empty stack: amplitudes (n, *dims) for "pure", (n, N, N) for
+    "mixed".  Checks, each once: a record's class, the kind, dims against the
+    guard (a record's total alone), a stack's shape and size, the grade and
+    arity of sigma, if given.  Returns (label tuple, kind, dims, stack)."""
+    if dims is None:
+        stack, dims = _state_data(kind, states)[None], states.dims
+        need = _arity(kind, len(dims))
+        _check_total(dims)
+    else:
+        dims = tuple(dims)
+        need = _arity(kind, len(dims))
+        dims, stack = check_dims(dims), np.asarray(states, dtype=complex)
+        shape = dims if kind == "pure" else (math.prod(dims),) * 2
+        if stack.shape[1:] != shape:
+            raise ValueError(f"a {kind} stack on dims {dims} has shape (n,) + {shape}, "
+                             f"not {stack.shape}")
+        if not len(stack):
+            raise ValueError("a batch needs at least one state")
+    if sigma is not None:
+        sigma = as_tuple(sigma)
+        if sigma.m < 1:
+            raise ValueError(f"grade {sigma.m} has no invariant; grades start at 1")
+        if sigma.r != need:
+            _check_arity(sigma, kind, len(dims))  # raises the one arity error
+    return sigma, kind, dims, stack
 
 
 # -- einsum strategy ----------------------------------------------------------
@@ -137,8 +124,7 @@ def eval_pure_batch(sigma: Label, dims: Sequence[int], psis: np.ndarray) -> np.n
 
 
 def _contract(sigma: PermTuple, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
-    """One label on a checked stack on dims (amplitudes (n, *dims) or
-    matrices (n, N, N)): its values, shape (n,), from one plan call."""
+    """The values, shape (n,), of one plan call on the arguments _checked returns."""
     m = sigma.m
     operands = ([stack] * m + [stack.conj()] * m if kind == "pure"
                 else [stack.reshape((-1,) + dims + dims)] * m)

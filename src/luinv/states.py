@@ -71,6 +71,11 @@ def check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple([as_int(n) for n in given])
     if not dims or None in dims or min(dims) < 1:
         raise ValueError(f"subsystem dimensions must be positive integers: {given}")
+    return _check_total(dims)
+
+
+def _check_total(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Checked dims, unless their total exceeds the current guard."""
     total = math.prod(dims)
     if total > _limit.get():
         raise ResourceLimitError(
@@ -158,9 +163,17 @@ def _check_subsystems(subs: Iterable[int], k: int) -> tuple[int, ...]:
     return tuple(sorted(checked))
 
 
+def _state_data(kind: str, state) -> np.ndarray:
+    """A state's array: a PureState's amplitudes for kind "pure", else a DensityMatrix's."""
+    cls = PureState if kind == "pure" else DensityMatrix
+    if not isinstance(state, cls):
+        raise TypeError(f"{kind} labels take a {cls.__name__}")
+    return state.amplitudes if kind == "pure" else state.entries
+
+
 def projector(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi| (trace = squared norm)."""
-    return DensityMatrix._derived(psi.dims, _projector_stack(psi.amplitudes[None])[0])
+    return DensityMatrix._derived(psi.dims, _projector_stack(_state_data("pure", psi)[None])[0])
 
 
 def _projector_stack(amps: np.ndarray) -> np.ndarray:
@@ -397,14 +410,11 @@ def _pairs_to_complex(data) -> np.ndarray:
 
 
 def save_state(state: State, path) -> None:
-    if isinstance(state, PureState):
-        doc = {"dims": list(state.dims), "kind": "pure",
-               "data": _complex_to_pairs(state.amplitudes)}
-    elif isinstance(state, DensityMatrix):
-        doc = {"dims": list(state.dims), "kind": "mixed",
-               "data": _complex_to_pairs(state.entries)}
-    else:
+    if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"not a state: {type(state)!r}")
+    kind = "pure" if isinstance(state, PureState) else "mixed"
+    data = _complex_to_pairs(_state_data(kind, state))
+    doc = {"dims": list(state.dims), "kind": kind, "data": data}
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(doc, fp)
         fp.write("\n")

@@ -42,7 +42,7 @@ import numpy as np
 
 from ._record import Value
 from .closedform import closed_form_batch
-from .contract import eval_mixed_batch, eval_pure_batch
+from .contract import _evaluate
 from .perms import (
     _arity,
     enumerate_orbits,
@@ -196,12 +196,6 @@ def _label_kinds(dims: tuple[int, ...]) -> list[tuple]:
             for lab in enumerate_orbits(m, _arity(kind, len(dims)))]
 
 
-def _values(label, kind: str, dims: tuple[int, ...], stack: np.ndarray) -> np.ndarray:
-    """The label's values on a stack of states of one kind on dims, by the
-    contraction engines."""
-    return (eval_pure_batch if kind == "pure" else eval_mixed_batch)(label, dims, stack)
-
-
 def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| elementwise, rounded as Python's abs rounds it (np.abs is not)."""
     return np.hypot(z.real, z.imag)
@@ -239,7 +233,7 @@ def check_lu_invariance(dims: Sequence[int], seed: int = 0,
         "mixed": np.concatenate([rhos, _rotate_mixed_stack(rhos, dims, us)]),
     }
     # values[pair, i] on sample i, values[pair, samples + i] on its rotation
-    values = np.array([_values(lab, kind, dims, stacks[kind]) for lab, kind in pairs])
+    values = np.array([_evaluate(lab, kind, stacks[kind], dims) for lab, kind in pairs])
     a, b = values[:, :samples], values[:, samples:]
     drift = _modulus(a - b) / np.maximum(_modulus(a), 1e-300)
     return _residual_report(
@@ -270,7 +264,7 @@ def check_linear_independence(
     n_states = 2 * d
     seeds = [seed * 77_041 + i for i in range(n_states)]
     states = table.pures(dims, seeds) if kind == "pure" else table.densities(dims, seeds)
-    matrix = np.array([_values(lab, kind, dims, states) for lab in labels])
+    matrix = np.array([_evaluate(lab, kind, states, dims) for lab in labels])
     finite = bool(np.isfinite(matrix).all())
     sv = np.linalg.svd(matrix, compute_uv=False) if finite else np.full(d, np.nan)
     rank = int((sv > SV_THRESHOLD * sv[0]).sum())
@@ -311,11 +305,11 @@ def check_class_consistency(m: int, dims: Sequence[int], seed: int = 0,
     for lab in labels:
         split = sim_decompose(lab.rep)
         assert split.anchor.rep.perms[-1].is_identity()
-        member_vals = np.array([_values(member, "mixed", dims, projectors)
+        member_vals = np.array([_evaluate(member, "mixed", projectors, dims)
                                 for member in split.members])
         ref = member_vals[0]
         spreads.append(_modulus(member_vals - ref).max(axis=0) / np.maximum(_modulus(ref), 1e-300))
-        rho_vals = [_values(member, "mixed", dims, rhos).tolist() for member in split.members]
+        rho_vals = [_evaluate(member, "mixed", rhos, dims).tolist() for member in split.members]
         separated = 0
         pairs = 0
         for a in range(len(split.members)):
@@ -361,8 +355,8 @@ def check_purification(m: int, dims: Sequence[int], seed: int = 0,
     stack = table.densities(dims, seeds, ranks)
     # the purifications' ranks differ: one stack, zero-padded to the largest
     amps = table.purified(dims, seeds, ranks)
-    a = np.array([_values(lab, "mixed", dims, stack) for lab in labels])
-    b = np.array([_values(lab, "pure", amps.shape[1:], amps) for lab in labels])
+    a = np.array([_evaluate(lab, "mixed", stack, dims) for lab in labels])
+    b = np.array([_evaluate(lab, "pure", amps, amps.shape[1:]) for lab in labels])
     residuals = _modulus(a - b) / np.maximum(_modulus(a), 1e-300)
     return _residual_report(
         "purification",
@@ -415,7 +409,7 @@ def check_closed_forms(dims: Sequence[int], seed: int = 0,
         "pure": table.pures(dims, [seed * 39_989 + 2 * i for i in range(samples)]),
         "mixed": table.densities(dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)]),
     }
-    a = np.array([_values(lab, kind, dims, stacks[kind]) for lab, kind in pairs])
+    a = np.array([_evaluate(lab, kind, stacks[kind], dims) for lab, kind in pairs])
     b = np.array([closed_form_batch(lab, kind, dims, stacks[kind]) for lab, kind in pairs])
     residuals = _modulus(a - b) / np.maximum(np.maximum(_modulus(a), _modulus(b)), 1e-300)
     return _residual_report(

@@ -267,7 +267,7 @@ class TestEval:
             self, capsys, qubits_file, monkeypatch):
         def contract(*args):
             raise AssertionError("contracted")
-        monkeypatch.setattr("luinv.contract._evaluate", contract)
+        monkeypatch.setattr("luinv.contract._contract", contract)
         code, out, err = run(capsys, "eval", "--label", "[2,3,4,1],[1,2,3,4]", "--kind", "mixed",
                              "--state", qubits_file)
         assert code == 2 and "no closed form for grade 4" in err and out == ""
@@ -613,9 +613,10 @@ def test_no_record_builds_in_two_steps():
 
 def test_the_plan_builders_are_chosen_in_contract_alone():
     """contract._plan is the one choice between the pure and the mixed
-    network: no other module names a plan builder, and cli evaluates through
-    contract._evaluate rather than naming a per-kind evaluator."""
-    names = {"_pure_plan", "_mixed_plan", "eval_pure", "eval_mixed"}
+    network: no other module names a plan builder, a per-kind evaluator or
+    the stack checks of the one checked route, contract._checked."""
+    names = {"_pure_plan", "_mixed_plan", "eval_pure", "eval_mixed", "eval_pure_batch",
+             "eval_mixed_batch", "_checked_stack"}
     found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if name != "contract.py"
              and (isinstance(node, ast.Name) and node.id in names

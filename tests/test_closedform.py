@@ -1,9 +1,12 @@
+import argparse
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from conftest import relerr, unit_density, unit_pure
+from luinv import cli
 from luinv import closedform as F
 from luinv import contract as C
 from luinv import perms as P
@@ -219,6 +222,43 @@ class TestDeterminantIdentities:
             assert abs(6 * np.linalg.det(rho.entries) - (fe - 3 * ft + 2 * fs)) < 1e-10
 
 
+def _cmd_eval(sigma, kind, state, path):
+    """luinv eval of sigma on the state saved at path, with its exceptions."""
+    args = argparse.Namespace(label=P.format_label(sigma), kind=kind, m=sigma.m, state=path,
+                              json=False)
+    return cli.cmd_eval(args)
+
+
+def _stack(state):
+    """A state record's array as a stack of one."""
+    return (state.amplitudes if isinstance(state, S.PureState) else state.entries)[None]
+
+
+#: Every entry point of the checked route, called as (label, kind, state,
+#: path of the state's file), with the kept checks it runs, numbered as in
+#: TestDispatcher.test_kept_checks_in_order.  Batches take no record and the
+#: per-kind engines no kind; only the closed forms and luinv eval check the
+#: grade.  A writing's label is mixed, and a formula text has none.  luinv
+#: eval matches the file's kind to --kind with its own message.
+ROUTES = {
+    "closed_form": (lambda sigma, kind, state, _: F.closed_form(sigma, kind, state), range(7)),
+    "closed_form_batch": (lambda sigma, kind, state, _: F.closed_form_batch(
+        sigma, kind, state.dims, _stack(state)), (2, 3, 4, 5, 6)),
+    "eval": (lambda sigma, kind, state, _: {
+        "pure": C.eval_pure, "mixed": C.eval_mixed}[kind](sigma, state), (0, 3, 4, 5)),
+    "eval_loop": (lambda sigma, kind, state, _: {
+        "pure": C.eval_pure, "mixed": C.eval_mixed}[kind](sigma, state, method="loop"),
+        (0, 3, 4, 5)),
+    "eval_batch": (lambda sigma, kind, state, _: {
+        "pure": C.eval_pure_batch, "mixed": C.eval_mixed_batch}[kind](
+            sigma, state.dims, _stack(state)), (3, 4, 5)),
+    "evaluate_text": (lambda sigma, kind, state, _: F.FormulaDescriptor(
+        sigma, kind, "Tr( rho )").evaluate_text(state), (0, 3, 4)),
+    "parse_formula": (lambda sigma, kind, state, _: F.parse_formula("Tr( rho )")(state), (0, 3)),
+    "cmd_eval": (_cmd_eval, (3, 4, 5, 6)),
+}
+
+
 class TestDispatcher:
     def test_routes_by_grade(self):
         psi = S.random_pure((2, 2), seed=90)
@@ -237,34 +277,85 @@ class TestDispatcher:
 
     def test_type_checks(self):
         psi = S.random_pure((2, 2), seed=93)
+        rho = S.projector(psi)
+        (mixed,) = F.alternate_writings(P.perm_tuple(2, "t", "t"), "mixed")
+        (pure, *_) = F.alternate_writings(P.perm_tuple(2, "t"), "pure")
         with pytest.raises(TypeError, match="mixed labels take a DensityMatrix"):
             F.closed_form(P.perm_tuple(2, "t", "t"), "mixed", psi)
         with pytest.raises(TypeError, match="pure labels take a PureState"):
-            F.closed_form(P.perm_tuple(2, "t"), "pure", S.projector(psi))
+            F.closed_form(P.perm_tuple(2, "t"), "pure", rho)
+        for call, state in ((F.parse_formula("Tr( rho^2 )"), psi), (mixed.evaluate_text, psi),
+                            (pure.evaluate_text, rho), (S.projector, rho)):
+            kind = "mixed" if state is psi else "pure"
+            with pytest.raises(TypeError, match=f"{kind} labels take a"):
+                call(state)
 
-
-    def test_kept_checks_in_order(self):
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_kept_checks_in_order(self, route, tmp_path):
         # each check raises its own type; a call failing two checks gets the
         # earlier one: state class, kind, dims against the current guard,
-        # arity, grade
+        # arity, grade.  Each entry point runs those of its checks that apply.
+        call, runs = ROUTES[route]
         psi, rho = S.random_pure((2, 2), seed=94), S.random_density((2, 2), seed=95)
+        files = {"pure": tmp_path / "psi.json", "mixed": tmp_path / "rho.json"}
+        S.save_state(psi, files["pure"])
+        S.save_state(rho, files["mixed"])
         grade_four = P.PermTuple(4, (P.identity(4),) * 3)
-        with S.dim_limit(3):
-            with pytest.raises(TypeError, match="mixed labels take a DensityMatrix"):
-                F.closed_form(grade_four, "mixed", psi)
-            with pytest.raises(TypeError, match="both labels take a DensityMatrix"):
-                F.closed_form(grade_four, "both", psi)
-            with pytest.raises(ValueError, match="kind must be"):
-                F.closed_form(grade_four, "both", rho)
-            with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
-                F.closed_form(grade_four, "mixed", rho)
-        with S.dim_limit(4):
-            with pytest.raises(ValueError, match="arity"):
-                F.closed_form(grade_four, "mixed", rho)
-            with pytest.raises(ValueError, match="arity"):
-                F.closed_form(P.perm_tuple(2, "t", "t"), "pure", psi)
-            with pytest.raises(ValueError, match="no closed form for grade 4"):
-                F.closed_form(P.PermTuple(4, (P.identity(4),) * 2), "mixed", rho)
+        checks = [  # (dims limit, label, kind, state, raised, message)
+            (3, grade_four, "mixed", psi, TypeError, "mixed labels take a DensityMatrix"),
+            (3, grade_four, "both", psi, TypeError, "both labels take a DensityMatrix"),
+            (3, grade_four, "both", rho, ValueError, "kind must be"),
+            (3, grade_four, "mixed", rho, ResourceLimitError, "exceeds limit 3"),
+            (4, grade_four, "mixed", rho, ValueError, "arity"),
+            (4, P.perm_tuple(2, "t", "t"), "pure", psi, ValueError, "arity"),
+            (4, P.PermTuple(4, (P.identity(4),) * 2), "mixed", rho, ValueError,
+             "no closed form for grade 4"),
+        ]
+        for i in runs:
+            limit, sigma, kind, state, raised, message = checks[i]
+            path = str(files["pure" if state is psi else "mixed"])
+            with S.dim_limit(limit), pytest.raises(raised, match=message):
+                call(sigma, kind, state, path)
+
+    def test_each_evaluation_runs_the_kind_rule_once(self, tmp_path, capsys, monkeypatch):
+        psi, rho = S.random_pure((2, 2), seed=96), S.random_density((2, 2), seed=97)
+        pure, mixed = P.perm_tuple(3, "s"), P.perm_tuple(3, "s", "t")
+        (mixed_writing,) = F.alternate_writings(mixed, "mixed")
+        pure_writing = F.alternate_writings(pure, "pure")[-1]
+        path = tmp_path / "psi.json"
+        S.save_state(psi, path)
+        evaluations = {
+            "eval_pure": lambda: C.eval_pure(pure, psi),
+            "eval_pure loop": lambda: C.eval_pure(pure, psi, method="loop"),
+            "eval_mixed": lambda: C.eval_mixed(mixed, rho),
+            "eval_mixed loop": lambda: C.eval_mixed(mixed, rho, method="loop"),
+            "eval_pure_batch": lambda: C.eval_pure_batch(pure, (2, 2), psi.amplitudes[None]),
+            "eval_mixed_batch": lambda: C.eval_mixed_batch(mixed, (2, 2), rho.entries[None]),
+            "closed_form pure": lambda: F.closed_form(pure, "pure", psi),
+            "closed_form mixed": lambda: F.closed_form(mixed, "mixed", rho),
+            "closed_form_batch": lambda: F.closed_form_batch(mixed, "mixed", (2, 2),
+                                                             rho.entries[None]),
+            "evaluate_text pure": lambda: pure_writing.evaluate_text(psi),
+            "evaluate_text mixed": lambda: mixed_writing.evaluate_text(rho),
+            "parse_formula": lambda: F.parse_formula(mixed_writing.text)(rho),
+            "luinv eval": lambda: cli.main(["eval", "--label", "s", "--kind", "pure",
+                                            "--state", str(path)]),
+        }
+        calls = []
+
+        def counted(kind, k):
+            calls.append(kind)
+            return real(kind, k)
+
+        real = P._arity
+        for name, module in list(sys.modules.items()):
+            if name.startswith("luinv") and getattr(module, "_arity", None) is real:
+                monkeypatch.setattr(module, "_arity", counted)
+        for name, evaluate in evaluations.items():
+            calls.clear()
+            evaluate()
+            assert len(calls) == 1, (name, calls)
+        capsys.readouterr()
 
 
 def sample_stack(kind, dims, n, seed):

@@ -471,9 +471,13 @@ class TestBatchedEngines:
 
     def test_dims_over_the_guard_are_refused(self):
         mixed, pure = enumerate_orbits(2, 2)[1], enumerate_orbits(2, 1)[1]
-        rhos, _, psis, _ = stacks((2, 2), 2, seed=0)
+        rhos, (rho, _), psis, (psi, _) = stacks((2, 2), 2, seed=0)
         with states.dim_limit(3):
             with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
                 contract.eval_mixed_batch(mixed, (2, 2), rhos)
             with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
                 contract.eval_pure_batch(pure, (2, 2), psis)
+            with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+                contract.eval_mixed(mixed, rho)
+            with pytest.raises(ResourceLimitError, match="exceeds limit 3"):
+                contract.eval_pure(pure, psi)

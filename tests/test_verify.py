@@ -126,9 +126,11 @@ class TestChecks:
         assert V._modulus(zs).tolist() == [abs(z) for z in zs.tolist()]
 
 
-def nan_values(label, *args):
-    # an engine or closed form whose every value is NaN; the stack comes last
-    return np.full(len(args[-1]), np.nan, dtype=complex)
+def nan_values(label, kind, *args):
+    # an engine or closed form whose every value is NaN on its stack, the
+    # one array among its arguments
+    stack = next(arg for arg in args if isinstance(arg, np.ndarray))
+    return np.full(len(stack), np.nan, dtype=complex)
 
 
 #: The four residual checks, each on its own table.
@@ -143,8 +145,7 @@ RESIDUAL_CHECKS = {
 class TestNaNFails:
     @pytest.fixture
     def nan_engines(self, monkeypatch):
-        for name in ("eval_pure_batch", "eval_mixed_batch"):
-            monkeypatch.setattr(V, name, nan_values)
+        monkeypatch.setattr(V, "_evaluate", nan_values)
 
     def test_the_worst_residual_is_the_first_largest_or_nan(self):
         def where(*index):
@@ -208,8 +209,7 @@ class TestStrictJSON:
         assert np.isnan(rep.to_dict()["max_residual"]) and rep.witness["residual"] == inf
 
     def test_cli_report_with_nan_engines(self, monkeypatch, tmp_path, capsys):
-        for name in ("eval_pure_batch", "eval_mixed_batch"):
-            monkeypatch.setattr(V, name, nan_values)
+        monkeypatch.setattr(V, "_evaluate", nan_values)
         path = tmp_path / "report.json"
         argv = ["verify", "--suite", "purification", "--dims", "2,2", "--report", str(path)]
         assert main(argv) == 1
