@@ -63,7 +63,8 @@ from .contract import _checked
 from .errors import ResourceLimitError
 from .perms import (Label, OrbitLabel, PermTuple, _arity, as_tuple, canonical_form, identity,
                     sim_decompose)
-from .states import DensityMatrix, _check_subsystems, projector
+from .states import (DensityMatrix, _check_subsystems, _check_total, _projector_stack,
+                     _state_data)
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -210,8 +211,12 @@ class FormulaDescriptor(Value):
         """self.text run through parse_formula, on |psi><psi| for a pure
         writing: the program its label's closed form runs.  A state of the
         other class raises TypeError, one not on r subsystems ValueError."""
-        rho = projector(state) if self.kind == "pure" else state
-        return _run_text(_parse(self.text), self.label, rho)
+        if self.kind == "pure":
+            # the class, then the guard, before the N x N projector is built
+            amps = _state_data("pure", state)
+            _check_total(state.dims)
+            state = DensityMatrix._derived(state.dims, _projector_stack(amps[None])[0])
+        return _run_text(_parse(self.text), self.label, state)
 
 
 def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:

@@ -85,7 +85,22 @@ def _check_total(dims: tuple[int, ...]) -> tuple[int, ...]:
     return dims
 
 
-class PureState(Record):
+class _StateRecord(Record):
+    """A state record: its dims, then its array."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _derived(cls, dims: tuple[int, ...], data: np.ndarray):
+        """A record on dims already checked, holding data of its shape and
+        complex dtype: skips check_dims and the shape check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, cls.__match_args__[1], data)
+        return state
+
+
+class PureState(_StateRecord):
     """State vector stored as a tensor of shape dims."""
 
     __slots__ = ("dims", "amplitudes")
@@ -106,7 +121,7 @@ class PureState(Record):
         return float(np.linalg.norm(self.amplitudes))
 
 
-class DensityMatrix(Record):
+class DensityMatrix(_StateRecord):
     """Operator on the product space, stored as a prod(dims) square matrix.
     Hermiticity is not enforced at construction (linear-algebra identities
     are tested on general matrices); samplers and the file reader do check."""
@@ -125,15 +140,6 @@ class DensityMatrix(Record):
     @property
     def k(self) -> int:
         return len(self.dims)
-
-    @classmethod
-    def _derived(cls, dims: tuple[int, ...], entries: np.ndarray) -> "DensityMatrix":
-        """An operator built from dims of an already checked state: skips
-        check_dims and the shape check (entries must be complex, N x N)."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "dims", dims)
-        object.__setattr__(rho, "entries", entries)
-        return rho
 
     def tensor(self) -> np.ndarray:
         """View with one row axis and one column axis per subsystem."""
@@ -207,21 +213,21 @@ def _partial_trace_plan(dims: tuple[int, ...], traced: tuple[int, ...]):
 def random_pure(dims: Sequence[int], seed: int) -> PureState:
     """I.i.d. standard complex Gaussian amplitudes (PCG64 stream from seed)."""
     dims = check_dims(dims)
-    return PureState(dims, _pure_stack(dims, [seed])[0])
+    return PureState._derived(dims, _pure_stack(dims, _rng(seed), 1)[0])
 
 
 def random_density(dims: Sequence[int], seed: int, rank: int | None = None) -> DensityMatrix:
     """Wishart-type Hermitian PSD matrix A A^dagger with A of shape (N, rank)."""
     dims = check_dims(dims)
-    return DensityMatrix(dims, _density_stack(dims, [seed], rank)[0])
+    return DensityMatrix._derived(dims, _density_stack(dims, _rng(seed), 1, rank)[0])
 
 
 def random_hermitian(dims: Sequence[int], seed: int) -> DensityMatrix:
     """Hermitian (not necessarily PSD) matrix (B + B^dagger)/2, entries O(1)."""
     dims = check_dims(dims)
     n = math.prod(dims)
-    b = _complex_stack(_normals([seed], 2 * n * n), (n, n))[0]
-    return DensityMatrix(dims, (b + b.conj().T) / 2)
+    b = _complex_stack(_normals(_rng(seed), 1, 2 * n * n), (n, n))[0]
+    return DensityMatrix._derived(dims, (b + b.conj().T) / 2)
 
 
 def _haar_stack(z: np.ndarray) -> np.ndarray:
@@ -234,7 +240,7 @@ def _haar_stack(z: np.ndarray) -> np.ndarray:
 
 def random_local_unitaries(dims: Sequence[int], seed: int) -> list[np.ndarray]:
     dims = check_dims(dims)
-    return [u[0] for u in _unitary_stacks(dims, [seed])]
+    return [u[0] for u in _unitary_stacks(dims, _rng(seed), 1)]
 
 
 def _check_unitary_shapes(dims: tuple[int, ...], us: Sequence[np.ndarray]):
@@ -271,11 +277,18 @@ def purify(rho: DensityMatrix) -> PureState:
 
 # -- stacks of samples ---------------------------------------------------------
 #
-# The verification checks draw many samples, then rotate or purify them.  Each
-# sample keeps its own seed and rng stream, taken by one standard_normal call
-# into a float buffer, real parts then imaginary parts; the complex assembly
-# and everything after it run once over the stack.  The single-state
-# functions above are the stacks of one.
+# The verification checks draw many samples, then rotate or purify them.  A
+# sampler draws a stack of n samples from one generator with one
+# standard_normal call: row i holds the i-th sample's draws, real parts then
+# imaginary parts, exactly as n single draws in a row would take them from
+# the stream.  The complex assembly and everything after it run once over the
+# stack.  The single-state functions above are stacks of one from
+# default_rng(seed).
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """default_rng(seed); a ValueError unless seed is a non-negative integer."""
+    return np.random.default_rng(_check_seed(seed))
 
 
 def _check_seed(seed: int) -> int:
@@ -286,12 +299,10 @@ def _check_seed(seed: int) -> int:
     return checked
 
 
-def _normals(seeds: Sequence[int], size: int) -> np.ndarray:
-    """The first size standard normals of each seed's stream: (n, size)."""
-    buf = np.empty((len(seeds), size))
-    for row, seed in zip(buf, seeds):
-        np.random.default_rng(_check_seed(seed)).standard_normal(size, out=row)
-    return buf
+def _normals(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """The next n times size standard normals of rng, one row per sample:
+    (n, size)."""
+    return rng.standard_normal((n, size))
 
 
 def _complex_stack(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -301,34 +312,34 @@ def _complex_stack(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return half[:, 0] + 1j * half[:, 1]
 
 
-def _pure_stack(dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
-    """random_pure's amplitudes for each seed, shape (n, *dims)."""
-    return _complex_stack(_normals(seeds, 2 * math.prod(dims)), dims)
+def _pure_stack(dims: tuple[int, ...], rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random_pure amplitude tensors drawn in turn from rng: (n, *dims)."""
+    return _complex_stack(_normals(rng, n, 2 * math.prod(dims)), dims)
 
 
-def _density_stack(dims: tuple[int, ...], seeds: Sequence[int],
+def _density_stack(dims: tuple[int, ...], rng: np.random.Generator, n: int,
                    rank: int | None = None) -> np.ndarray:
-    """random_density's matrices for each seed, shape (n, N, N): one draw of
-    A per seed, then one batched product A A^dagger."""
-    n = math.prod(dims)
-    width = n if rank is None else as_int(rank)
+    """n random_density matrices drawn in turn from rng, shape (n, N, N): one
+    draw of the n factors A, then one batched product A A^dagger."""
+    size = math.prod(dims)
+    width = size if rank is None else as_int(rank)
     if width is None or width < 1:
         raise ValueError(f"rank must be a positive integer: {rank!r}")
-    a = _complex_stack(_normals(seeds, 2 * n * width), (n, width))
+    a = _complex_stack(_normals(rng, n, 2 * size * width), (size, width))
     return a @ a.conj().swapaxes(1, 2)
 
 
-def _unitary_stacks(dims: tuple[int, ...], seeds: Sequence[int]) -> list[np.ndarray]:
-    """random_local_unitaries for each seed, as one (n, n_j, n_j) stack per
-    subsystem: each seed's draws in random_local_unitaries' order, then one
-    batched QR per subsystem."""
-    buf = _normals(seeds, sum(2 * n * n for n in dims))
+def _unitary_stacks(dims: tuple[int, ...], rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """n random_local_unitaries drawn in turn from rng, as one (n, n_j, n_j)
+    stack per subsystem: each sample's draws in random_local_unitaries'
+    order, then one batched QR per subsystem."""
+    buf = _normals(rng, n, sum(2 * nj * nj for nj in dims))
     stacks = []
     start = 0
-    for n in dims:
-        z = _complex_stack(buf[:, start:start + 2 * n * n], (n, n)) / np.sqrt(2)
+    for nj in dims:
+        z = _complex_stack(buf[:, start:start + 2 * nj * nj], (nj, nj)) / np.sqrt(2)
         stacks.append(_haar_stack(z))
-        start += 2 * n * n
+        start += 2 * nj * nj
     return stacks
 
 

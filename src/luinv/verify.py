@@ -12,15 +12,19 @@ numerically testable, so it is out of scope here (the reports say so).
 
 Every numeric check runs on stacks.  It checks its dims against the
 dimension guard, then its seed, before it draws anything.  Its states come
-from a sample table, which run_suite shares between the checks of one run:
-the table draws, normalizes and purifies each (kind, dims, seed, rank)
-sample once, each missing sample from its own seed and the missing ones of
-a request as one stack, and hands every request a fresh C-order stack
-assembled from its rows.  A check called without a table gets a new one, so
-it reports the same as inside a run.  lu_invariance, the one check that
-rotates, draws its Haar unitaries itself, one stack per subsystem.  Each
-label is evaluated once per stack by the batched engines and closed forms,
-which take the stacks as they are.
+in streams from a sample table, which run_suite shares between the checks
+of one run.  Each check names its streams by fixed numbers (100_003 for
+lu_invariance, 39_989 for closed_forms, and so on); a stream's generator is
+seeded once from (seed, stream number, rank), and a request takes the first
+n samples of its stream.  The table draws only the samples no earlier
+request drew, as one stack, normalizes and purifies each sample once, and
+hands every request a fresh C-order stack.  So neither the order nor the
+grouping of the requests changes a sample, and a check called without a
+table, which gets a new one, reports the same as inside a run.
+lu_invariance, the one check that rotates, draws its Haar unitaries itself
+from a stream of its own, one stack per subsystem.  Each label is evaluated
+once per stack by the batched engines and closed forms, which take the
+stacks as they are.
 
 The residual checks (lu_invariance, closed_forms, class_consistency and
 purification) draw fixed sample counts and hold fixed tolerances, the module
@@ -112,81 +116,91 @@ class VerifyReport(Value):
         return dict(zip(self.__match_args__, self.__getstate__()), schema_version=SCHEMA_VERSION)
 
 
-def _unit_pures(dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
-    """random_pure for each seed, each scaled to unit norm: (n, *dims)."""
-    amps = _pure_stack(dims, seeds)
+def _unit_pures(dims: tuple[int, ...], rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random_pure amplitude tensors from rng, each scaled to unit norm:
+    (n, *dims)."""
+    amps = _pure_stack(dims, rng, n)
     # the two real dot products np.linalg.norm takes, as batched matmuls
-    v = amps.reshape(len(amps), 1, math.prod(dims))
+    v = amps.reshape(n, 1, math.prod(dims))
     squares = v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2)
     return amps / np.sqrt(squares).reshape((-1,) + (1,) * len(dims))
 
 
-def _unit_densities(dims: tuple[int, ...], seeds: Sequence[int], rank=None) -> np.ndarray:
-    """random_density for each seed, each scaled to unit trace: (n, N, N)."""
-    rhos = _density_stack(dims, seeds, rank)
+def _unit_densities(dims: tuple[int, ...], rng: np.random.Generator, n: int,
+                    rank: int) -> np.ndarray:
+    """n random_density matrices of rank from rng, each scaled to unit
+    trace: (n, N, N)."""
+    rhos = _density_stack(dims, rng, n, rank)
     return rhos / np.abs(np.trace(rhos, axis1=1, axis2=2))[:, None, None]
+
+
+def _stream(seed: int, stream: int, rank: int = 0) -> np.random.Generator:
+    """The generator of stream number stream under seed, for samples of
+    rank (0 for pure states): streams that differ in any of the three draw
+    independent bits."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, rank)))
 
 
 class _SampleTable:
     """The samples of one verify run, each drawn, normalized and purified
     once.
 
-    A sample is keyed by (kind, dims, seed, rank): kind "pure" (unit norm,
-    rank None) or "mixed" (unit trace, rank N for full rank).  Its row is
-    kept as drawn; each request gets a fresh C-order stack of its rows,
-    because the batched engines' rounding depends on layout.
+    Samples come in streams, each keyed by (kind, dims, seed, stream, rank):
+    kind "pure" (unit norm, rank 0) or "mixed" (unit trace, rank N for full
+    rank).  A stream's generator is made on its first draw; a request for n
+    samples takes the first n of its stream, drawing only those not yet
+    drawn, as one stack.  So the order and grouping of the requests change
+    no sample.  Each request gets a fresh C-order stack, because the batched
+    engines' rounding depends on layout.
     """
 
     def __init__(self):
-        self._rows: dict[tuple, object] = {}
+        self._streams: dict[tuple, tuple[np.random.Generator, np.ndarray]] = {}
         self._purified: dict[tuple, np.ndarray] = {}
 
-    def _fetch(self, kind: str, dims: tuple[int, ...], seeds: Sequence[int],
-               ranks: Sequence) -> list:
-        """The rows of the samples, drawing the missing ones as one stack
-        per rank."""
-        keys = [(kind, dims, seed, rank) for seed, rank in zip(seeds, ranks)]
-        missing: dict = {}
-        for key in dict.fromkeys(keys):
-            if key not in self._rows:
-                missing.setdefault(key[3], []).append(key)
-        for rank, group in missing.items():
-            seeds = [key[2] for key in group]
+    def _first(self, kind: str, dims: tuple[int, ...], seed: int, stream: int, rank: int,
+               n: int) -> np.ndarray:
+        """The first n samples of a stream, a view of its rows."""
+        key = (kind, dims, seed, stream, rank)
+        rng, rows = self._streams.get(key) or (_stream(seed, stream, rank), None)
+        have = 0 if rows is None else len(rows)
+        if have < n:
             if kind == "pure":
-                rows = _unit_pures(dims, seeds)
+                tail = _unit_pures(dims, rng, n - have)
             else:
-                rows = _unit_densities(dims, seeds, rank)
-            self._rows.update(zip(group, rows))
-        return [self._rows[key] for key in keys]
+                tail = _unit_densities(dims, rng, n - have, rank)
+            rows = tail if rows is None else np.concatenate([rows, tail])
+            self._streams[key] = rng, rows
+        return rows[:n]
 
-    def pures(self, dims: tuple[int, ...], seeds: Sequence[int]) -> np.ndarray:
-        """Unit-norm random_pure amplitudes per seed: (n, *dims)."""
-        return _assembled(self._fetch("pure", dims, seeds, [None] * len(seeds)), dims)
+    def pures(self, dims: tuple[int, ...], seed: int, stream: int, n: int) -> np.ndarray:
+        """The first n unit-norm random_pure amplitude tensors of a stream:
+        (n, *dims)."""
+        return self._first("pure", dims, seed, stream, 0, n).copy()
 
-    def densities(self, dims: tuple[int, ...], seeds: Sequence[int],
+    def densities(self, dims: tuple[int, ...], seed: int, stream: int, n: int,
                   ranks: Sequence[int] | None = None) -> np.ndarray:
-        """Unit-trace random_density matrices per seed, of full rank or of
-        the matching rank in ranks: (n, N, N)."""
-        n = math.prod(dims)
-        ranks = [n] * len(seeds) if ranks is None else ranks
-        return _assembled(self._fetch("mixed", dims, seeds, ranks), (n, n))
+        """n unit-trace random_density matrices, of full rank or of the
+        matching rank in ranks, where the j-th sample of a rank is the j-th
+        of that rank's stream: (n, N, N)."""
+        size = math.prod(dims)
+        ranks = [size] * n if ranks is None else list(ranks)
+        out = np.empty((n, size, size), dtype=complex)
+        for rank in dict.fromkeys(ranks):
+            at = [i for i, r in enumerate(ranks) if r == rank]
+            out[at] = self._first("mixed", dims, seed, stream, rank, len(at))
+        return out
 
-    def purified(self, dims: tuple[int, ...], seeds: Sequence[int],
+    def purified(self, dims: tuple[int, ...], seed: int, stream: int,
                  ranks: Sequence[int]) -> np.ndarray:
-        """The purifications of densities(dims, seeds, ranks), one batched
-        eigh per distinct request: (n, *dims, top) as _purify_stack."""
-        key = (dims, tuple(seeds), tuple(ranks))
+        """The purifications of densities(dims, seed, stream, len(ranks),
+        ranks), one batched eigh per distinct request: (n, *dims, top) as
+        _purify_stack."""
+        key = (dims, seed, stream, tuple(ranks))
         if key not in self._purified:
-            self._purified[key] = _purify_stack(self.densities(dims, seeds, ranks), dims)
+            rhos = self.densities(dims, seed, stream, len(ranks), ranks)
+            self._purified[key] = _purify_stack(rhos, dims)
         return self._purified[key].copy()
-
-
-def _assembled(rows: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """The rows as one fresh C-order stack (n, *shape)."""
-    out = np.empty((len(rows),) + shape, dtype=complex)
-    for i, row in enumerate(rows):
-        out[i] = row
-    return out
 
 
 def _label_kinds(dims: tuple[int, ...]) -> list[tuple]:
@@ -225,9 +239,9 @@ def check_lu_invariance(dims: Sequence[int], seed: int = 0,
     table = _SampleTable() if table is None else table
     pairs = _label_kinds(dims)
     samples = LU_SAMPLES
-    psis = table.pures(dims, [seed * 100_003 + 2 * i for i in range(samples)])
-    rhos = table.densities(dims, [seed * 100_003 + 2 * i + 1 for i in range(samples)])
-    us = _unitary_stacks(dims, [seed * 900_001 + i for i in range(samples)])
+    psis = table.pures(dims, seed, 100_003, samples)
+    rhos = table.densities(dims, seed, 100_003, samples)
+    us = _unitary_stacks(dims, _stream(seed, 900_001), samples)
     stacks = {
         "pure": np.concatenate([psis, _rotate_stack(psis, us)]),
         "mixed": np.concatenate([rhos, _rotate_mixed_stack(rhos, dims, us)]),
@@ -262,8 +276,8 @@ def check_linear_independence(
     table = _SampleTable() if table is None else table
     d = len(labels)
     n_states = 2 * d
-    seeds = [seed * 77_041 + i for i in range(n_states)]
-    states = table.pures(dims, seeds) if kind == "pure" else table.densities(dims, seeds)
+    draw = table.pures if kind == "pure" else table.densities
+    states = draw(dims, seed, 77_041, n_states)
     matrix = np.array([_evaluate(lab, kind, states, dims) for lab in labels])
     finite = bool(np.isfinite(matrix).all())
     sv = np.linalg.svd(matrix, compute_uv=False) if finite else np.full(d, np.nan)
@@ -300,8 +314,8 @@ def check_class_consistency(m: int, dims: Sequence[int], seed: int = 0,
     labels = enumerate_orbits(m, _arity("pure", k))
     spreads = []
     split_results = []
-    projectors = _projector_stack(table.pures(dims, [seed * 61_543 + i for i in range(5)]))
-    rhos = table.densities(dims, [seed * 44_497 + i for i in range(20)])
+    projectors = _projector_stack(table.pures(dims, seed, 61_543, 5))
+    rhos = table.densities(dims, seed, 44_497, 20)
     for lab in labels:
         split = sim_decompose(lab.rep)
         assert split.anchor.rep.perms[-1].is_identity()
@@ -351,10 +365,9 @@ def check_purification(m: int, dims: Sequence[int], seed: int = 0,
     # a purification's rank is at most its requested rank: refuse its dims
     # before any draw
     check_dims(dims + (max(ranks),))
-    seeds = [seed * 52_361 + i for i in range(samples)]
-    stack = table.densities(dims, seeds, ranks)
+    stack = table.densities(dims, seed, 52_361, samples, ranks)
     # the purifications' ranks differ: one stack, zero-padded to the largest
-    amps = table.purified(dims, seeds, ranks)
+    amps = table.purified(dims, seed, 52_361, ranks)
     a = np.array([_evaluate(lab, "mixed", stack, dims) for lab in labels])
     b = np.array([_evaluate(lab, "pure", amps, amps.shape[1:]) for lab in labels])
     residuals = _modulus(a - b) / np.maximum(_modulus(a), 1e-300)
@@ -406,8 +419,8 @@ def check_closed_forms(dims: Sequence[int], seed: int = 0,
     pairs = _label_kinds(dims)
     samples = CLOSED_SAMPLES
     stacks = {
-        "pure": table.pures(dims, [seed * 39_989 + 2 * i for i in range(samples)]),
-        "mixed": table.densities(dims, [seed * 39_989 + 2 * i + 1 for i in range(samples)]),
+        "pure": table.pures(dims, seed, 39_989, samples),
+        "mixed": table.densities(dims, seed, 39_989, samples),
     }
     a = np.array([_evaluate(lab, kind, stacks[kind], dims) for lab, kind in pairs])
     b = np.array([closed_form_batch(lab, kind, dims, stacks[kind]) for lab, kind in pairs])

@@ -317,6 +317,20 @@ class TestDispatcher:
             with S.dim_limit(limit), pytest.raises(raised, match=message):
                 call(sigma, kind, state, path)
 
+    def test_a_pure_writing_is_refused_before_its_projector(self, monkeypatch):
+        # the state passed the guard it was made under; the N x N projector
+        # of a lower guard's refusal is never built
+        psi = S.random_pure((2, 2, 2), seed=110)
+        (writing, *_) = F.alternate_writings(P.perm_tuple(2, "t", "t"), "pure")
+
+        def refuse(amps):
+            raise AssertionError("a projector was built")
+
+        monkeypatch.setattr(F, "_projector_stack", refuse)
+        with S.dim_limit(4), pytest.raises(ResourceLimitError,
+                                           match="total dimension 8 exceeds limit 4"):
+            writing.evaluate_text(psi)
+
     def test_each_evaluation_runs_the_kind_rule_once(self, tmp_path, capsys, monkeypatch):
         psi, rho = S.random_pure((2, 2), seed=96), S.random_density((2, 2), seed=97)
         pure, mixed = P.perm_tuple(3, "s"), P.perm_tuple(3, "s", "t")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -134,6 +135,14 @@ class TestTensorWithIdentity:
 
 SAMPLERS = ["random_pure", "random_density", "random_hermitian", "random_local_unitaries"]
 
+#: sha256 of the bytes each sampler draws on dims (2, 3) at seed 5
+SAMPLE_SHA256 = {
+    "random_pure": "5e725f871e5f46c984e59db37a4ea2908a4cc0ae219b5cc72ca7e09d4b092b75",
+    "random_density": "85716729a7452d5cf07f5a40ea2d91ce8d74c40af5970faebde20d2d4811be54",
+    "random_hermitian": "61ab6673e10155825fc404350b0ea43d00a978dbaaa56b02ce7ddc7f9a9f2b73",
+    "random_local_unitaries": "54fe17ccc26fb82b85b8391c96990d29bd0cde1d5a56ba9c4673e3f7b52b3ca5",
+}
+
 
 def drawn(sample):
     """A sampler's output as a list of arrays."""
@@ -187,6 +196,18 @@ class TestSampling:
     def test_seed_must_be_a_non_negative_integer(self, sampler, seed):
         with pytest.raises(ValueError, match=f"seed must be a non-negative integer: {seed!r}"):
             getattr(S, sampler)((2, 3), seed)
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_each_sampler_checks_its_dims_once(self, sampler, monkeypatch):
+        # the digests of the samples' bytes were pinned while each sampled
+        # record checked its dims a second time in its constructor
+        calls = []
+        check_dims = S.check_dims
+        monkeypatch.setattr(S, "check_dims", lambda dims: calls.append(dims) or check_dims(dims))
+        arrays = drawn(getattr(S, sampler)((2, 3), 5))
+        assert calls == [(2, 3)]
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        assert digest == SAMPLE_SHA256[sampler]
 
     @pytest.mark.parametrize("sampler", SAMPLERS)
     def test_numpy_integer_seed(self, sampler):
@@ -300,40 +321,57 @@ def ref_purify(entries, dims, tol=1e-12):
     return amp.reshape(dims + (rank,))
 
 
+#: The generator seeds the stack tests draw from, and the stack size.
 SEEDS = [3, 17, 4, 99, 0]
+SAMPLES = 5
+
+
+def in_a_row(draw, seed):
+    """SAMPLES single draws in a row from one default_rng(seed) stream."""
+    rng = np.random.default_rng(seed)
+    return [draw(rng) for _ in range(SAMPLES)]
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                          np.ascontiguousarray(want).view(np.uint8))
 
 
 class TestStacks:
-    """Each sample keeps its own seed and rng calls; the stacks of n agree
-    with the single-state functions and with the references above."""
+    """A stack of n drawn from one generator holds, bit for bit, the n single
+    draws that generator gives in a row, each real parts then imaginary
+    parts; each single-state sampler is a stack of one from
+    default_rng(seed).  The stacked rotations and purifications agree with
+    the references above."""
 
     @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
     def test_samplers(self, dims):
-        amps = S._pure_stack(dims, SEEDS)
         n = math.prod(dims)
-        for rank in (1, 3, None):
-            rhos = S._density_stack(dims, SEEDS, rank)
-            for i, seed in enumerate(SEEDS):
-                a = ref_draw(np.random.default_rng(seed), (n, rank or n))
-                assert np.array_equal(rhos[i], a @ a.conj().T)
-                assert np.array_equal(rhos[i], S.random_density(dims, seed, rank).entries)
-        for i, seed in enumerate(SEEDS):
-            assert np.array_equal(amps[i], ref_draw(np.random.default_rng(seed), dims))
-            assert np.array_equal(amps[i], S.random_pure(dims, seed).amplitudes)
+        for seed in SEEDS:
+            same_bits(S._pure_stack(dims, np.random.default_rng(seed), SAMPLES),
+                      np.array(in_a_row(lambda rng: ref_draw(rng, dims), seed)))
+            for rank in (1, 3, None):
+                def density(rng):
+                    a = ref_draw(rng, (n, rank or n))
+                    return a @ a.conj().T
+
+                same_bits(S._density_stack(dims, np.random.default_rng(seed), SAMPLES, rank),
+                          np.array(in_a_row(density, seed)))
 
     @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (3, 2, 4)])
     def test_haar_rotations(self, dims):
-        stacks = S._unitary_stacks(dims, SEEDS)
-        amps = S._pure_stack(dims, SEEDS)
-        rhos = S._density_stack(dims, SEEDS)
+        seed = SEEDS[0]
+        stacks = S._unitary_stacks(dims, np.random.default_rng(seed), SAMPLES)
+        for got, want in zip(stacks, zip(*in_a_row(
+                lambda rng: [ref_haar(nj, rng) for nj in dims], seed)), strict=True):
+            same_bits(got, np.array(want))
+        amps = S._pure_stack(dims, np.random.default_rng(seed), SAMPLES)
+        rhos = S._density_stack(dims, np.random.default_rng(seed), SAMPLES)
         rotated = S._rotate_stack(amps, stacks)
         rotated_mixed = S._rotate_mixed_stack(rhos, dims, stacks)
-        for i, seed in enumerate(SEEDS):
-            rng = np.random.default_rng(seed)
+        for i in range(SAMPLES):
             us = [stack[i] for stack in stacks]
-            for u, n, single in zip(us, dims, S.random_local_unitaries(dims, seed)):
-                assert np.array_equal(u, ref_haar(n, rng))
-                assert np.array_equal(u, single)
             psi = S.PureState(dims, amps[i])
             rho = S.DensityMatrix(dims, rhos[i])
             want = ref_rotate(amps[i], us)
@@ -364,58 +402,41 @@ class TestStacks:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2)])
     def test_one_call_draws_are_the_two_call_draws_bitwise(self, dims):
-        # the reference formulas: per seed, two standard_normal calls (real
-        # parts, then imaginary parts) into a preallocated stack, then the
-        # same stacked products
-        def gaussian(rng, shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-        def haar(rng, nj):
-            return S._haar_stack(gaussian(rng, (nj, nj)) / np.sqrt(2))
-
+        # each single-state sampler is its reference formula on two
+        # standard_normal calls from default_rng(seed), real parts then
+        # imaginary parts, and a stack of one from that generator
+        one = np.random.default_rng
         n = math.prod(dims)
-        amps = np.empty((len(SEEDS),) + dims, dtype=complex)
-        a = {rank: np.empty((len(SEEDS), n, rank), dtype=complex) for rank in (n, 2)}
-        z = [np.empty((len(SEEDS), nj, nj), dtype=complex) for nj in dims]
-        for i, seed in enumerate(SEEDS):
-            amps[i] = gaussian(np.random.default_rng(seed), dims)
-            for rank, stack in a.items():
-                stack[i] = gaussian(np.random.default_rng(seed), (n, rank))
-            rng = np.random.default_rng(seed)
-            for stack, nj in zip(z, dims):
-                stack[i] = gaussian(rng, (nj, nj)) / np.sqrt(2)
-
-        def same_bits(got, want):
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
-                                  np.ascontiguousarray(want).view(np.uint8))
-
-        same_bits(S._pure_stack(dims, SEEDS), amps)
-        for rank, stack in a.items():
-            want = stack @ stack.conj().swapaxes(1, 2)
-            same_bits(S._density_stack(dims, SEEDS, rank), want)
-            if rank == n:
-                same_bits(S._density_stack(dims, SEEDS), want)
-        for got, stack in zip(S._unitary_stacks(dims, SEEDS), z, strict=True):
-            same_bits(got, S._haar_stack(stack))
-        # the single-state samplers draw from the same stream
         for seed in SEEDS:
-            b = gaussian(np.random.default_rng(seed), (n, n))
+            psi = S.random_pure(dims, seed).amplitudes
+            same_bits(psi, ref_draw(one(seed), dims))
+            same_bits(psi, S._pure_stack(dims, one(seed), 1)[0])
+            for rank in (1, 3, None):
+                rho = S.random_density(dims, seed, rank).entries
+                a = ref_draw(one(seed), (n, rank or n))
+                same_bits(rho, a @ a.conj().T)
+                same_bits(rho, S._density_stack(dims, one(seed), 1, rank)[0])
+            b = ref_draw(one(seed), (n, n))
             same_bits(S.random_hermitian(dims, seed).entries, (b + b.conj().T) / 2)
-            rng = np.random.default_rng(seed)
-            for u, nj in zip(S.random_local_unitaries(dims, seed), dims, strict=True):
-                same_bits(u, haar(rng, nj))
+            us = S.random_local_unitaries(dims, seed)
+            rng = one(seed)
+            for u, nj in zip(us, dims, strict=True):
+                same_bits(u, S._haar_stack(ref_draw(rng, (nj, nj))[None] / np.sqrt(2))[0])
+            for u, stack in zip(us, S._unitary_stacks(dims, one(seed), 1), strict=True):
+                same_bits(u, stack[0])
 
     def test_empty_stacks(self):
         dims = (2, 3)
-        assert S._pure_stack(dims, []).shape == (0, 2, 3)
-        assert S._projector_stack(S._pure_stack(dims, [])).shape == (0, 6, 6)
-        assert S._density_stack(dims, []).shape == (0, 6, 6)
-        stacks = S._unitary_stacks(dims, [])
+        rng = np.random.default_rng(0)
+        amps, rhos = S._pure_stack(dims, rng, 0), S._density_stack(dims, rng, 0)
+        assert amps.shape == (0, 2, 3)
+        assert S._projector_stack(amps).shape == (0, 6, 6)
+        assert rhos.shape == (0, 6, 6)
+        stacks = S._unitary_stacks(dims, rng, 0)
         assert [u.shape for u in stacks] == [(0, 2, 2), (0, 3, 3)]
-        assert S._rotate_stack(S._pure_stack(dims, []), stacks).shape == (0, 2, 3)
-        assert S._rotate_mixed_stack(S._density_stack(dims, []), dims, stacks).shape == (0, 6, 6)
-        assert S._purify_stack(S._density_stack(dims, []), dims).shape == (0, 2, 3, 1)
+        assert S._rotate_stack(amps, stacks).shape == (0, 2, 3)
+        assert S._rotate_mixed_stack(rhos, dims, stacks).shape == (0, 6, 6)
+        assert S._purify_stack(rhos, dims).shape == (0, 2, 3, 1)
 
 
 class TestStateFiles:

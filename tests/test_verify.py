@@ -304,8 +304,7 @@ class TestStacks:
         # the two routes to a state object, and np.stack
         for cls in (S.PureState, S.DensityMatrix):
             monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
-        monkeypatch.setattr(S.DensityMatrix, "_derived",
-                            counted("DensityMatrix", S.DensityMatrix._derived))
+            monkeypatch.setattr(cls, "_derived", counted(cls.__name__, cls._derived))
         monkeypatch.setattr(np, "stack", counted("np.stack", np.stack))
         for suite in NUMERIC_SUITES:
             assert all(rep.passed for rep in V.run_suite(suite, dims=(2, 2))), suite
@@ -334,16 +333,35 @@ def counts_stub(seed, dims, table):
     return [V.VerifyReport("counts", {}, 0.0, 0.0, True)]
 
 
+def drawing(monkeypatch):
+    """Count the samples the verify samplers draw; returns the counter's dict."""
+    drawn = {"n": 0}
+    for name in ("_pure_stack", "_density_stack", "_unitary_stacks"):
+        def call(dims, rng, n, *args, original=getattr(V, name)):
+            drawn["n"] += n
+            return original(dims, rng, n, *args)
+
+        monkeypatch.setattr(V, name, call)
+    return drawn
+
+
+#: The generators each numeric suite makes at (2, 2), one per stream:
+#: purification draws ranks 1 to 4, one stream each.
+GENERATORS = {"lu": 3, "closed": 2, "independence": 2, "classes": 2, "purification": 4}
+
+
 class TestSampleTable:
-    @pytest.mark.parametrize("suite,constructions", [
+    @pytest.mark.parametrize("suite,samples", [
         ("lu", 60), ("closed", 20), ("independence", 28), ("classes", 25),
         ("purification", 10),
     ])
-    def test_each_sample_is_drawn_once(self, suite, constructions, monkeypatch):
+    def test_each_sample_is_drawn_once(self, suite, samples, monkeypatch):
         rngs = counting(monkeypatch, np.random, "default_rng")
         eighs = counting(monkeypatch, np.linalg, "eigh")
+        drawn = drawing(monkeypatch)
         V.run_suite(suite, seed=0, dims=(2, 2))
-        assert rngs["n"] == constructions
+        assert drawn["n"] == samples
+        assert rngs["n"] == GENERATORS[suite]
         assert eighs["n"] == (1 if suite == "purification" else 0)
 
     @pytest.mark.parametrize("suite", NUMERIC_SUITES)
@@ -351,28 +369,62 @@ class TestSampleTable:
         alone = V.SUITES[suite](0, (2, 2), None)
         assert V.reports_to_json(alone) == V.reports_to_json(V.run_suite(suite, dims=(2, 2)))
 
-    @pytest.mark.parametrize("seed,constructions", [(0, 82), (1, 143)])
-    def test_all_equals_the_suites_one_by_one(self, seed, constructions, monkeypatch):
-        # at seed 0 the suites' seed ranges overlap: closed and classes draw
-        # only samples that earlier suites drew, so the run makes 82 of the
-        # 143 constructions of the suites run one by one
+    @pytest.mark.parametrize("seed,samples", [(0, 143), (1, 143)])
+    def test_all_equals_the_suites_one_by_one(self, seed, samples, monkeypatch):
+        # the suites share no stream, so the run draws the samples and makes
+        # the generators of the suites run one by one, at every seed
         monkeypatch.setitem(V.SUITES, "counts", counts_stub)
         one_by_one = [rep for suite in V.SUITES for rep in V.run_suite(suite, seed=seed)]
         rngs = counting(monkeypatch, np.random, "default_rng")
+        drawn = drawing(monkeypatch)
         together = V.run_suite("all", seed=seed)
-        assert rngs["n"] == constructions
+        assert drawn["n"] == samples
+        assert rngs["n"] == sum(GENERATORS.values())
         assert V.reports_to_json(together) == V.reports_to_json(one_by_one)
 
     def test_stacks_are_fresh(self):
         table = V._SampleTable()
-        first = table.pures((2, 2), [0, 1])
+        first = table.pures((2, 2), 0, 7, 2)
         first[:] = 0
-        again = table.pures((2, 2), [1, 0, 1])
+        again = table.pures((2, 2), 0, 7, 3)
         assert again.flags.c_contiguous and again.any()
-        assert np.array_equal(again[0], again[2])
-        amps = table.purified((2, 2), [0, 1], [1, 4])
+        rhos = table.densities((2, 2), 0, 7, 2, [1, 4])
+        rhos[:] = 0
+        assert table.densities((2, 2), 0, 7, 2, [1, 4]).flags.c_contiguous
+        amps = table.purified((2, 2), 0, 7, [1, 4])
         amps[:] = 0
-        assert table.purified((2, 2), [0, 1], [1, 4]).any()
+        assert table.purified((2, 2), 0, 7, [1, 4]).any()
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_the_order_of_requests_changes_no_sample(self, kind):
+        def draw(table, n):
+            if kind == "pure":
+                return table.pures((2, 3), 1, 77_041, n)
+            return table.densities((2, 3), 1, 77_041, n)
+
+        short_first, long_first = V._SampleTable(), V._SampleTable()
+        a8, a22 = draw(short_first, 8), draw(short_first, 22)
+        b22, b8 = draw(long_first, 22), draw(long_first, 8)
+        assert a8.tobytes() == b8.tobytes() == b22[:8].tobytes()
+        assert a22.tobytes() == b22.tobytes()
+
+    def test_ranked_samples_come_from_one_stream_per_rank(self):
+        table = V._SampleTable()
+        ranks = [1, 2, 1, 4, 2, 1]
+        rhos = table.densities((2, 2), 0, 52_361, len(ranks), ranks)
+        for rank in (1, 2, 4):
+            at = [i for i, r in enumerate(ranks) if r == rank]
+            alone = V._SampleTable().densities((2, 2), 0, 52_361, len(at), [rank] * len(at))
+            assert rhos[at].tobytes() == alone.tobytes()
+            assert np.linalg.matrix_rank(rhos[at[0]]) == rank
+
+    def test_independence_reports_do_not_depend_on_the_grade_order(self):
+        def reports(grades):
+            table = V._SampleTable()
+            return {(m, kind): V.check_linear_independence(m, kind, (2, 2), table=table).to_dict()
+                    for m in grades for kind in ("pure", "mixed")}
+
+        assert reports((3, 2)) == reports((2, 3))
 
 
 class TestDimGuard:

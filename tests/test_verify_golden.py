@@ -5,9 +5,11 @@ for the five suites that run numeric checks: GOLDEN at the default seed 0,
 GOLDEN_SEED_1 at seed 1.  The reports carry residuals to the last bit, so the
 digests pin the sampling, the batching and every engine's rounding; they
 were computed with numpy's OpenBLAS build on x86-64, and another BLAS may
-round differently.  The seed-1 digests were computed before the verify
-suites shared their samples through one table per run, so they pin the
-output of the unshared draws.  Run this file as a script to print the
+round differently.  The samples come from one generator per stream, seeded
+from (seed, stream, rank), and a check takes the first n samples of each of
+its streams; a run's checks share one sample table, and
+tests/test_verify.py checks that the reports do not depend on that sharing
+or on the order of the requests.  Run this file as a script to print the
 digests of the luinv on the import path.
 """
 
@@ -18,24 +20,24 @@ import pytest
 from luinv.verify import reports_to_json, run_suite
 
 GOLDEN = {
-    ("lu", (2, 2)): "39d0a4b336eb847b11e3c0fbc66df15043cf9e4134f07f7996c7fc49b5c06541",
-    ("closed", (2, 2)): "629e7e51644ab843ff51dbde8b07b46a2e350b08156c471fef5ea73d232e9c3b",
-    ("independence", (2, 2)): "7ac7e082419059d04f78adf504ccf6fc9e9e3ed5120c296de3cd393adeb47e57",
-    ("classes", (2, 2)): "5b38e39bbc6cfa77adbee7d5294a4674f46d194b3aa753de0acdb8ca64b6dbec",
-    ("purification", (2, 2)): "e97a69b138970de4b1de411d94d6b42545f87ceb1ea795163178e820c738dde2",
-    ("lu", (2, 3)): "7bb7aa4cf00e3c140ebce6c9ad8d7be43bebb9904ec8b6d47aca480050118da3",
-    ("closed", (2, 3)): "388e02351c490d9f35e075801d23865eeeccf15502c73b4ff3fdbd5321474715",
-    ("independence", (2, 3)): "1756ff62b8dea559adc02c91f5ff3d4343a70d1f2c90e4ccc26ee276cfbd6403",
-    ("classes", (2, 3)): "00d8225cdcedd8a8b86697aab71938a8b49a00e6111a74934f61c62b4c6a9790",
-    ("purification", (2, 3)): "029128ecfd219120d7b4c018289d390693eb49eda01c9fdd9259e8dcbd538167",
+    ("lu", (2, 2)): "fc386e2e92f5bb4f27472a263008b5b1e2c06c1097e34d46af3636d9fe0d145a",
+    ("closed", (2, 2)): "6e056b77e99c1cb113b7390aa304891956a51cf68602bcedaec7d48975d7b690",
+    ("independence", (2, 2)): "188483cb9afb42911d67e7b1592ec5f1af4f74c1f152db12a7c22bc38c46fd1c",
+    ("classes", (2, 2)): "b6a0b4a021eb7b235e431bbd8b98eea7a2745225d22492311089f6a50a9768d6",
+    ("purification", (2, 2)): "8f9f0132aafa339be7d23e34531fc24de172d9dc4e6a9ebcc8f55970f0630bc1",
+    ("lu", (2, 3)): "6d9fc6967825e196dd7e4cc98391e9d1d647072a6e8d375c6b9cc85363a954a9",
+    ("closed", (2, 3)): "6b600fdbdbdd412f983bac1adeaa861b66094f3d49ea541f6a36883df0320bac",
+    ("independence", (2, 3)): "e0746ecaed3f4dc2d036fd5701e8385c342a5eaaab82d5140df2b1d63ce12b9e",
+    ("classes", (2, 3)): "f9490f75b0265b5455ea96e29e7299d1d98bfa2f6d3362ba82897456a9b2d813",
+    ("purification", (2, 3)): "487c60f267a9140c1d0444fe042d5752bcfaa148def2c3ef03866eef0df99204",
 }
 
 GOLDEN_SEED_1 = {
-    ("lu", (2, 2)): "a489f78b7271ce6dd36223744b01694446b280eeb8e19fcbfebcb2a849371ccc",
-    ("closed", (2, 2)): "3a52d7c581b9a5237e9cbca183d5627aa667b09ca58176ea02cde3aa5001c007",
-    ("independence", (2, 2)): "5b8a6289eb672747ffa4cbd26cc00e29a49bc7cf668863529080ddd86ff9701d",
-    ("classes", (2, 2)): "021c345976ef2bf5e3adf5e912e10e3439852a0e8a615b1b29fdb12fc268084d",
-    ("purification", (2, 2)): "c30698ab04fc50b9e16d8736f7d27cb045958f1aebdaaa42d29651f60807a4d6",
+    ("lu", (2, 2)): "07bd256c6cf2c1a7f8d8aab3fbf708d8295999acf8a0a388dc821c0975f83f90",
+    ("closed", (2, 2)): "7797390c16332076fd7b3f5aea188badef6aa8410ddcea0d932645c583d6ff49",
+    ("independence", (2, 2)): "a2fab62577053f0396393e151b05a408918e00ebdfdde64c86b086bf8f33132f",
+    ("classes", (2, 2)): "55111c433e73722e18a8264e076ad8ec6a2088272492fb348c20ef8cd677f1de",
+    ("purification", (2, 2)): "eb41dd5ce92a46c631102c89a989b34605fa5d32318ee6c6c5d30c64253ffd8d",
 }
 
 
