@@ -63,8 +63,7 @@ from .contract import _checked
 from .errors import ResourceLimitError
 from .perms import (Label, OrbitLabel, PermTuple, _arity, as_tuple, canonical_form, identity,
                     sim_decompose)
-from .states import (DensityMatrix, _check_subsystems, _check_total, _projector_stack,
-                     _state_data)
+from .states import DensityMatrix, _check_subsystems, _check_total, _state_data, projector
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -213,9 +212,9 @@ class FormulaDescriptor(Value):
         other class raises TypeError, one not on r subsystems ValueError."""
         if self.kind == "pure":
             # the class, then the guard, before the N x N projector is built
-            amps = _state_data("pure", state)
+            _state_data("pure", state)
             _check_total(state.dims)
-            state = DensityMatrix._derived(state.dims, _projector_stack(amps[None])[0])
+            state = projector(state)
         return _run_text(_parse(self.text), self.label, state)
 
 

@@ -326,7 +326,7 @@ class TestDispatcher:
         def refuse(amps):
             raise AssertionError("a projector was built")
 
-        monkeypatch.setattr(F, "_projector_stack", refuse)
+        monkeypatch.setattr(S, "_projector_stack", refuse)
         with S.dim_limit(4), pytest.raises(ResourceLimitError,
                                            match="total dimension 8 exceeds limit 4"):
             writing.evaluate_text(psi)

@@ -7,9 +7,11 @@ Each pair runs
 
     python3 perfbench/run.py --workload W --seed s --seconds 30 --trace 0
 
-once in each checkout, with PYTHONDONTWRITEBYTECODE=1 and one seed per
-pair.  Even pairs run the parent first, odd pairs the change first, so
-that a drift of the machine over the runs does not favour one side.
+once in each checkout, with PYTHONDONTWRITEBYTECODE=1; pair i runs seed
+i + 1 on both sides, so seeds go 1..N.  The run length is the benchmark's
+30 s and is not an option.  Even pairs run the parent first, odd pairs the
+change first, so that a drift of the machine over the runs does not favour
+one side.
 Each run's last line of standard output is its result; its "machine" line
 says where it ran.
 
@@ -37,12 +39,13 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SECONDS = 30
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in checkout, parsed by parse_output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           check=False)
@@ -95,7 +98,7 @@ def summarize(workload: str, pairs: list[dict], declared: list[dict]) -> dict:
         "workload": workload,
         "pairs": len(pairs),
         "command": f"python3 perfbench/run.py --workload {workload} --seed <s> "
-                   f"--seconds <seconds> --trace 0",
+                   f"--seconds {SECONDS} --trace 0",
         "machine": pairs[0]["parent"]["machine"] if pairs else None,
         "failed": {side: [sum(p[side]["failed"] for p in pairs),
                           sum(p[side]["attempted"] for p in pairs)] for side in SIDES},
@@ -112,10 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--first-seed", type=int, default=1,
-                        help="pair i runs seed first-seed + i on both sides")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least 2 pairs")
@@ -125,17 +124,17 @@ def main(argv=None) -> int:
     dirs = {"parent": args.parent, "change": args.change}
     pairs = []
     for i in range(args.pairs):
-        seed = args.first_seed + i
+        seed = i + 1
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(dirs[side], args.workload, seed, args.seconds)
+            pair[side] = run_once(dirs[side], args.workload, seed)
             print(f"pair {i} seed {seed} {side}: "
                   + ", ".join(f"{k} {m['value']:.6g}" for k, m in pair[side]["metrics"].items()),
                   flush=True)
         pairs.append(pair)
     summary = summarize(args.workload, pairs, declared)
-    out = args.out or Path(f"BENCH_{args.workload}.json")
+    out = Path(f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     for name, m in summary["metrics"].items():
         print(f"{name:<12} parent {m['parent']['median']:.6g} change {m['change']['median']:.6g} "
