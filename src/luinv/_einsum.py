@@ -28,9 +28,9 @@ indexes a stack of independent contractions (a batch of states).  Keyed at
 size 1, reshaped with -1 and written as einsum's ellipsis (no letter), it
 lets one plan serve stacks of every size at the cost of one contraction.
 The engines and closed forms run one state as a stack of one, and wrap
-``plan`` or ``compile_plan`` in caches of their own cheap keys (a label and
-dims, a syntax tree and dims), so that a hit does no per-axis work.
-This module is the only one that writes einsum's letter format.
+``plan`` in caches of their own cheap keys (a label and dims, a syntax tree
+and dims, a shape and axis), so that a hit does no per-axis work.  This
+module is the only one that calls einsum or writes its letter format.
 """
 
 from __future__ import annotations

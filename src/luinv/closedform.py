@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, compile_plan, renumber
+from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, plan
 from ._record import Value, set_hash
 from .contract import _checked
 from .errors import ResourceLimitError
@@ -385,8 +385,8 @@ class Program:
             i = ring[j].index(c) + (what == "col")
             return j, i % len(ring[j])
         subscripts = [["n"] + [axis(c, role) for role in roles] for c, roles in enumerate(copies)]
-        terms, out = renumber(subscripts, ["n"])
-        self.plan = compile_plan(terms, out, ((1,) + dims * 2,) * len(terms)) if terms else None
+        shapes = [(1,) + dims * 2] * len(subscripts)
+        self.plan = plan(subscripts, ["n"], shapes) if subscripts else None
         self.scale = math.prod(dims[j - 1] for j, cs in ring.items() if not cs)
 
     def __call__(self, stack: np.ndarray) -> np.ndarray:

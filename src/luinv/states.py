@@ -344,28 +344,28 @@ def _unitary_stacks(dims: tuple[int, ...], rng: np.random.Generator, n: int) -> 
 
 
 def _rotate_stack(amps: np.ndarray, us: Sequence[np.ndarray]) -> np.ndarray:
-    """(U_1 x ... x U_k) psi for a stack of amplitude tensors (n, *dims) and
-    one stack of unitaries (n, n_j, n_j) per subsystem: one einsum each."""
-    k = amps.ndim - 1
-    axes = list(range(k + 1))
-    for j, u in enumerate(us, start=1):
-        out = axes[:j] + [k + 1] + axes[j + 1:]
-        amps = np.einsum(u, [0, k + 1, j], amps, axes, out)
+    """(U_1 x ... x U_k) psi for a stack of tensors (n, *dims) and one stack of
+    matrices (n, n_j, n_j) per leading axis j, by one cached two-operand plan
+    per axis.  The plan of the last axis ends on its matrix product, so the
+    result is a fresh C-order stack: the engines' rounding depends on layout."""
+    for axis, u in enumerate(us, start=1):
+        amps = _rotation_plan(amps.shape[1:], axis)(u, amps)
     return amps
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _rotation_plan(shape: tuple[int, ...], axis: int):
+    ids, d = list(range(len(shape) + 1)), shape[axis - 1]
+    out = ids[:axis] + ["new"] + ids[axis + 1:]
+    return plan([[0, "new", axis], ids], out, [(1, d, d), (1,) + shape])
 
 
 def _rotate_mixed_stack(rhos: np.ndarray, dims: tuple[int, ...],
                         us: Sequence[np.ndarray]) -> np.ndarray:
     """U rho U^dagger, U = U_1 x ... x U_k, for a stack of matrices (n, N, N):
-    one einsum per subsystem, rotating its row and column axes."""
-    k = len(dims)
+    _rotate_stack with each U_j on its row axis, then each conj(U_j) on its column."""
     t = rhos.reshape((len(rhos),) + dims + dims)
-    axes = list(range(2 * k + 1))
-    for j, u in enumerate(us, start=1):
-        out = list(axes)
-        out[j], out[k + j] = 2 * k + 1, 2 * k + 2
-        t = np.einsum(u, [0, 2 * k + 1, j], u.conj(), [0, 2 * k + 2, k + j], t, axes, out)
-    return t.reshape(rhos.shape)
+    return _rotate_stack(t, [*us, *(u.conj() for u in us)]).reshape(rhos.shape)
 
 
 def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:

@@ -611,6 +611,20 @@ def test_no_record_builds_in_two_steps():
     assert not found, found
 
 
+def test_every_contraction_runs_through_einsum_plans():
+    """One contraction path: no module of the package but _einsum names
+    einsum, c_einsum or einsum_path, so every contraction (the engines, the
+    closed forms, partial traces and local rotations) is a cached plan under
+    the cost guard."""
+    names = {"einsum", "c_einsum", "einsum_path"}
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if name != "_einsum.py"
+             and (isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.alias) and node.name in names)]
+    assert not found, found
+
+
 def test_the_plan_builders_are_chosen_in_contract_alone():
     """contract._plan is the one choice between the pure and the mixed
     network: no other module names a plan builder, a per-kind evaluator or

@@ -219,7 +219,8 @@ class TestPlan:
                         assert obj.cache_info().maxsize == PLAN_CACHE_SIZE, key
         assert set(exempt) <= found
         assert {"luinv._einsum.compile_plan", "luinv.contract._mixed_plan",
-                "luinv.states._partial_trace_plan", "luinv.closedform._program"} <= found
+                "luinv.states._partial_trace_plan", "luinv.states._rotation_plan",
+                "luinv.closedform._program"} <= found
 
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(ValueError):

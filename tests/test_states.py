@@ -384,6 +384,22 @@ class TestStacks:
             assert np.array_equal(S.apply_local_unitaries_mixed(rho, us).entries,
                                   rotated_mixed[i])
 
+    @pytest.mark.parametrize("dims", [(2, 3), (16, 16), (64, 64)])
+    def test_rotation_plans_cost_one_matrix_product_per_axis(self, dims):
+        # per state, rotating axis j of a tensor of N entries is one (d_j x d_j)
+        # times (d_j x N/d_j) product: 2 N d_j FLOPs by numpy's count, and
+        # never more than the rotated tensor in memory.  No state is drawn.
+        n, k = math.prod(dims), len(dims)
+        pure = [S._rotation_plan(dims, axis) for axis in range(1, k + 1)]
+        mixed = [S._rotation_plan(dims + dims, axis) for axis in range(1, 2 * k + 1)]
+        assert sum(p.flops for p in pure) == 2 * n * sum(dims)
+        assert sum(p.flops for p in mixed) == 4 * n * n * sum(dims)
+        assert max(p.largest_intermediate for p in pure) == n
+        assert max(p.largest_intermediate for p in mixed) == n * n
+        assert all(len(p.terms) == 2 and len(p.program) == 1 for p in pure + mixed)
+        # the last axis needs no final transpose: the stack comes out C-ordered
+        assert pure[-1]._final_axes is None and mixed[-1]._final_axes is None
+
     def test_purifications(self):
         dims = (2, 2)
         # ranks 1..4 in one stack: the purifications' dims differ
