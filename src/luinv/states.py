@@ -345,9 +345,8 @@ def _unitary_stacks(dims: tuple[int, ...], rng: np.random.Generator, n: int) -> 
 
 def _rotate_stack(amps: np.ndarray, us: Sequence[np.ndarray]) -> np.ndarray:
     """(U_1 x ... x U_k) psi for a stack of tensors (n, *dims) and one stack of
-    matrices (n, n_j, n_j) per leading axis j, by one cached two-operand plan
-    per axis.  The plan of the last axis ends on its matrix product, so the
-    result is a fresh C-order stack: the engines' rounding depends on layout."""
+    matrices (n, n_j, n_j) per leading axis j: one cached two-operand plan per
+    axis.  The last ends on a matrix product: a C-order stack, as the engines need."""
     for axis, u in enumerate(us, start=1):
         amps = _rotation_plan(amps.shape[1:], axis)(u, amps)
     return amps

@@ -594,6 +594,16 @@ def package_nodes():
             yield path.name, node
 
 
+def names_outside(module, names):
+    """file:line of every node outside the module ``module`` that names one
+    of ``names``, as a variable, an attribute or an import."""
+    return [f"{name}:{node.lineno}" for name, node in package_nodes()
+            if name != module
+            and (isinstance(node, ast.Name) and node.id in names
+                 or isinstance(node, ast.Attribute) and node.attr in names
+                 or isinstance(node, ast.alias) and node.name in names)]
+
+
 def test_no_module_rebinds_a_global():
     """No process-global mutable state: no module of the package holds a
     ``global`` or ``nonlocal`` statement."""
@@ -616,12 +626,7 @@ def test_every_contraction_runs_through_einsum_plans():
     einsum, c_einsum or einsum_path, so every contraction (the engines, the
     closed forms, partial traces and local rotations) is a cached plan under
     the cost guard."""
-    names = {"einsum", "c_einsum", "einsum_path"}
-    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
-             if name != "_einsum.py"
-             and (isinstance(node, ast.Name) and node.id in names
-                  or isinstance(node, ast.Attribute) and node.attr in names
-                  or isinstance(node, ast.alias) and node.name in names)]
+    found = names_outside("_einsum.py", {"einsum", "c_einsum", "einsum_path"})
     assert not found, found
 
 
@@ -631,9 +636,5 @@ def test_the_plan_builders_are_chosen_in_contract_alone():
     the stack checks of the one checked route, contract._checked."""
     names = {"_pure_plan", "_mixed_plan", "eval_pure", "eval_mixed", "eval_pure_batch",
              "eval_mixed_batch", "_checked_stack"}
-    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
-             if name != "contract.py"
-             and (isinstance(node, ast.Name) and node.id in names
-                  or isinstance(node, ast.Attribute) and node.attr in names
-                  or isinstance(node, ast.alias) and node.name in names)]
+    found = names_outside("contract.py", names)
     assert not found, found
