@@ -24,6 +24,7 @@ from .perms import (
     MAX_GRADE,
     _arity,
     _check_arity,
+    _check_grade,
     canonical_form,
     enumerate_orbits,
     format_label,
@@ -58,8 +59,7 @@ def grade(text: str) -> int:
     m = int(text)
     if m < 1:
         raise argparse.ArgumentTypeError(f"grade {m} is outside 1..{MAX_GRADE}")
-    if m > MAX_GRADE:
-        raise ResourceLimitError(f"grade {m} exceeds MAX_GRADE; grades run 1..{MAX_GRADE}")
+    _check_grade(m)
     return m
 
 

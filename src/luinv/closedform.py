@@ -61,9 +61,9 @@ from ._einsum import MAX_AXIS_IDS, PLAN_CACHE_SIZE, plan
 from ._record import Value, set_hash
 from .contract import _checked
 from .errors import ResourceLimitError
-from .perms import (Label, OrbitLabel, PermTuple, _arity, as_tuple, canonical_form, identity,
-                    sim_decompose)
-from .states import DensityMatrix, _check_subsystems, _check_total, _state_data, projector
+from .perms import (Label, OrbitLabel, PermTuple, _arity, _check_arity, as_tuple, canonical_form,
+                    identity, sim_decompose)
+from .states import DensityMatrix, _check_subsystems, _projector_stack
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -81,13 +81,10 @@ _T_IMAGES = (2, 1, 3)    # swap fixing 3
 _S2_IMAGES = (3, 1, 2)
 _FACTOR_ORDER = (_TS_IMAGES, _TS2_IMAGES, _T_IMAGES)
 
-#: Highest grade with a closed form: the formulas stop at degree six.
-MAX_CLOSED_FORM_GRADE = 3
-
-
 def has_closed_form(m: int) -> bool:
-    """Whether the labels of grade m have a closed form (1 <= m <= 3)."""
-    return 1 <= m <= MAX_CLOSED_FORM_GRADE
+    """Whether the labels of grade m have a closed form (1 <= m <= 3): the
+    formulas stop at degree six."""
+    return 1 <= m <= 3
 
 
 def closed_form(sigma: Label, kind: str, state) -> complex:
@@ -210,12 +207,12 @@ class FormulaDescriptor(Value):
         """self.text run through parse_formula, on |psi><psi| for a pure
         writing: the program its label's closed form runs.  A state of the
         other class raises TypeError, one not on r subsystems ValueError."""
-        if self.kind == "pure":
-            # the class, then the guard, before the N x N projector is built
-            _state_data("pure", state)
-            _check_total(state.dims)
-            state = projector(state)
-        return _run_text(_parse(self.text), self.label, state)
+        _, kind, dims, stack = _checked(None, self.kind, state)
+        if self.label.r != len(dims):  # the label is mixed, on the state's subsystems
+            _check_arity(self.label, "mixed", len(dims))
+        if kind == "pure":  # built after the guard: the N x N projector
+            stack = _projector_stack(stack)
+        return _compiled(_parse(self.text), dims)(stack).item()
 
 
 def alternate_writings(sigma: Label, kind: str) -> list[FormulaDescriptor]:
@@ -410,10 +407,10 @@ def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
     program compiled once per (syntax tree, dims), whose building checks the
     subsystem indices and supports against the checked dims."""
     tree = _parse(text)
-    return lambda rho: _run_text(tree, None, rho)
+    return lambda rho: _run_text(tree, rho)
 
 
-def _run_text(tree: tuple, label: Label | None, rho: DensityMatrix) -> complex:
-    """A parsed formula, with its mixed label if any, on a checked operator."""
-    _, _, dims, stack = _checked(label, "mixed", rho)
+def _run_text(tree: tuple, rho: DensityMatrix) -> complex:
+    """A parsed formula on a checked operator."""
+    _, _, dims, stack = _checked(None, "mixed", rho)
     return _compiled(tree, dims)(stack).item()

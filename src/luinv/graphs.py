@@ -20,8 +20,7 @@ import itertools
 import json
 
 from ._record import as_int
-from .errors import ResourceLimitError
-from .perms import MAX_GRADE, Perm, PermTuple, canonical_form, orbit_partition
+from .perms import Perm, PermTuple, _check_grade, canonical_form, orbit_partition
 
 _PALETTE = ("black", "red", "blue", "green", "orange", "purple", "brown", "cyan")
 
@@ -112,9 +111,8 @@ def expressible_ordering(g: PermTuple) -> tuple[int, ...] | None:
     """Search all cyclic vertex orders (vertex 1 pinned first, quotienting
     rotations; reflections stay in the search space) for one in which every
     color's cycles fit per _cycle_fits.  Returns the first such order, or
-    None."""
-    if g.m > MAX_GRADE:
-        raise ResourceLimitError(f"ordering search limited to m <= {MAX_GRADE}")
+    None.  Refused above MAX_GRADE."""
+    _check_grade(g.m)
     cycles = [p.cycles() for p in g.perms]
     for rest in itertools.permutations(range(2, g.m + 1)):
         order = (1,) + rest

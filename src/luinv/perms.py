@@ -29,6 +29,10 @@ centralizer, and each later entry keeps only the part of that coset that
 gives it its least image.
 ``orbit_partition`` is the one orbit routine on points, shared by
 ``is_transitive`` and ``graphs.connected_components``.
+``_cycles`` is the one cycle walk and ``_conjugator`` the one builder of a
+conjugator, the (value map, index order) pair that conjugates an image list
+in one comprehension; the hot loops that apply conjugators inline it.
+``_check_grade`` is the one MAX_GRADE bound, for ``graphs`` and the CLI too.
 
 ``enumerate_orbits`` is an orderly generation (canonical augmentation,
 McKay, J. Algorithms 26 (1998)): a tuple is canonical exactly when each
@@ -58,7 +62,8 @@ from ._record import Ordered, Value, as_int, set_hash
 from .errors import ResourceLimitError
 
 #: Upper bound on the grade: the routines that list S_m (symmetric_group,
-#: sim_decompose, the enumeration walk) and the class table.
+#: sim_decompose, the enumeration walk), the class table and
+#: graphs.expressible_ordering, each checked by _check_grade.
 MAX_GRADE = 8
 
 #: Most label entries (labels times max(r, 1)) enumerate_orbits returns, and
@@ -103,19 +108,7 @@ class Perm(Ordered):
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its smallest element, ordered by it."""
-        seen = [False] * self.m
-        out = []
-        for start in range(1, self.m + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            l = start
-            while not seen[l - 1]:
-                seen[l - 1] = True
-                cyc.append(l)
-                l = self(l)
-            out.append(tuple(cyc))
-        return out
+        return _cycles(self.images)
 
     def __repr__(self):
         return f"Perm({list(self.images)})"
@@ -136,7 +129,25 @@ def conjugate(beta: Perm, g: Perm) -> Perm:
     """Conjugation beta * g * beta^-1."""
     if beta.m != g.m:
         raise ValueError(f"grade mismatch: {beta.m} != {g.m}")
-    return compose(compose(beta, g), beta.inverse())
+    vmap, order = _conjugator(tuple(enumerate(beta.images, 1)))
+    return _trusted_perm(tuple([vmap[g.images[i]] for i in order]))
+
+
+def _cycles(images: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The disjoint cycles of an image list, each starting at its smallest
+    element, ordered by it: the one cycle walk of the package."""
+    seen = [False] * (len(images) + 1)
+    out = []
+    for start in range(1, len(images) + 1):
+        if not seen[start]:
+            cycle = []
+            l = start
+            while not seen[l]:
+                seen[l] = True
+                cycle.append(l)
+                l = images[l - 1]
+            out.append(tuple(cycle))
+    return out
 
 
 #: A permutation b as the pair (value map, index order) that conjugates an
@@ -146,10 +157,22 @@ def conjugate(beta: Perm, g: Perm) -> Perm:
 _Conjugator = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _conjugator(pairs: Sequence[tuple[int, int]]) -> _Conjugator:
+    """The conjugator pair of the permutation b given by its point pairs
+    (l, b(l)), one for each l in 1..m in any order."""
+    vmap = [0] * (len(pairs) + 1)
+    order = [0] * len(pairs)
+    for a, b in pairs:
+        vmap[a] = b
+        order[b - 1] = a - 1
+    return tuple(vmap), tuple(order)
+
+
 def _check_grade(m: int):
+    """The one bound on the grade: ResourceLimitError above MAX_GRADE."""
     if m > MAX_GRADE:
         raise ResourceLimitError(
-            f"grade {m} exceeds MAX_GRADE={MAX_GRADE}: too large for brute-force canonicalization"
+            f"grade {m} exceeds MAX_GRADE: too large, grades run 1..{MAX_GRADE}"
         )
 
 
@@ -187,7 +210,7 @@ def _centralizer_order(lengths: tuple[int, ...]) -> int:
     return order
 
 
-def _centralizer(lengths: tuple[int, ...], m: int) -> tuple[_Conjugator, ...]:
+def _centralizer(lengths: tuple[int, ...]) -> tuple[_Conjugator, ...]:
     """The centralizer of the class representative of these cycle lengths,
     as sorted conjugator pairs: each element sends equal-length cycles onto
     each other (a_i! ways) and rotates each (i ways), z_lambda in all."""
@@ -205,16 +228,8 @@ def _centralizer(lengths: tuple[int, ...], m: int) -> tuple[_Conjugator, ...]:
             for targets in itertools.permutations(group)
             for shifts in itertools.product(range(n), repeat=len(group))
         ])
-    out = []
-    for choice in itertools.product(*factors):
-        vmap = [0] * (m + 1)
-        order = [0] * m
-        for pairs in choice:
-            for a, b in pairs:
-                vmap[a] = b
-                order[b - 1] = a - 1
-        out.append((tuple(vmap), tuple(order)))
-    return tuple(sorted(out))
+    return tuple(sorted(_conjugator([pair for pairs in choice for pair in pairs])
+                        for choice in itertools.product(*factors)))
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +252,7 @@ def _classes(m: int) -> dict[tuple[int, ...], tuple[_Conjugator, ...] | None]:
             rep.append(start)
             start += n
         whole = m > 1 and len(lengths) == m
-        table.append((tuple(rep), None if whole else _centralizer(lengths, m)))
+        table.append((tuple(rep), None if whole else _centralizer(lengths)))
     return dict(sorted(table))
 
 
@@ -399,28 +414,11 @@ def _canonical_images(
     rest = images[j:]
     keep = classes.get(sigma)
     if keep is None:  # sigma is not its class representative
-        # b0 lays the fixed points, then the other cycles by length, onto
-        # consecutive points: slots[i] = b0^-1(i+1) - 1 and b0_map[l] = b0(l)
-        slots, cycles = [], []
-        seen = [False] * (m + 1)
-        for start in identity:
-            l = sigma[start - 1]
-            if l == start:
-                slots.append(start - 1)
-            elif not seen[start]:
-                cycle = [start - 1]
-                while l != start:
-                    seen[l] = True
-                    cycle.append(l - 1)
-                    l = sigma[l - 1]
-                cycles.append(cycle)
-        cycles.sort(key=len)
-        for cycle in cycles:
-            slots += cycle
-        b0_map = [0] * (m + 1)
-        for i, x in enumerate(slots, 1):
-            b0_map[x + 1] = i
-        rest = [tuple([b0_map[tau[x]] for x in slots]) for tau in rest]
+        # b0 lays the cycles by length, so the fixed points first, onto
+        # consecutive points
+        points = itertools.chain.from_iterable(sorted(_cycles(sigma), key=len))
+        vmap, order = _conjugator(list(zip(points, identity)))
+        rest = [tuple([vmap[tau[i]] for i in order]) for tau in rest]
         keep = classes[rest[0]]
     out = list(images[:j])
     out.append(rest[0])

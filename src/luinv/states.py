@@ -90,6 +90,10 @@ class _StateRecord(Record):
 
     __slots__ = ()
 
+    @property
+    def k(self) -> int:
+        return len(self.dims)
+
     @classmethod
     def _derived(cls, dims: tuple[int, ...], data: np.ndarray):
         """A record on dims already checked, holding data of its shape and
@@ -113,10 +117,6 @@ class PureState(_StateRecord):
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def k(self) -> int:
-        return len(self.dims)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -136,10 +136,6 @@ class DensityMatrix(_StateRecord):
             raise ValueError(f"entry shape {mat.shape} does not match dims {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
-
-    @property
-    def k(self) -> int:
-        return len(self.dims)
 
     def tensor(self) -> np.ndarray:
         """View with one row axis and one column axis per subsystem."""
@@ -226,7 +222,7 @@ def random_hermitian(dims: Sequence[int], seed: int) -> DensityMatrix:
     """Hermitian (not necessarily PSD) matrix (B + B^dagger)/2, entries O(1)."""
     dims = check_dims(dims)
     n = math.prod(dims)
-    b = _complex_stack(_normals(_rng(seed), 1, 2 * n * n), (n, n))[0]
+    b = _complex_stack(_rng(seed).standard_normal((1, 2 * n * n)), (n, n))[0]
     return DensityMatrix._derived(dims, (b + b.conj().T) / 2)
 
 
@@ -299,12 +295,6 @@ def _check_seed(seed: int) -> int:
     return checked
 
 
-def _normals(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """The next n times size standard normals of rng, one row per sample:
-    (n, size)."""
-    return rng.standard_normal((n, size))
-
-
 def _complex_stack(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """I.i.d. standard complex Gaussian entries from rows of real parts then
     imaginary parts: (n, 2 prod(shape)) floats to (n, *shape) complex."""
@@ -314,7 +304,7 @@ def _complex_stack(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _pure_stack(dims: tuple[int, ...], rng: np.random.Generator, n: int) -> np.ndarray:
     """n random_pure amplitude tensors drawn in turn from rng: (n, *dims)."""
-    return _complex_stack(_normals(rng, n, 2 * math.prod(dims)), dims)
+    return _complex_stack(rng.standard_normal((n, 2 * math.prod(dims))), dims)
 
 
 def _density_stack(dims: tuple[int, ...], rng: np.random.Generator, n: int,
@@ -325,7 +315,7 @@ def _density_stack(dims: tuple[int, ...], rng: np.random.Generator, n: int,
     width = size if rank is None else as_int(rank)
     if width is None or width < 1:
         raise ValueError(f"rank must be a positive integer: {rank!r}")
-    a = _complex_stack(_normals(rng, n, 2 * size * width), (size, width))
+    a = _complex_stack(rng.standard_normal((n, 2 * size * width)), (size, width))
     return a @ a.conj().swapaxes(1, 2)
 
 
@@ -333,7 +323,7 @@ def _unitary_stacks(dims: tuple[int, ...], rng: np.random.Generator, n: int) -> 
     """n random_local_unitaries drawn in turn from rng, as one (n, n_j, n_j)
     stack per subsystem: each sample's draws in random_local_unitaries'
     order, then one batched QR per subsystem."""
-    buf = _normals(rng, n, sum(2 * nj * nj for nj in dims))
+    buf = rng.standard_normal((n, sum(2 * nj * nj for nj in dims)))
     stacks = []
     start = 0
     for nj in dims:

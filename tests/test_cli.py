@@ -630,6 +630,31 @@ def test_every_contraction_runs_through_einsum_plans():
     assert not found, found
 
 
+def test_only_perms_compares_with_the_grade_bound():
+    """One grade bound: no module of the package but perms compares a value
+    with MAX_GRADE; the others call perms._check_grade."""
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if name != "perms.py" and isinstance(node, ast.Compare)
+             and any(isinstance(x, ast.Name) and x.id == "MAX_GRADE"
+                     or isinstance(x, ast.Attribute) and x.attr == "MAX_GRADE"
+                     for x in [node.left, *node.comparators])]
+    assert not found, found
+
+
+def test_every_route_refuses_a_grade_above_the_bound_alike(capsys):
+    m = MAX_GRADE + 1
+    sigma = luinv.PermTuple(m, (luinv.Perm(tuple(range(2, m + 1)) + (1,)),))
+    messages = []
+    for call in (lambda: luinv.canonical_form(sigma), lambda: luinv.enumerate_orbits(m, 1),
+                 lambda: luinv.expressible_ordering(sigma)):
+        with pytest.raises(ResourceLimitError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == [f"grade {m} exceeds MAX_GRADE: too large, grades run 1..{MAX_GRADE}"] * 3
+    code, out, err = run(capsys, "graph", "--m", str(m), "--k", "2", "--label", "e")
+    assert (code, out, err) == (3, "", f"resource guard: {messages[0]}\n")
+
+
 def test_the_plan_builders_are_chosen_in_contract_alone():
     """contract._plan is the one choice between the pure and the mixed
     network: no other module names a plan builder, a per-kind evaluator or

@@ -326,10 +326,29 @@ class TestDispatcher:
         def refuse(amps):
             raise AssertionError("a projector was built")
 
-        monkeypatch.setattr(S, "_projector_stack", refuse)
+        monkeypatch.setattr(F, "_projector_stack", refuse)
         with S.dim_limit(4), pytest.raises(ResourceLimitError,
                                            match="total dimension 8 exceeds limit 4"):
             writing.evaluate_text(psi)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_evaluate_text_checks_the_class_and_the_guard_once(self, kind, monkeypatch):
+        state = (S.random_pure if kind == "pure" else S.random_density)((2, 2), seed=98)
+        writing = F.alternate_writings(P.perm_tuple(3, *(("s",) if kind == "pure" else ("s", "t"))),
+                                       kind)[-1]
+        calls = []
+        for name in ("_check_total", "_state_data"):
+            real = getattr(S, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("luinv") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        writing.evaluate_text(state)
+        assert sorted(calls) == ["_check_total", "_state_data"]
 
     def test_each_evaluation_runs_the_kind_rule_once(self, tmp_path, capsys, monkeypatch):
         psi, rho = S.random_pure((2, 2), seed=96), S.random_density((2, 2), seed=97)

@@ -60,7 +60,7 @@ class TestMixedExamples:
 
 
 class TestStrategiesAgree:
-    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2), (3, 3)])
     def test_mixed_all_labels(self, dims):
         rho = S.random_density(dims, seed=len(dims))
         for m in (1, 2, 3):
