@@ -11,13 +11,16 @@ and restore it with ``__setstate__``, without ``__init__``.
 - ``Record`` refuses assignment and compares by identity;
 - ``Value`` compares equal to a record of exactly its class with an equal
   field tuple, and hashes as that tuple, computed on first use and kept;
-- ``Ordered`` also orders by the field tuple.
+- ``Ordered`` also orders by the field tuple: it defines ``<`` alone, and
+  ``functools.total_ordering`` derives ``<=``, ``>`` and ``>=`` from ``<``
+  and ``==``.
 
 Against any other class the comparisons return NotImplemented.
 
 ``as_int`` is the package's one rule for an integer argument.
 """
 
+from functools import total_ordering
 from operator import attrgetter, index
 
 
@@ -100,6 +103,7 @@ class Value(Record):
 set_hash = Value._hash.__set__
 
 
+@total_ordering
 class Ordered(Value):
     """A value ordered by its field tuple."""
 
@@ -108,19 +112,4 @@ class Ordered(Value):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._key(self) < self._key(other)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) <= self._key(other)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) > self._key(other)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) >= self._key(other)
         return NotImplemented

@@ -180,7 +180,6 @@ def cmd_graph(args) -> int:
             print(f"{format_label(member.rep):<24} {text}")
         return EXIT_OK
 
-    emitted = False
     if args.formula:
         from .closedform import formula_text, has_closed_form
 
@@ -189,15 +188,12 @@ def cmd_graph(args) -> int:
             print(formula_text(lab.rep, kind))
         else:
             print(f"{format_label(lab.rep):<24} none")
-        emitted = True
     if args.expressible:
         order = expressible_ordering(drawn)
         print("none" if order is None else ",".join(str(v) for v in order))
-        emitted = True
     if args.json:
         print(graph_to_json(drawn))
-        emitted = True
-    if not emitted:
+    if not (args.formula or args.expressible or args.json):
         sys.stdout.write(dot_export(drawn))
     return EXIT_OK
 
@@ -296,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -407,10 +407,8 @@ def parse_formula(text: str) -> Callable[[DensityMatrix], complex]:
     program compiled once per (syntax tree, dims), whose building checks the
     subsystem indices and supports against the checked dims."""
     tree = _parse(text)
-    return lambda rho: _run_text(tree, rho)
 
-
-def _run_text(tree: tuple, rho: DensityMatrix) -> complex:
-    """A parsed formula on a checked operator."""
-    _, _, dims, stack = _checked(None, "mixed", rho)
-    return _compiled(tree, dims)(stack).item()
+    def evaluate(rho: DensityMatrix) -> complex:
+        _, _, dims, stack = _checked(None, "mixed", rho)
+        return _compiled(tree, dims)(stack).item()
+    return evaluate

@@ -32,7 +32,7 @@ import numpy as np
 from ._einsum import PLAN_CACHE_SIZE, Plan, plan
 from .errors import ResourceLimitError
 from .perms import Label, PermTuple, _arity, _check_arity, as_tuple
-from .states import DensityMatrix, PureState, _check_total, _state_data, check_dims
+from .states import DensityMatrix, PureState, _check_total, _shape, _state_data, check_dims
 
 #: The public names, which ``luinv`` also exports
 __all__ = [
@@ -101,7 +101,7 @@ def _checked(sigma: Label | None, kind: str, states, dims: Sequence[int] | None 
         dims = tuple(dims)
         need = _arity(kind, len(dims))
         dims, stack = check_dims(dims), np.asarray(states, dtype=complex)
-        shape = dims if kind == "pure" else (math.prod(dims),) * 2
+        shape = _shape(kind, dims)
         if stack.shape[1:] != shape:
             raise ValueError(f"a {kind} stack on dims {dims} has shape (n,) + {shape}, "
                              f"not {stack.shape}")

@@ -272,6 +272,8 @@ _NAME_BY_IMAGES = {
     (2, 1): "t",
     **{img: name for name, img in _S3_NAMED.items()},
 }
+#: (grade, name) -> images: the names perm_name prints, read back
+_IMAGES_BY_NAME = {(len(img), name): img for img, name in _NAME_BY_IMAGES.items()}
 
 
 def perm_name(p: Perm) -> str:
@@ -292,15 +294,11 @@ def perm_from_name(text: str, m: int) -> Perm:
         if len(images) != m:
             raise ValueError(f"image list {text!r} has length {len(images)}, expected {m}")
         return Perm(images)
-    for name, images in _S3_NAMED.items():
-        if text == name:
-            if m == 3:
-                return Perm(images)
-            if m == 2 and name in ("e", "t"):
-                return Perm(images[:2])
-            if m == 1 and name == "e":
-                return Perm((1,))
-            raise ValueError(f"name {text!r} is not defined for grade {m}")
+    images = _IMAGES_BY_NAME.get((m, text))
+    if images is not None:
+        return Perm(images)
+    if text in _S3_NAMED:
+        raise ValueError(f"name {text!r} is not defined for grade {m}")
     raise ValueError(f"unknown permutation name {text!r}")
 
 

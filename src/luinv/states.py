@@ -85,6 +85,12 @@ def _check_total(dims: tuple[int, ...]) -> tuple[int, ...]:
     return dims
 
 
+def _shape(kind: str, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """A state array's shape on dims: the amplitude tensor dims for "pure",
+    (N, N) with N = prod(dims) for "mixed"."""
+    return dims if kind == "pure" else (math.prod(dims),) * 2
+
+
 class _StateRecord(Record):
     """A state record: its dims, then its array."""
 
@@ -112,7 +118,7 @@ class PureState(_StateRecord):
     def __init__(self, dims: tuple[int, ...], amplitudes: np.ndarray):
         dims = check_dims(dims)
         amp = np.asarray(amplitudes, dtype=complex)
-        if amp.shape != dims:
+        if amp.shape != _shape("pure", dims):
             raise ValueError(f"amplitude shape {amp.shape} does not match dims {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amp)
@@ -131,8 +137,7 @@ class DensityMatrix(_StateRecord):
     def __init__(self, dims: tuple[int, ...], entries: np.ndarray):
         dims = check_dims(dims)
         mat = np.asarray(entries, dtype=complex)
-        n = math.prod(dims)
-        if mat.shape != (n, n):
+        if mat.shape != _shape("mixed", dims):
             raise ValueError(f"entry shape {mat.shape} does not match dims {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
@@ -394,12 +399,6 @@ def _purify_stack(rhos: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 # which is exact for float64.
 
 
-def _complex_to_pairs(arr: np.ndarray):
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [_complex_to_pairs(sub) for sub in arr]
-
-
 def _pairs_to_complex(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 2:
@@ -413,7 +412,8 @@ def save_state(state: State, path) -> None:
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"not a state: {type(state)!r}")
     kind = "pure" if isinstance(state, PureState) else "mixed"
-    data = _complex_to_pairs(_state_data(kind, state))
+    arr = _state_data(kind, state)
+    data = np.stack((arr.real, arr.imag), axis=-1).tolist()
     doc = {"dims": list(state.dims), "kind": kind, "data": data}
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(doc, fp)
@@ -422,8 +422,10 @@ def save_state(state: State, path) -> None:
 
 def load_state(path) -> State:
     """Read a state file.  Malformed content (bad JSON, nesting too deep for
-    the parser, dims that are not JSON integers, a wrong shape) raises
-    ValueError."""
+    the parser, dims that are not JSON integers, an unknown kind) raises
+    ValueError.  Then the state record checks the dims, against the guard
+    too (ResourceLimitError), and the data's shape; a mixed state must also
+    be Hermitian."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -434,16 +436,9 @@ def load_state(path) -> State:
         arr = _pairs_to_complex(doc["data"])
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    if kind == "pure":
-        if arr.shape != dims:
-            raise ValueError(f"pure data shape {arr.shape} does not match dims {dims}")
-        return PureState(dims, arr)
-    if kind == "mixed":
-        n = math.prod(dims)
-        if arr.shape != (n, n):
-            raise ValueError(f"mixed data shape {arr.shape} does not match dims {dims}")
-        rho = DensityMatrix(dims, arr)
-        if not is_hermitian(rho, tol=1e-10):
-            raise ValueError("mixed state file is not Hermitian")
-        return rho
-    raise ValueError(f"unknown state kind {kind!r}")
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"unknown state kind {kind!r}")
+    state = (PureState if kind == "pure" else DensityMatrix)(dims, arr)
+    if kind == "mixed" and not is_hermitian(state, tol=1e-10):
+        raise ValueError("mixed state file is not Hermitian")
+    return state

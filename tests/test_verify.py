@@ -64,6 +64,16 @@ class TestReports:
         assert not rep.passed and rep.max_residual == 1.0
         assert rep.details["failures"] == [{"m": 4, "r": 2, "got": 43, "want": 44}]
 
+    def test_generator_counts_can_fail(self, monkeypatch):
+        """A generator count off by one at (4, 2) fails the check there."""
+        def off_by_one(m, r):
+            return P.generator_count(m, r) + ((m, r) == (4, 2))
+
+        monkeypatch.setattr(V, "generator_count", off_by_one)
+        rep = V.check_counts()
+        assert not rep.passed and rep.max_residual == 1.0
+        assert rep.details["failures"] == [{"m": 4, "r": 2, "generators": 26, "want": 27}]
+
     def test_deterministic(self):
         a = V.check_lu_invariance((2, 2), seed=3)
         b = V.check_lu_invariance((2, 2), seed=3)
